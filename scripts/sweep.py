@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Decide every formula over a small alphabet up to a complexity bound.
 
-For each formula the prover runs first; refuted formulas get a validated
+Each formula is decided once: refuted formulas get a validated
 countermodel, proved ones are cross-checked against the brute-force model
 search.  Any disagreement or validation failure aborts with a non-zero
 exit code.
@@ -13,10 +13,9 @@ import argparse
 import sys
 import time
 
-from isci.countermodel import countermodel
+from isci.countermodel import decide
 from isci.formulas import BOT, Id, Imp, Var, sort_key
 from isci.printer import format_formula
-from isci.prover import prove
 from isci.semantics import bounded_countermodel_search
 
 
@@ -53,7 +52,7 @@ def main(argv=None) -> int:
     proved = refuted = 0
     worlds_hist: dict[int, int] = {}
     for phi in formulas:
-        verdict = prove(phi)
+        verdict = decide(phi)
         if verdict.proved:
             proved += 1
             found = bounded_countermodel_search(phi, max_worlds=args.oracle_worlds)
@@ -66,7 +65,7 @@ def main(argv=None) -> int:
                       f"({verdict.stats.nodes} nodes, {verdict.stats.backtracks} backtracks)")
         else:
             refuted += 1
-            bundle = countermodel(phi)
+            bundle = verdict.model
             worlds_hist[len(bundle.worlds)] = worlds_hist.get(len(bundle.worlds), 0) + 1
             if args.verbose:
                 print(f"REFUTED  {format_formula(phi)}  ({len(bundle.worlds)} worlds)")

@@ -1,15 +1,16 @@
 """Decision procedure for intuitionistic sentential logic with identity.
 
-`prove` searches for a sequent-calculus proof; when that fails,
-`countermodel` assembles a finite Kripke model refuting the formula and
-validates it against the semantics before returning it.
+`decide` runs one proof search: a proof is certified by the independent
+checker, and a failed search becomes the provability gate of a finite
+Kripke countermodel, which is validated against the semantics before it
+is returned.  `prove` is the search alone; `countermodel` is `decide` for
+a formula known to be unprovable.
 """
 
 from .calculus import (
     Derivation,
     RuleInstance,
     Sequent,
-    applicable_instances,
     apply_rule,
     check_proof,
     is_axiom,
@@ -19,12 +20,9 @@ from .countermodel import (
     CounterModelBundle,
     CounterModelError,
     NoOpenBranchError,
-    assemble_model,
-    build_c5_derivation,
-    close_branch_set,
     countermodel,
+    decide,
     leftmost_open_branch,
-    segment_worlds,
 )
 from .formulas import (
     BOT,
@@ -33,8 +31,6 @@ from .formulas import (
     Id,
     Imp,
     Var,
-    canonical_compare,
-    classify,
     complexity,
     extended_subformulas,
     in_extended_subformulas,
@@ -44,12 +40,12 @@ from .formulas import (
 from .parser import ParseError, parse_formula, parse_sequent
 from .printer import format_derivation, format_formula, format_model, format_sequent
 from .prover import (
+    CertificationError,
     Limits,
     ResourceExhausted,
     SearchStats,
     Verdict,
     prove,
-    saturate_identities,
 )
 from .semantics import (
     KripkeModel,
@@ -65,6 +61,7 @@ from .semantics import (
 __all__ = [
     "BOT",
     "Bottom",
+    "CertificationError",
     "CounterModelBundle",
     "CounterModelError",
     "Derivation",
@@ -81,21 +78,16 @@ __all__ = [
     "Sequent",
     "Var",
     "Verdict",
-    "applicable_instances",
     "apply_rule",
-    "assemble_model",
-    "close_branch_set",
     "bounded_countermodel_search",
-    "build_c5_derivation",
-    "canonical_compare",
     "check_admissible",
     "check_frame",
     "check_identity_entails_implications",
     "check_monotonicity",
     "check_proof",
-    "classify",
     "complexity",
     "countermodel",
+    "decide",
     "extended_subformulas",
     "forces",
     "format_derivation",
@@ -109,8 +101,6 @@ __all__ = [
     "parse_formula",
     "parse_sequent",
     "prove",
-    "saturate_identities",
-    "segment_worlds",
     "sequent",
     "subformulas",
     "valid_in_model",

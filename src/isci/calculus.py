@@ -16,8 +16,6 @@ from .formulas import (
     Formula,
     Id,
     Imp,
-    extended_subformulas,
-    in_extended_subformulas,
     sort_key,
     sorted_formulas,
 )
@@ -127,36 +125,6 @@ def apply_rule(s: Sequent, r: RuleInstance) -> list[Sequent]:
     raise InapplicableRuleError(f"unknown rule {r.rule!r}")
 
 
-def applicable_instances(s: Sequent, goal_bound: Formula) -> list[RuleInstance]:
-    """All rule instances applicable to `s`, with identity instances
-    restricted so the active equation of the premise lies in
-    extended_subformulas(goal_bound).  Instances whose premise would equal
-    the conclusion (identity no-ops) are dropped.  Order: rule priority,
-    then canonical order of the principal data.
-    """
-    out: list[RuleInstance] = []
-    ante = s.antecedent
-    eqs = [f for f in s.sorted_antecedent() if isinstance(f, Id)]
-    for e in sorted_formulas(extended_subformulas(goal_bound)):
-        if isinstance(e, Id) and e.left == e.right and e not in ante:
-            out.append(RuleInstance(L_ID1, principal=e.left))
-    for e in eqs:
-        if Imp(e.left, e.right) not in ante or Imp(e.right, e.left) not in ante:
-            out.append(RuleInstance(L_ID2, principal=e))
-    for e1 in eqs:
-        for e2 in eqs:
-            for op in (OP_IMP, OP_ID):
-                comp = compose_equations(e1, e2, op)
-                if comp not in ante and in_extended_subformulas(comp, goal_bound):
-                    out.append(RuleInstance(L_ID3, principal=e1, principal2=e2, op=op))
-    if isinstance(s.succedent, Imp):
-        out.append(RuleInstance(R_IMP))
-    for f in s.sorted_antecedent():
-        if isinstance(f, Imp):
-            out.append(RuleInstance(L_IMP, principal=f))
-    return out
-
-
 @dataclass(frozen=True, slots=True)
 class Derivation:
     """A derivation tree node.  `rule` is None exactly at leaves; a leaf is
@@ -186,14 +154,6 @@ class Derivation:
             out |= node.sequent.antecedent
             out.add(node.sequent.succedent)
         return frozenset(out)
-
-
-def axiom_leaf(s: Sequent) -> Derivation:
-    return Derivation(s)
-
-
-def open_leaf(s: Sequent) -> Derivation:
-    return Derivation(s)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,7 @@ import sys
 
 from . import serialize
 from .calculus import Sequent, check_proof
-from .countermodel import CounterModelError, NoOpenBranchError, countermodel
+from .countermodel import CounterModelError, decide
 from .formulas import complexity, extended_subformulas, sorted_formulas, variables
 from .parser import ParseError, parse_formula
 from .printer import (
@@ -22,9 +22,8 @@ from .printer import (
     format_derivation_latex,
     format_formula,
     format_model,
-    format_model_dot,
 )
-from .prover import Limits, ResourceExhausted, prove
+from .prover import CertificationError, Limits, ResourceExhausted, prove
 from .semantics import (
     bounded_countermodel_search,
     check_admissible,
@@ -64,60 +63,55 @@ def _verdict_line(args, text: str):
     print(text, file=sys.stderr if args.format == "structured" else sys.stdout)
 
 
-def _render_proof(args, proof) -> str:
-    if args.format == "latex":
-        return format_derivation_latex(proof)
-    if args.format == "graph":
-        return format_derivation_dot(proof)
-    return format_derivation(proof)
+def _report_proof(args, phi, proof) -> int:
+    _verdict_line(args, "PROVED")
+    if args.format == "structured":
+        _emit(args, serialize.dumps(serialize.verdict_doc(phi, proof=proof)))
+    elif args.format == "latex":
+        _emit(args, format_derivation_latex(proof))
+    elif args.format == "graph":
+        _emit(args, format_derivation_dot(proof))
+    else:
+        _emit(args, format_derivation(proof))
+    return EXIT_PROVED
 
 
-def _render_model(args, doc) -> str:
-    if args.format == "graph":
-        return format_model_dot(doc)
-    return format_model(doc)
+def _report_model(args, phi, bundle) -> int:
+    _verdict_line(args, "REFUTED")
+    if args.format == "structured":
+        _emit(args, serialize.dumps(serialize.verdict_doc(phi, model=bundle.model_document())))
+    elif args.format == "graph":
+        _emit(args, bundle.to_dot())
+    else:
+        _emit(args, format_model(bundle.model_document()))
+    return EXIT_REFUTED
 
 
 def _cmd_decide(args) -> int:
     phi = parse_formula(_read_input(args.input))
-    limits = _limits(args)
-    verdict = prove(phi, limits)
+    verdict = decide(phi, _limits(args))
     if verdict.proved:
-        _verdict_line(args, "PROVED")
-        if args.format == "structured":
-            _emit(args, serialize.dumps(serialize.verdict_doc(phi, proof=verdict.proof)))
-        else:
-            _emit(args, _render_proof(args, verdict.proof))
-        code = EXIT_PROVED
+        code = _report_proof(args, phi, verdict.proof)
     else:
-        bundle = countermodel(phi, limits)
-        doc = bundle.model_document()
-        _verdict_line(args, "REFUTED")
-        if args.format == "structured":
-            _emit(args, serialize.dumps(serialize.verdict_doc(phi, model=doc)))
-        elif args.format == "graph":
-            _emit(args, bundle.to_dot())
-        else:
-            _emit(args, _render_model(args, doc))
-        code = EXIT_REFUTED
+        code = _report_model(args, phi, verdict.model)
     if args.oracle is not None:
         found = bounded_countermodel_search(phi, max_worlds=args.oracle)
         if verdict.proved and found is not None:
-            model, world = found
             print(
-                f"oracle: DISAGREEMENT, countermodel at {world} despite a proof",
+                f"oracle: DISAGREEMENT, countermodel at {found[1]} despite a proof",
                 file=sys.stderr,
             )
             return EXIT_INTERNAL
         if verdict.proved:
-            print(f"oracle: agreement, no countermodel within {args.oracle} worlds")
+            line = f"oracle: agreement, no countermodel within {args.oracle} worlds"
         elif found is not None:
-            print(f"oracle: agreement, countermodel found at {found[1]}")
+            line = f"oracle: agreement, countermodel found at {found[1]}"
         else:
-            print(
+            line = (
                 f"oracle: exhausted at {args.oracle} worlds "
                 "(the refutation may need a larger frame)"
             )
+        _verdict_line(args, line)
     return code
 
 
@@ -125,33 +119,18 @@ def _cmd_prove(args) -> int:
     phi = parse_formula(_read_input(args.input))
     verdict = prove(phi, _limits(args))
     if verdict.proved:
-        _verdict_line(args, "PROVED")
-        if args.format == "structured":
-            _emit(args, serialize.dumps(serialize.verdict_doc(phi, proof=verdict.proof)))
-        else:
-            _emit(args, _render_proof(args, verdict.proof))
-        return EXIT_PROVED
+        return _report_proof(args, phi, verdict.proof)
     print("NOT PROVED")
     return EXIT_REFUTED
 
 
 def _cmd_countermodel(args) -> int:
     phi = parse_formula(_read_input(args.input))
-    limits = _limits(args)
-    verdict = prove(phi, limits)
+    verdict = decide(phi, _limits(args))
     if verdict.proved:
         print("PROVED (no countermodel exists)")
         return EXIT_PROVED
-    bundle = countermodel(phi, limits)
-    doc = bundle.model_document()
-    _verdict_line(args, "REFUTED")
-    if args.format == "structured":
-        _emit(args, serialize.dumps(serialize.verdict_doc(phi, model=doc)))
-    elif args.format == "graph":
-        _emit(args, bundle.to_dot())
-    else:
-        _emit(args, _render_model(args, doc))
-    return EXIT_REFUTED
+    return _report_model(args, phi, verdict.model)
 
 
 def _cmd_check_proof(args) -> int:
@@ -234,10 +213,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--oracle",
         nargs="?",
         type=int,
+        choices=range(1, 5),  # 5 worlds already mean 2^20 candidate orders
         const=3,
         default=None,
         metavar="K",
-        help="cross-check against brute-force search over at most K worlds",
+        help="cross-check against brute-force search over at most K worlds (1 to 4)",
     )
     p.set_defaults(func=_cmd_decide)
 
@@ -274,7 +254,7 @@ def main(argv=None) -> int:
     except ResourceExhausted as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCES
-    except (CounterModelError, NoOpenBranchError, AssertionError) as exc:
+    except (CertificationError, CounterModelError, AssertionError) as exc:
         print(f"internal validation failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -1,12 +1,15 @@
-"""Countermodel construction from failed proof search.
+"""Decision: a checked proof, or a validated countermodel.
 
-The construction re-derives the goal under a stricter regime than proof
-search: before R-> may fire, every antecedent implication must be
-saturated (its consequent present, or its antecedent the succedent) or
-treated by L->.  The leftmost open branch of such a derivation is cut at
-the R-> applications into worlds; branches are then closed under spawning
-a fresh derivation for every sequent whose succedent is an implication,
-giving the extra worlds that refute those implications.  The valuation
+`decide` runs the proof search once.  When the search fails, the
+construction re-derives the goal under a stricter regime than proof
+search, with the failed search (its failure cache and its deadline) as
+the provability check at every node.  Before R-> may fire, every
+antecedent implication must be saturated (its consequent present, or
+its antecedent the succedent) or treated by L->.  The leftmost open
+branch of such a derivation is cut at the R-> applications into worlds;
+branches are then closed under spawning a fresh derivation for every
+sequent whose succedent is an implication, giving the extra worlds that
+refute those implications.  The valuation
 reads a variable or equation as true at a world exactly when it occurs in
 one of the world's antecedents (reflexive equations are true everywhere,
 and truth of equations propagates through componentwise composition).
@@ -27,7 +30,6 @@ order).  A validation failure means a bug, not a property of the input.
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -55,7 +57,7 @@ from .formulas import (
 )
 from .invariants import assert_restricted_derivation
 from .printer import format_formula, format_sequent
-from .prover import Limits, ResourceExhausted, Saturator, SearchStats, _ProofSearch
+from .prover import Limits, ResourceExhausted, Saturator, SearchStats, Verdict, _ProofSearch
 from .semantics import (
     KripkeModel,
     check_admissible,
@@ -167,11 +169,11 @@ class CounterModelBundle:
 
 
 class _Builder:
-    def __init__(self, goal: Formula, limits: Limits):
-        self.goal = goal
-        self.limits = limits
+    def __init__(self, search: _ProofSearch):
+        self.goal = search.goal
+        self.limits = search.limits
         self.stats = SearchStats()
-        self.deadline = time.monotonic() + limits.timeout
+        self.deadline = search.deadline
         self.branches: list[list[BranchOccurrence]] = []
         self.derivations: list[Derivation] = []
         self.worlds: list[World] = []
@@ -179,9 +181,10 @@ class _Builder:
         self.spawn_edges: set[tuple[str, str]] = set()
         self.memo: dict[Sequent, str] = {}
         self.pending: deque[tuple[str, Sequent]] = deque()
-        # shared provability gate; its failure cache carries across nodes
-        self.prover = _ProofSearch(goal, limits)
-        self.prover.deadline = self.deadline
+        # provability gate: the failed search, whose failure cache answers
+        # the root and carries across nodes.  Only cache entries contained
+        # in {seq} can match a gate call, and those are unconditional.
+        self.prover = search
 
     def tick(self):
         self.stats.nodes += 1
@@ -219,7 +222,8 @@ class _Builder:
             self.tick()
         # identity rules are invertible, so the chain of an unprovable
         # sequent stays unprovable and in particular never hits an axiom
-        assert not is_axiom(sat.sequent)
+        if is_axiom(sat.sequent):
+            raise CounterModelError(f"saturation closed {format_sequent(seq)}")
         result = self._tail(sat.sequent, hist, sat)
         for conclusion, inst in reversed(chain):
             result = Derivation(conclusion, inst, (result,))
@@ -381,55 +385,28 @@ def leftmost_open_branch(d: Derivation) -> list[Derivation]:
     return branch
 
 
-def build_c5_derivation(s: Sequent, goal: Formula, limits: Limits | None = None) -> Derivation:
-    """A full derivation of `s` under the countermodel regime (saturation
-    before R->, both premises of every L-> expanded)."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-    return _Builder(goal, limits or Limits()).build(s)
-
-
-def segment_worlds(nodes: list[Derivation]):
-    """Split a branch at its R-> applications.  Returns the list of
-    segments (lists of branch positions) and the edges between consecutive
-    segments."""
-    segments: list[list[int]] = [[]]
-    for i, node in enumerate(nodes):
-        segments[-1].append(i)
-        if node.rule is not None and node.rule.rule == R_IMP:
-            segments.append([])
-    edges = [(i, i + 1) for i in range(len(segments) - 1)]
-    return segments, edges
-
-
-def close_branch_set(phi: Formula, limits: Limits | None = None):
-    """Close the singleton set holding the goal's leftmost open branch
-    under spawning a derivation of `antecedents, psi |- chi` for every
-    branch sequent whose succedent is the implication psi -> chi.  Spawns
-    are memoized per sequent, and a branch's own R-> premises pre-register
-    themselves, so a spawn that coincides with the next world on the same
-    branch reuses it.  Returns the builder holding branches, worlds and
-    both edge families; `assemble_model` turns it into a bundle."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-    builder = _Builder(phi, limits or Limits())
-    builder.close()
-    return builder
-
-
-def assemble_model(builder: "_Builder") -> CounterModelBundle:
-    """Assemble the Kripke model from a closed branch set: the worlds of
-    all branches, the reflexive-transitive closure of both edge families,
-    and the occurrence-based valuation."""
-    return builder.assemble()
+def decide(phi: Formula, limits: Limits | None = None) -> Verdict:
+    """Prove `phi` or refute it.  One proof search runs; a proof is
+    certified, and otherwise the same search gates the construction of a
+    countermodel, which is validated.  `limits.timeout` bounds the whole
+    call, and the verdict's stats count every node the search expanded,
+    the builder's provability checks included."""
+    search = _ProofSearch(phi, limits or Limits())
+    proof = search.run()
+    if proof is not None:
+        return Verdict(True, proof, search.stats)
+    bundle = _Builder(search).run()
+    validate_bundle(bundle)
+    return Verdict(False, None, search.stats, bundle)
 
 
 def countermodel(phi: Formula, limits: Limits | None = None) -> CounterModelBundle:
-    """Build and validate a countermodel for an unprovable formula.  The
-    caller is responsible for having established NotProved; on a provable
-    formula this raises NoOpenBranchError."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-    bundle = _Builder(phi, limits or Limits()).run()
-    validate_bundle(bundle)
-    return bundle
+    """The validated countermodel `decide` builds; on a provable formula
+    this raises NoOpenBranchError."""
+    verdict = decide(phi, limits)
+    if verdict.proved:
+        raise NoOpenBranchError("derivation has no open leaf (the sequent is provable)")
+    return verdict.model
 
 
 def _validation_material(phi: Formula, bundle: CounterModelBundle) -> frozenset[Formula]:

@@ -75,27 +75,6 @@ class Id(_Binary):
 
 BOT = Bottom()
 
-PROP = "prop"
-BOTTOM = "bottom"
-IMPLICATION = "implication"
-EQUATION = "equation"
-
-
-def classify(f: Formula) -> str:
-    if isinstance(f, Var):
-        return PROP
-    if isinstance(f, Bottom):
-        return BOTTOM
-    if isinstance(f, Imp):
-        return IMPLICATION
-    if isinstance(f, Id):
-        return EQUATION
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def is_equation(f: Formula) -> bool:
-    return isinstance(f, Id)
-
 
 def in_form0(f: Formula) -> bool:
     """Atomic-for-valuation formulas: variables and equations."""
@@ -120,16 +99,6 @@ def sort_key(f: Formula):
     if isinstance(f, Imp):
         return (2, sort_key(f.left), sort_key(f.right))
     return (3, sort_key(f.left), sort_key(f.right))
-
-
-def canonical_compare(a: Formula, b: Formula) -> int:
-    """-1, 0 or 1; zero exactly on structural equality."""
-    ka, kb = sort_key(a), sort_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def sorted_formulas(fs: Iterable[Formula]) -> list[Formula]:

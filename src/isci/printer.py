@@ -150,20 +150,3 @@ def format_model(doc: dict) -> str:
         lines.append(f"  {w}: {entries}")
     return "\n".join(lines) + "\n"
 
-
-def format_model_dot(doc: dict) -> str:
-    worlds = doc["worlds"]
-    by_world: dict[str, list[str]] = {w: [] for w in worlds}
-    for formula, world, value in doc["valuation"]:
-        if value:
-            by_world[world].append(formula)
-    lines = ["digraph countermodel {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    for w in worlds:
-        marker = "*" if w == doc["designated_world"] else ""
-        body = "\\n".join([w + marker] + [t.replace('"', '\\"') for t in by_world[w]])
-        lines.append(f'  {w} [label="{body}"];')
-    for a, b in doc["order_pairs"]:
-        if a != b:
-            lines.append(f"  {a} -> {b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

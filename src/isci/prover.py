@@ -41,7 +41,7 @@ import heapq
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .calculus import (
     L_ID1,
@@ -70,6 +70,9 @@ from .formulas import (
 )
 from .invariants import assert_restricted_derivation
 
+if TYPE_CHECKING:
+    from .countermodel import CounterModelBundle
+
 EXSUB_CAP = 256
 
 
@@ -87,13 +90,21 @@ class SearchStats:
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
+    """`proof` is set exactly when `proved`; `model` is set only by
+    `countermodel.decide` on a refuted formula."""
+
     proved: bool
     proof: Derivation | None
     stats: SearchStats
+    model: CounterModelBundle | None = None
 
 
 class ResourceExhausted(RuntimeError):
     """Raised when a resource cap is hit; distinct from a NotProved verdict."""
+
+
+class CertificationError(RuntimeError):
+    """A proof found by the search fails the independent checker: a bug."""
 
 
 class Saturator:
@@ -256,23 +267,6 @@ def identity_instance(sat: Saturator) -> RuleInstance | None:
     return None if best is None else best[1]
 
 
-def saturate_identities(
-    s: Sequent, goal: Formula, history: frozenset[Sequent] = frozenset()
-) -> list[tuple[RuleInstance, Sequent]]:
-    """Identity-rule chain from `s` to its saturation fixpoint, stopping
-    early if an axiom shows up.  Each step strictly enlarges the
-    antecedent, so it can never recreate a sequent from `history`."""
-    sat = Saturator(goal).extend(s)
-    chain: list[tuple[RuleInstance, Sequent]] = []
-    seen = set(history)
-    seen.add(s)
-    for _conclusion, inst in sat.saturate():
-        assert sat.sequent not in seen, "identity step repeated a sequent"
-        seen.add(sat.sequent)
-        chain.append((inst, sat.sequent))
-    return chain
-
-
 class _ProofSearch:
     """Depth-first backward search with conflict-directed failure caching.
 
@@ -286,6 +280,10 @@ class _ProofSearch:
     is also why a failed R-> premise falls back to the L-> alternatives
     instead of committing; R-> is still tried first, so proofs keep the
     invertible-rule-first shape.
+
+    The cache and the deadline outlive `run`: after a failed search the
+    countermodel builder asks the same object about the sequents of its
+    derivation, which answers the root from the cache.
     """
 
     def __init__(self, goal: Formula, limits: Limits):
@@ -301,6 +299,15 @@ class _ProofSearch:
             raise ResourceExhausted(f"node cap {self.limits.max_nodes} hit")
         if time.monotonic() > self.deadline:
             raise ResourceExhausted(f"timeout {self.limits.timeout}s hit")
+
+    def run(self) -> Derivation | None:
+        """Search the goal's root sequent; a proof found is certified."""
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
+        root = Sequent(frozenset(), self.goal)
+        proof, _used = self.expand(root, frozenset(), Saturator(self.goal))
+        if proof is not None:
+            certify(proof, self.goal)
+        return proof
 
     def expand(self, seq: Sequent, history: frozenset[Sequent], sat: Saturator):
         """Returns (proof tree or None, blockers the outcome relied on).
@@ -379,18 +386,21 @@ class _ProofSearch:
         return None
 
 
+def certify(proof: Derivation, goal: Formula) -> None:
+    """Raise unless `proof` passes the independent checker as a proof of
+    `goal` and keeps the restricted-derivation invariants.  Explicit raises,
+    not asserts, so `python -O` keeps the check."""
+    result = check_proof(proof, Sequent(frozenset(), goal))
+    if not result.ok:
+        raise CertificationError(f"prover produced a tree the checker rejects: {result.error}")
+    assert_restricted_derivation(proof, goal)
+
+
 def prove(phi: Formula, limits: Limits | None = None) -> Verdict:
     """Decide provability of the sequent with empty antecedent and
     succedent `phi`.  Proved verdicts carry a derivation that passes the
     independent checker; NotProved means the whole restricted search space
-    was exhausted."""
-    limits = limits or Limits()
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-    search = _ProofSearch(phi, limits)
-    root = Sequent(frozenset(), phi)
-    proof, _used = search.expand(root, frozenset(), Saturator(phi))
-    if proof is not None:
-        result = check_proof(proof, root)
-        assert result.ok, f"prover produced a tree the checker rejects: {result.error}"
-        assert_restricted_derivation(proof, phi)
+    was exhausted.  `countermodel.decide` also builds the refuting model."""
+    search = _ProofSearch(phi, limits or Limits())
+    proof = search.run()
     return Verdict(proof is not None, proof, search.stats)

@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+import isci.cli
 from isci.cli import main
 
 
@@ -122,6 +125,40 @@ def test_oracle_agreement_reported(capsys):
     code, out, _ = run(capsys, "decide", "p == q", "--oracle", "--quiet")
     assert code == 1
     assert "oracle: agreement" in out
+
+
+def test_oracle_line_leaves_structured_stdout_one_document(capsys):
+    code, out, err = run(capsys, "decide", "p -> p", "--format", "structured", "--oracle")
+    assert code == 0
+    assert json.loads(out)["status"] == "proved"
+    assert "oracle: agreement" in err
+
+
+@pytest.mark.parametrize("worlds", ["0", "5", "6"])
+def test_oracle_bound_rejected_before_any_search(capsys, monkeypatch, worlds):
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched despite an out-of-range --oracle")
+
+    monkeypatch.setattr(isci.cli, "decide", refuse)
+    monkeypatch.setattr(isci.cli, "bounded_countermodel_search", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", "p == q -> (q == p)", "--oracle", worlds])
+    assert exc.value.code == 2
+    assert "--oracle" in capsys.readouterr().err
+
+
+def test_certification_survives_optimized_python():
+    # python -O strips asserts; a proof the checker rejects must still exit 4
+    script = (
+        "import sys, isci.prover\n"
+        "from isci.calculus import ProofCheckResult\n"
+        "isci.prover.check_proof = lambda proof, claim: ProofCheckResult(False, 'rejected')\n"
+        "from isci.cli import main\n"
+        "sys.exit(main(['decide', 'p -> p']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert "rejected" in proc.stderr
 
 
 def test_stdin_input(capsys, monkeypatch):

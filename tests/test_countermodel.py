@@ -1,17 +1,13 @@
+import time
+
 import pytest
 
 from isci.calculus import is_axiom, sequent
-from isci.countermodel import (
-    NoOpenBranchError,
-    build_c5_derivation,
-    countermodel,
-    leftmost_open_branch,
-    segment_worlds,
-)
+from isci.countermodel import NoOpenBranchError, countermodel, decide, leftmost_open_branch
 from isci.formulas import Id, Imp, Var, complexity, extended_subformulas, in_form0
 from isci.invariants import antecedents_inherited, no_branch_repetition
 from isci.parser import parse_formula
-from isci.prover import prove
+from isci.prover import Limits, ResourceExhausted, _ProofSearch, prove
 from isci.semantics import forces, value
 from isci.serialize import model_from_doc
 
@@ -19,8 +15,9 @@ p, q, r = Var("p"), Var("q"), Var("r")
 
 
 def build(text):
+    """The goal and the root derivation the countermodel is read from."""
     phi = parse_formula(text)
-    return phi, build_c5_derivation(sequent((), phi), phi)
+    return phi, countermodel(phi).derivations[0]
 
 
 def test_build_c5_on_implication_goal():
@@ -40,29 +37,68 @@ def test_build_c5_on_bare_variable():
 
 
 def test_build_c5_on_provable_goal_closes():
-    phi, d = build("p == p")
     with pytest.raises(NoOpenBranchError):
-        leftmost_open_branch(d)
+        build("p == p")
+
+
+def first_branch_segments(text):
+    """The worlds the goal's leftmost open branch is cut into, and the
+    segment edges between them as index pairs."""
+    b = countermodel(parse_formula(text))
+    names = [w.name for w in b.worlds if w.occurrences[0].branch == 0]
+    edges = sorted((names.index(a), names.index(c)) for a, c in b.segment_edges if a in names)
+    return names, edges
 
 
 def test_segment_worlds_no_r_imp():
-    phi, d = build("p")
-    segments, edges = segment_worlds(leftmost_open_branch(d))
+    segments, edges = first_branch_segments("p")
     assert len(segments) == 1 and edges == []
 
 
 def test_segment_worlds_splits_at_r_imp():
-    phi, d = build("p -> q")
-    segments, edges = segment_worlds(leftmost_open_branch(d))
+    segments, edges = first_branch_segments("p -> q")
     assert len(segments) == 2
     assert edges == [(0, 1)]
 
 
 def test_segment_worlds_chain_of_three():
-    phi, d = build("p -> q -> r")
-    segments, edges = segment_worlds(leftmost_open_branch(d))
+    segments, edges = first_branch_segments("p -> q -> r")
     assert len(segments) == 3
     assert edges == [(0, 1), (1, 2)]
+
+
+def test_decide_searches_the_root_once(monkeypatch):
+    phi = parse_formula("((p -> q) -> p) -> p")
+    root = sequent((), phi)
+    expanded = []
+    inner = _ProofSearch._expand_inner
+
+    def spy(self, seq, *args):
+        expanded.append(seq)
+        return inner(self, seq, *args)
+
+    monkeypatch.setattr(_ProofSearch, "_expand_inner", spy)
+    verdict = decide(phi)
+    assert not verdict.proved and verdict.model is not None
+    # the builder's provability gate at the root is a failure-cache hit
+    assert expanded.count(root) == 1
+
+
+def test_decide_has_one_deadline(monkeypatch):
+    # the clock passes the deadline right after the proof search fails, so
+    # the countermodel phase must stop rather than start a fresh budget
+    now = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    run = _ProofSearch.run
+
+    def slow_run(self):
+        proof = run(self)
+        now[0] += 11.0
+        return proof
+
+    monkeypatch.setattr(_ProofSearch, "run", slow_run)
+    with pytest.raises(ResourceExhausted, match="timeout"):
+        decide(parse_formula("((p -> q) -> p) -> p"), Limits(timeout=10.0))
 
 
 def refute(text):
@@ -173,36 +209,27 @@ def test_model_document_reimports_equivalently():
 
 
 def test_close_branch_set_variable_is_singleton():
-    from isci.countermodel import assemble_model, close_branch_set
-
-    builder = close_branch_set(p)
-    assert len(builder.branches) == 1
-    assert [occ.sequent for occ in builder.branches[0]] == [sequent((), p)]
-    assert builder.spawn_edges == set()
-    bundle = assemble_model(builder)
+    bundle = countermodel(p)
+    assert len(bundle.branches) == 1
+    assert [occ.sequent for occ in bundle.branches[0]] == [sequent((), p)]
+    assert bundle.spawn_edges == set()
     assert not forces(bundle.model, bundle.designated, p)
 
 
 def test_close_branch_set_spawn_reuses_r_imp_premise():
-    from isci.countermodel import assemble_model, close_branch_set
-
     phi = parse_formula("p -> q")
-    builder = close_branch_set(phi)
+    bundle = countermodel(phi)
     # the spawned witness for the implication succedent coincides with the
     # world the branch itself enters at its R-> application
-    assert builder.spawn_edges <= builder.segment_edges
-    bundle = assemble_model(builder)
+    assert bundle.spawn_edges <= bundle.segment_edges
     assert len(bundle.worlds) == 2
     assert not forces(bundle.model, bundle.designated, phi)
 
 
 def test_close_branch_set_peirce_is_finite_and_refutes():
-    from isci.countermodel import assemble_model, close_branch_set
-
     phi = parse_formula("((p -> q) -> p) -> p")
-    builder = close_branch_set(phi)
-    assert 1 <= len(builder.branches) < 20
-    bundle = assemble_model(builder)
+    bundle = countermodel(phi)
+    assert 1 <= len(bundle.branches) < 20
     assert not forces(bundle.model, bundle.designated, phi)
 
 

@@ -8,10 +8,21 @@ from isci.invariants import (
     no_branch_repetition,
 )
 from isci.parser import parse_formula, parse_sequent
-from isci.prover import EXSUB_CAP, Limits, ResourceExhausted, prove, saturate_identities
+from isci.prover import EXSUB_CAP, Limits, ResourceExhausted, Saturator, prove
 from isci.serialize import proof_doc
 
 p, q, r, s = (Var(n) for n in "pqrs")
+
+
+def saturation_chain(start, goal):
+    """The identity-rule chain a branch's `Saturator` applies from `start`,
+    as (instance, premise) pairs; every step enlarges the antecedent."""
+    sat = Saturator(goal).extend(start)
+    chain = []
+    for conclusion, inst in sat.saturate():
+        assert conclusion.antecedent < sat.sequent.antecedent
+        chain.append((inst, sat.sequent))
+    return chain
 
 
 def antecedent_after(chain, start):
@@ -20,7 +31,7 @@ def antecedent_after(chain, start):
 
 def test_saturation_reaches_reflexive_axiom():
     start = parse_sequent("|- p == p")
-    chain = saturate_identities(start, Id(p, p))
+    chain = saturation_chain(start, Id(p, p))
     assert len(chain) == 1
     inst, end = chain[0]
     assert inst.rule == "L==1" and inst.principal == p
@@ -30,7 +41,7 @@ def test_saturation_reaches_reflexive_axiom():
 def test_saturation_closes_equation_antecedent():
     start = parse_sequent("p == q |- r")
     goal = parse_formula("(p == q) -> r")
-    chain = saturate_identities(start, goal)
+    chain = saturation_chain(start, goal)
     final = antecedent_after(chain, start)
     expected = {
         Id(p, q),
@@ -40,13 +51,13 @@ def test_saturation_closes_equation_antecedent():
     }
     assert final == expected
     # fixpoint: a second run adds nothing
-    assert saturate_identities(chain[-1][1], goal) == []
+    assert saturation_chain(chain[-1][1], goal) == []
 
 
 def test_saturation_composes_toward_the_succedent():
     goal = parse_formula("(p == q) -> (r == s) -> ((p -> r) == (q -> s))")
     start = sequent({Id(p, q), Id(r, s)}, Id(Imp(p, r), Imp(q, s)))
-    chain = saturate_identities(start, goal)
+    chain = saturation_chain(start, goal)
     assert any(inst.rule == "L==3" for inst, _ in chain)
     assert is_axiom(chain[-1][1])
 
@@ -57,11 +68,11 @@ def test_guided_composition_needs_both_sides_in_the_sequent():
     composed = Id(Imp(p, r), Imp(q, s))
     # only the left side p -> r occurs: the composition is not applied
     start = sequent({Id(p, q), Id(r, s)}, Imp(p, r))
-    chain = saturate_identities(start, goal)
+    chain = saturation_chain(start, goal)
     assert composed not in antecedent_after(chain, start)
     # both sides occur: it is applied to the two equations under ->
     start = sequent({Id(p, q), Id(r, s)}, Imp(Imp(p, r), Imp(q, s)))
-    chain = saturate_identities(start, goal)
+    chain = saturation_chain(start, goal)
     steps = [inst for inst, end in chain if composed in end.antecedent]
     assert steps and steps[0].rule == "L==3"
     assert (steps[0].principal, steps[0].principal2, steps[0].op) == (Id(p, q), Id(r, s), "->")
