@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from . import serialize
 from .calculus import Sequent, check_proof
@@ -89,13 +90,14 @@ def _report_model(args, phi, bundle) -> int:
 
 def _cmd_decide(args) -> int:
     phi = parse_formula(_read_input(args.input))
+    deadline = time.monotonic() + args.timeout  # the oracle shares decide's budget
     verdict = decide(phi, _limits(args))
     if verdict.proved:
         code = _report_proof(args, phi, verdict.proof)
     else:
         code = _report_model(args, phi, verdict.model)
     if args.oracle is not None:
-        found = bounded_countermodel_search(phi, max_worlds=args.oracle)
+        found = bounded_countermodel_search(phi, max_worlds=args.oracle, deadline=deadline)
         if verdict.proved and found is not None:
             print(
                 f"oracle: DISAGREEMENT, countermodel at {found[1]} despite a proof",

@@ -4,10 +4,13 @@
 `==` binds tighter than `->`, `->` is right-associative, `==` is
 non-associative.  Model renderers work on the plain model document
 produced by `serialize`, so externally supplied models render the same
-way as freshly built ones.
+way as freshly built ones.  Derivation renderers format each distinct
+formula once per call, passing a cached `format_formula` on as `text`.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .calculus import Derivation, RuleInstance, Sequent, is_axiom
 from .formulas import Bottom, Formula, Id, Imp, Var
@@ -31,22 +34,22 @@ def _fmt(f: Formula, top: bool = False, eq_side: bool = False, imp_left: bool = 
     raise TypeError(f"not a formula: {f!r}")
 
 
-def format_sequent(s: Sequent) -> str:
-    succ = format_formula(s.succedent)
+def format_sequent(s: Sequent, text=format_formula) -> str:
+    succ = text(s.succedent)
     if not s.antecedent:
         return f"|- {succ}"
-    left = ", ".join(format_formula(f) for f in s.sorted_antecedent())
+    left = ", ".join(text(f) for f in s.sorted_antecedent())
     return f"{left} |- {succ}"
 
 
-def rule_label(r: RuleInstance | None, s: Sequent) -> str:
+def rule_label(r: RuleInstance | None, s: Sequent, text=format_formula) -> str:
     if r is None:
         return "axiom" if is_axiom(s) else "open"
     parts = [r.rule]
     if r.principal is not None:
-        parts.append(format_formula(r.principal))
+        parts.append(text(r.principal))
     if r.principal2 is not None:
-        parts.append(format_formula(r.principal2))
+        parts.append(text(r.principal2))
     if r.op is not None:
         parts.append(r.op)
     return " ".join(parts)
@@ -55,9 +58,11 @@ def rule_label(r: RuleInstance | None, s: Sequent) -> str:
 def format_derivation(d: Derivation) -> str:
     """Indented tree, conclusion first, one sequent per line."""
     lines: list[str] = []
+    text = cache(format_formula)
 
     def walk(node: Derivation, depth: int):
-        lines.append(f"{'  ' * depth}{format_sequent(node.sequent)}   [{rule_label(node.rule, node.sequent)}]")
+        seq = format_sequent(node.sequent, text)
+        lines.append(f"{'  ' * depth}{seq}   [{rule_label(node.rule, node.sequent, text)}]")
         for child in node.children:
             walk(child, depth + 1)
 
@@ -116,16 +121,17 @@ def format_derivation_latex(d: Derivation) -> str:
 def format_derivation_dot(d: Derivation) -> str:
     lines = ["digraph derivation {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
     counter = 0
+    text = cache(format_formula)
 
     def walk(node: Derivation) -> str:
         nonlocal counter
         name = f"n{counter}"
         counter += 1
-        label = format_sequent(node.sequent).replace('"', '\\"')
+        label = format_sequent(node.sequent, text).replace('"', '\\"')
         lines.append(f'  {name} [label="{label}"];')
         for child in node.children:
             cname = walk(child)
-            elabel = rule_label(node.rule, node.sequent).replace('"', '\\"')
+            elabel = rule_label(node.rule, node.sequent, text).replace('"', '\\"')
             lines.append(f'  {cname} -> {name} [label="{elabel}"];')
         return name
 

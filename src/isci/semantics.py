@@ -11,6 +11,7 @@ every finite table a total assignment on variables and equations.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -28,6 +29,7 @@ from .formulas import (
     subformulas,
     variables,
 )
+from .prover import ResourceExhausted
 
 
 @dataclass(eq=False)
@@ -215,14 +217,14 @@ def _floor(model: KripkeModel, e: Id, w: str) -> int:
     return 0
 
 
-def bounded_countermodel_search(phi: Formula, max_worlds: int = 3):
+def bounded_countermodel_search(phi: Formula, max_worlds: int = 3, deadline: float | None = None):
     """Search for a model over at most `max_worlds` worlds and the base
     {variables of phi} + {equations in extended_subformulas(phi)} in which
     phi fails at some world; every returned candidate has already passed
     check_frame, check_admissible, check_monotonicity and
     check_identity_entails_implications, so a hit is sound by
     construction.  None means the bounded space was exhausted, which is
-    not a validity proof.
+    not a validity proof; past `deadline` it raises ResourceExhausted.
 
     Enumeration: world counts ascending; frames by pair-set bitmap, one
     representative per isomorphism class; assignments blockwise, blocks in
@@ -249,6 +251,8 @@ def bounded_countermodel_search(phi: Formula, max_worlds: int = 3):
     for k in range(1, max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(k))
         for rel in _preorders(k):
+            if deadline is not None and time.monotonic() > deadline:
+                raise ResourceExhausted(f"timeout hit in the oracle, at frames of {k} worlds")
             order = frozenset((worlds[a], worlds[b]) for a, b in rel)
             rows: dict[tuple[Formula, str], int] = {}
             for e in reflexive:

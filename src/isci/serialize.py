@@ -18,11 +18,12 @@ self-contained and re-parse with the package's own parser.
 from __future__ import annotations
 
 import json
-from typing import Any
+from functools import cache
+from typing import Any, Callable
 
-from .calculus import Derivation, RuleInstance, is_axiom
+from .calculus import Derivation, RuleInstance, Sequent, is_axiom
 from .formulas import Formula, sort_key
-from .parser import parse_formula, parse_sequent
+from .parser import ParseError, parse_formula, parse_sequent
 from .printer import format_formula, format_sequent
 
 
@@ -44,38 +45,63 @@ def loads(text: str) -> dict:
     return doc
 
 
-def proof_doc(d: Derivation) -> dict:
-    node: dict[str, Any] = {"sequent": format_sequent(d.sequent)}
+def proof_doc(d: Derivation, _text: Callable[[Formula], str] | None = None) -> dict:
+    text = _text or cache(format_formula)
+    node: dict[str, Any] = {"sequent": format_sequent(d.sequent, text)}
     if d.rule is None:
         node["rule"] = "axiom" if is_axiom(d.sequent) else "open"
     else:
         node["rule"] = d.rule.rule
         if d.rule.principal is not None:
-            node["principal"] = format_formula(d.rule.principal)
+            node["principal"] = text(d.rule.principal)
         if d.rule.principal2 is not None:
-            node["principal2"] = format_formula(d.rule.principal2)
+            node["principal2"] = text(d.rule.principal2)
         if d.rule.op is not None:
             node["op"] = d.rule.op
-    node["premises"] = [proof_doc(c) for c in d.children]
+    node["premises"] = [proof_doc(c, text) for c in d.children]
     return node
 
 
-def derivation_from_doc(doc: dict) -> Derivation:
+def _parse(text, memo: dict[str, Formula]) -> Formula:
+    """`parse_formula`, once per distinct string of a proof or model document."""
+    if not isinstance(text, str):
+        return parse_formula(text)
+    f = memo.get(text)
+    if f is None:
+        f = memo[text] = parse_formula(text)
+    return f
+
+
+def _parse_sequent(text, memo: dict[str, Formula]) -> Sequent:
+    """`parse_sequent` via the memo.  No formula holds ',' or '|-', so the text
+    splits at them; text whose parts do not parse ('⇒', say) goes to `parse_sequent`."""
+    if isinstance(text, str):
+        left, _, right = text.partition("|-")
+        try:
+            ante = [_parse(t.strip(), memo) for t in left.split(",")] if left.strip() else []
+            return Sequent(frozenset(ante), _parse(right.strip(), memo))
+        except ParseError:
+            pass
+    return parse_sequent(text)
+
+
+def derivation_from_doc(doc: dict, _memo: dict[str, Formula] | None = None) -> Derivation:
+    memo = {} if _memo is None else _memo
     try:
-        seq = parse_sequent(doc["sequent"])
+        seq = _parse_sequent(doc["sequent"], memo)
         rule_name = doc["rule"]
         premises = doc.get("premises", [])
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed proof node: {exc}") from exc
-    children = tuple(derivation_from_doc(p) for p in premises)
+    children = tuple(derivation_from_doc(p, memo) for p in premises)
     if rule_name in ("axiom", "open"):
         if children:
             raise DocumentError("leaf node with premises")
         return Derivation(seq)
     if rule_name not in ("L->", "R->", "L==1", "L==2", "L==3"):
         raise DocumentError(f"unknown rule {rule_name!r}")
-    principal = parse_formula(doc["principal"]) if "principal" in doc else None
-    principal2 = parse_formula(doc["principal2"]) if "principal2" in doc else None
+    principal = _parse(doc["principal"], memo) if "principal" in doc else None
+    principal2 = _parse(doc["principal2"], memo) if "principal2" in doc else None
     op = doc.get("op")
     if op not in (None, "->", "=="):
         raise DocumentError(f"unknown connective {op!r}")
@@ -115,6 +141,7 @@ def model_from_doc(doc: dict):
     if designated not in worlds:
         raise DocumentError("designated world is not a world")
     valuation: dict[tuple[Formula, str], int] = {}
+    memo: dict[str, Formula] = {}
     for row in rows:
         try:
             text, world, value = row
@@ -124,7 +151,7 @@ def model_from_doc(doc: dict):
             raise DocumentError(f"valuation row for unknown world {world!r}")
         if value not in (0, 1):
             raise DocumentError(f"valuation value must be 0 or 1, got {value!r}")
-        valuation[(parse_formula(text), world)] = value
+        valuation[(_parse(text, memo), world)] = value
     for a, b in pairs:
         if a not in worlds or b not in worlds:
             raise DocumentError(f"order pair ({a!r}, {b!r}) outside the world set")

@@ -1,10 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 import isci.cli
+import isci.semantics
 from isci.cli import main
 
 
@@ -192,3 +195,53 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "PROVED\n"
+
+
+def test_check_proof_rejects_a_swapped_antecedent_formula(capsys, monkeypatch):
+    code, out, _ = run(capsys, "decide", "(p == q) -> ((p -> #) == (q -> #))", "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    nodes, stack = [], [doc["proof"]]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(reversed(nodes[-1]["premises"]))
+
+    def split(node):
+        left, _, succedent = node["sequent"].partition("|-")
+        return [t.strip() for t in left.split(",") if t.strip()], succedent.strip()
+
+    # the first node past the middle with an antecedent formula to swap for
+    # another one that an earlier node already put into the reader's memo
+    for index in range(len(nodes) // 2, len(nodes)):
+        antecedent, succedent = split(nodes[index])
+        earlier = {t for n in nodes[:index] for t in split(n)[0] + [split(n)[1]]}
+        others = sorted(earlier - set(antecedent) - {succedent})
+        if antecedent and others:
+            break
+    nodes[index]["sequent"] = ", ".join([others[0]] + antecedent[1:]) + " |- " + succedent
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, _ = run(capsys, "check-proof", "-")
+    assert code == 1
+    assert out.startswith("INVALID PROOF")
+
+
+def test_oracle_stops_at_the_deadline_decide_started(capsys, monkeypatch):
+    # the clock passes the deadline as soon as decide returns, so the oracle
+    # must stop before its first frame instead of running about 12 s
+    now = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    decide = isci.cli.decide
+
+    def slow_decide(phi, limits):
+        verdict = decide(phi, limits)
+        now[0] += 11.0
+        return verdict
+
+    def no_assignments(*args):
+        raise AssertionError("the oracle enumerated assignments past its deadline")
+
+    monkeypatch.setattr(isci.cli, "decide", slow_decide)
+    monkeypatch.setattr(isci.semantics, "_search_blocks", no_assignments)
+    code, _, err = run(capsys, "decide", "p == q -> (q == p)", "--oracle", "4", "--timeout", "10", "--quiet")
+    assert code == 3
+    assert "resource limit: timeout hit in the oracle" in err

@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from isci.calculus import check_proof, sequent
+import isci.parser
+import isci.printer
+import isci.serialize
+from isci.calculus import Sequent, check_proof, sequent
 from isci.countermodel import countermodel
 from isci.formulas import Var
-from isci.parser import parse_formula
+from isci.parser import ParseError, parse_formula, parse_sequent
+from isci.printer import format_sequent
 from isci.prover import prove
 from isci.semantics import forces, value
 from isci.serialize import (
@@ -15,8 +21,10 @@ from isci.serialize import (
     proof_doc,
     verdict_doc,
 )
+from oracle_utils import formulas_pq
 
 p, q = Var("p"), Var("q")
+CONGRUENCE = "(p == q) -> (r == s) -> ((p -> r) == (q -> s))"
 
 
 def test_proof_document_round_trip():
@@ -75,3 +83,94 @@ def test_rule_instances_survive_round_trip():
     rules = {n.rule.rule for n in restored.walk() if n.rule is not None}
     assert "L==3" in rules  # the composition step carries two principals
     assert restored == verdict.proof
+
+
+def result_or_error(read, arg):
+    try:
+        return read(arg)
+    except ParseError as exc:
+        return f"ParseError {exc}"
+
+
+EDIT_CHARS = list(",|->=()#⇒p ")
+
+
+def apply_edits(text, edits):
+    for pos, kind, ch in edits:
+        i = pos % (len(text) + 1)
+        if kind == "insert":
+            text = text[:i] + ch + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + ch + text[i + 1 :]
+    return text
+
+
+@given(
+    st.sets(formulas_pq, max_size=4),
+    formulas_pq,
+    st.lists(
+        st.tuples(st.integers(0, 200), st.sampled_from(["insert", "delete", "replace"]),
+                  st.sampled_from(EDIT_CHARS)),
+        max_size=4,
+    ),
+)
+def test_memoized_reader_agrees_with_parse_sequent(antecedent, succedent, edits):
+    # the root sequent fills the document's memo before its premise is read
+    printed = format_sequent(Sequent(frozenset(antecedent), succedent))
+    edited = apply_edits(printed, edits)
+    doc = {"sequent": printed, "rule": "R->",
+           "premises": [{"sequent": edited, "rule": "open", "premises": []}]}
+    premise = result_or_error(lambda d: derivation_from_doc(d).children[0].sequent, doc)
+    assert premise == result_or_error(parse_sequent, edited)
+
+
+def formulas_in(d):
+    found = set()
+    for node in d.walk():
+        found |= node.sequent.antecedent | {node.sequent.succedent}
+        if node.rule is not None:
+            found |= {f for f in (node.rule.principal, node.rule.principal2) if f is not None}
+    return found
+
+
+@pytest.fixture(scope="module")
+def congruence_proof():
+    return prove(parse_formula(CONGRUENCE)).proof
+
+
+def test_documents_print_and_parse_each_distinct_formula_once(monkeypatch, congruence_proof):
+    formulas = formulas_in(congruence_proof)
+    texts = {isci.printer.format_formula(f) for f in formulas}
+    assert congruence_proof.size() == 418 and len(texts) == len(formulas)
+
+    printed = []
+    fmt = isci.printer.format_formula
+
+    def counting_format(f):
+        printed.append(f)
+        return fmt(f)
+
+    monkeypatch.setattr(isci.printer, "format_formula", counting_format)
+    monkeypatch.setattr(isci.serialize, "format_formula", counting_format)
+    doc = proof_doc(congruence_proof)
+    assert len(printed) <= len(formulas)
+    monkeypatch.undo()
+    nodes, stack = [], [doc]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(reversed(nodes[-1]["premises"]))
+    assert [n["sequent"] for n in nodes] == [format_sequent(d.sequent) for d in congruence_proof.walk()]
+
+    tokenized = []
+    tokenize = isci.parser._tokenize
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(isci.parser, "_tokenize", counting_tokenize)
+    assert derivation_from_doc(doc) == congruence_proof
+    assert len(tokenized) <= len(texts)
+    assert sum(map(len, tokenized)) <= sum(map(len, texts))
