@@ -140,7 +140,7 @@ def _cmd_check_proof(args) -> int:
     proof_node = doc.get("proof", doc)
     derivation = serialize.derivation_from_doc(proof_node)
     if "formula" in doc:
-        claim = Sequent(frozenset(), parse_formula(doc["formula"]))
+        claim = Sequent(frozenset(), serialize.formula_from_doc(doc["formula"]))
     else:
         claim = derivation.sequent
     result = check_proof(derivation, claim)
@@ -158,7 +158,7 @@ def _cmd_check_model(args) -> int:
     base = sorted_formulas({f for (f, _w) in model.valuation})
     phi = None
     if "formula" in doc:
-        phi = parse_formula(doc["formula"])
+        phi = serialize.formula_from_doc(doc["formula"])
         base = sorted_formulas(set(base) | extended_subformulas(phi))
     failures = []
     if not check_frame(model):

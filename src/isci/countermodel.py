@@ -34,15 +34,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .calculus import (
-    L_IMP,
-    R_IMP,
-    Derivation,
-    RuleInstance,
-    Sequent,
-    apply_rule,
-    is_axiom,
-)
+from .calculus import L_IMP, R_IMP, Derivation, RuleInstance, Sequent, is_axiom
 from .formulas import (
     Formula,
     Id,
@@ -202,6 +194,8 @@ class _Builder:
         return d
 
     def _expand(self, seq: Sequent, history: frozenset[Sequent], sat: Saturator) -> Derivation:
+        """`history` holds the ancestors with the antecedent of `seq`, the
+        only ones a premise can repeat (see `_ProofSearch`)."""
         self.tick()
         if is_axiom(seq):
             return Derivation(seq)
@@ -218,8 +212,9 @@ class _Builder:
         sat = sat.extend(seq)
         for conclusion, inst in sat.saturate():
             chain.append((conclusion, inst))
-            hist = hist | {sat.sequent}
             self.tick()
+        if chain:
+            hist = frozenset((sat.sequent,))  # each step grows the antecedent
         # identity rules are invertible, so the chain of an unprovable
         # sequent stays unprovable and in particular never hits an axiom
         if is_axiom(sat.sequent):
@@ -230,23 +225,23 @@ class _Builder:
         return result
 
     def _tail(self, seq: Sequent, hist: frozenset[Sequent], sat: Saturator) -> Derivation:
-        for f in seq.sorted_antecedent():
-            if not isinstance(f, Imp) or f.left == f.right:
-                continue
-            if f.right in seq.antecedent or f.left == seq.succedent:
+        ante = seq.antecedent
+        for f in self.prover.implications(ante):
+            if f.right in ante or f.left is seq.succedent:
                 continue  # already saturated with respect to f
-            inst = RuleInstance(L_IMP, principal=f)
-            left, right = apply_rule(seq, inst)
-            if left in hist or right in hist:
+            left = Sequent(ante, f.left)
+            if left in hist:
                 continue  # blocked by the branch repetition check
+            right = Sequent(ante | {f.right}, seq.succedent)
             return Derivation(
-                seq, inst, (self._expand(left, hist, sat), self._expand(right, hist, sat))
+                seq,
+                RuleInstance(L_IMP, principal=f),
+                (self._expand(left, hist, sat), self._expand(right, frozenset(), sat)),
             )
         if isinstance(seq.succedent, Imp):
-            r = RuleInstance(R_IMP)
-            premise = apply_rule(seq, r)[0]
-            if premise not in hist:
-                return Derivation(seq, r, (self._expand(premise, hist, sat),))
+            premise, history = self.prover.r_imp_premise(seq, hist)
+            if premise not in history:
+                return Derivation(seq, RuleInstance(R_IMP), (self._expand(premise, history, sat),))
         return Derivation(seq)  # open leaf
 
     # -- branches, worlds, closure ------------------------------------------

@@ -66,6 +66,7 @@ from .formulas import (
     complexity,
     extended_subformulas_within,
     in_extended_subformulas,
+    sort_key,
     subformulas,
 )
 from .invariants import assert_restricted_derivation
@@ -281,6 +282,19 @@ class _ProofSearch:
     instead of committing; R-> is still tried first, so proofs keep the
     invertible-rule-first shape.
 
+    Antecedents only grow upward, so a premise can repeat only an ancestor
+    with the same antecedent, and those ancestors end the branch (the
+    loop check of Heuerding, Seyfried and Zimmermann, TABLEAUX 1996).  The
+    history handed down is therefore just that segment; it restarts
+    whenever the antecedent grows, after every identity-saturation step
+    among others.  Every blocker lies in the segment where it blocked and
+    every cached blocker set in the segment of its sequent, so each
+    repetition test and each cache entry is the one the whole branch
+    would give.  For L-> on an implication a -> b, the right premise
+    Γ, b ⊢ C repeats a sequent exactly when b is in Γ, and it is then the
+    conclusion itself; it is built only once the left premise Γ ⊢ a is
+    proved.
+
     The cache and the deadline outlive `run`: after a failed search the
     countermodel builder asks the same object about the sequents of its
     derivation, which answers the root from the cache.
@@ -292,6 +306,7 @@ class _ProofSearch:
         self.stats = SearchStats()
         self.deadline = time.monotonic() + limits.timeout
         self.failed: dict[Sequent, list[frozenset[Sequent]]] = {}
+        self._implications: dict[frozenset[Formula], tuple[Imp, ...]] = {}
 
     def tick(self):
         self.stats.nodes += 1
@@ -299,6 +314,30 @@ class _ProofSearch:
             raise ResourceExhausted(f"node cap {self.limits.max_nodes} hit")
         if time.monotonic() > self.deadline:
             raise ResourceExhausted(f"timeout {self.limits.timeout}s hit")
+
+    def implications(self, antecedent: frozenset[Formula]) -> tuple[Imp, ...]:
+        """The L-> candidates of an antecedent in canonical order: its
+        implications other than self-implications, which are tautologies
+        (applying L-> to one is a cut that only widens the search)."""
+        imps = self._implications.get(antecedent)
+        if imps is None:
+            imps = tuple(
+                sorted(
+                    (f for f in antecedent if isinstance(f, Imp) and f.left is not f.right),
+                    key=sort_key,
+                )
+            )
+            self._implications[antecedent] = imps
+        return imps
+
+    @staticmethod
+    def r_imp_premise(seq: Sequent, hist: frozenset[Sequent]):
+        """The R-> premise of `seq`, with the part of `seq`'s segment `hist`
+        it can repeat: all of it when the antecedent stays, none otherwise."""
+        succ = seq.succedent
+        if succ.left in seq.antecedent:
+            return Sequent(seq.antecedent, succ.right), hist
+        return Sequent(seq.antecedent | {succ.left}, succ.right), frozenset()
 
     def run(self) -> Derivation | None:
         """Search the goal's root sequent; a proof found is certified."""
@@ -310,32 +349,36 @@ class _ProofSearch:
         return proof
 
     def expand(self, seq: Sequent, history: frozenset[Sequent], sat: Saturator):
-        """Returns (proof tree or None, blockers the outcome relied on).
-        `sat` holds the saturation state of the branch below `seq`."""
+        """Returns (proof tree or None, blockers a failure relied on).
+        `history` holds the ancestors with the antecedent of `seq`; `sat`
+        holds the saturation state of the branch below `seq`."""
         self.tick()
         if is_axiom(seq):
-            return Derivation(seq), set()
+            return Derivation(seq), frozenset()
         hist = history | {seq}
         for entry in self.failed.get(seq, ()):
             if entry <= hist:
-                return None, set(entry)
+                return None, entry
         used: set[Sequent] = set()
         result = self._expand_inner(seq, hist, used, sat.extend(seq))
-        if result is None:
-            entry = frozenset(u for u in used if u in hist)
-            entries = self.failed.setdefault(seq, [])
-            entries[:] = [e for e in entries if not entry <= e]
-            entries.append(entry)
-        return result, used
+        if result is not None:
+            return result, frozenset()
+        # a blocker off this segment is on no ancestor's segment either
+        entry = hist.intersection(used)
+        entries = self.failed.setdefault(seq, [])
+        entries[:] = [e for e in entries if not entry <= e]
+        entries.append(entry)
+        return None, entry
 
     def _expand_inner(self, seq, hist, used, sat) -> Derivation | None:
         # identity saturation first, built iteratively (chains can be long)
         chain: list[tuple[Sequent, RuleInstance]] = []
         for conclusion, inst in sat.saturate():
             chain.append((conclusion, inst))
-            hist = hist | {sat.sequent}
             self.tick()
         current = sat.sequent
+        if chain:
+            hist = frozenset((current,))  # each step grows the antecedent
         if is_axiom(current):
             result = Derivation(current)
         else:
@@ -349,40 +392,36 @@ class _ProofSearch:
     def _tail(self, seq, hist, used, sat) -> Derivation | None:
         """R-> first, then the L-> alternatives; `seq` is saturated."""
         if isinstance(seq.succedent, Imp):
-            r = RuleInstance(R_IMP)
-            premise = apply_rule(seq, r)[0]
-            if premise not in hist:
-                child, sub = self.expand(premise, hist, sat)
+            premise, history = self.r_imp_premise(seq, hist)
+            if premise not in history:
+                child, sub = self.expand(premise, history, sat)
                 if child is not None:
-                    return Derivation(seq, r, (child,))
+                    return Derivation(seq, RuleInstance(R_IMP), (child,))
                 used |= sub
                 self.stats.backtracks += 1
             else:
                 used.add(premise)
-        for f in seq.sorted_antecedent():
-            if not isinstance(f, Imp) or f.left == f.right:
-                # self-implications are tautologies; applying L-> to one is
-                # a cut that only widens the search
-                continue
-            inst = RuleInstance(L_IMP, principal=f)
-            left, right = apply_rule(seq, inst)
+        ante = seq.antecedent
+        for f in self.implications(ante):
+            left = Sequent(ante, f.left)
             if left in hist:
                 used.add(left)
                 continue
-            if right in hist:
-                used.add(right)
+            if f.right in ante:
+                used.add(seq)  # the right premise is `seq` itself
                 continue
             lchild, sub = self.expand(left, hist, sat)
             if lchild is None:
                 used |= sub
                 self.stats.backtracks += 1
                 continue
-            rchild, sub = self.expand(right, hist, sat)
+            right = Sequent(ante | {f.right}, seq.succedent)
+            rchild, sub = self.expand(right, frozenset(), sat)
             if rchild is None:
                 used |= sub
                 self.stats.backtracks += 1
                 continue
-            return Derivation(seq, inst, (lchild, rchild))
+            return Derivation(seq, RuleInstance(L_IMP, principal=f), (lchild, rchild))
         return None
 
 

@@ -224,7 +224,8 @@ def bounded_countermodel_search(phi: Formula, max_worlds: int = 3, deadline: flo
     check_frame, check_admissible, check_monotonicity and
     check_identity_entails_implications, so a hit is sound by
     construction.  None means the bounded space was exhausted, which is
-    not a validity proof; past `deadline` it raises ResourceExhausted.
+    not a validity proof; past `deadline` it raises ResourceExhausted,
+    checked before each frame and each assignment vector tried.
 
     Enumeration: world counts ascending; frames by pair-set bitmap, one
     representative per isomorphism class; assignments blockwise, blocks in
@@ -251,8 +252,7 @@ def bounded_countermodel_search(phi: Formula, max_worlds: int = 3, deadline: flo
     for k in range(1, max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(k))
         for rel in _preorders(k):
-            if deadline is not None and time.monotonic() > deadline:
-                raise ResourceExhausted(f"timeout hit in the oracle, at frames of {k} worlds")
+            _check_deadline(deadline, k)
             order = frozenset((worlds[a], worlds[b]) for a, b in rel)
             rows: dict[tuple[Formula, str], int] = {}
             for e in reflexive:
@@ -260,10 +260,15 @@ def bounded_countermodel_search(phi: Formula, max_worlds: int = 3, deadline: flo
                     rows[(e, w)] = 1
             model = KripkeModel(worlds, order, rows)
             vectors = _monotone_vectors(k, rel)
-            found = _search_blocks(model, phi, base, blocks, boundary, 0, vectors)
+            found = _search_blocks(model, phi, base, blocks, boundary, 0, vectors, deadline)
             if found is not None:
                 return found
     return None
+
+
+def _check_deadline(deadline: float | None, k: int) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise ResourceExhausted(f"timeout hit in the oracle, at frames of {k} worlds")
 
 
 def _refutes(model, phi):
@@ -282,7 +287,7 @@ def _eq_vector_ok(model, f, vec) -> bool:
     return True
 
 
-def _search_blocks(model, phi, base, blocks, boundary, idx, vectors):
+def _search_blocks(model, phi, base, blocks, boundary, idx, vectors, deadline):
     if idx == boundary + 1 and _refutes(model, phi) is None:
         return None
     if idx == len(blocks):
@@ -305,17 +310,18 @@ def _search_blocks(model, phi, base, blocks, boundary, idx, vectors):
             model.valuation[(f, w)] = vec[i]
         found = None
         if _eq_vector_ok(model, f, vec):
-            found = _search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors)
+            found = _search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors, deadline)
         if found is None:
             for w in model.worlds:
                 del model.valuation[(f, w)]
         return found
     is_eq = isinstance(f, Id)
     for vec in vectors:
+        _check_deadline(deadline, len(model.worlds))
         for i, w in enumerate(model.worlds):
             model.valuation[(f, w)] = vec[i]
         if not is_eq or _eq_vector_ok(model, f, vec):
-            found = _search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors)
+            found = _search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors, deadline)
             if found is not None:
                 return found
     for w in model.worlds:

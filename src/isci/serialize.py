@@ -62,9 +62,12 @@ def proof_doc(d: Derivation, _text: Callable[[Formula], str] | None = None) -> d
     return node
 
 
-def _parse(text, memo: dict[str, Formula]) -> Formula:
-    """`parse_formula`, once per distinct string of a proof or model document."""
+def formula_from_doc(text, memo: dict[str, Formula] | None = None) -> Formula:
+    """`parse_formula` on a document's formula field, once per distinct
+    string of the document when the caller keeps `memo`."""
     if not isinstance(text, str):
+        raise DocumentError(f"formula must be a string, got {text!r}")
+    if memo is None:
         return parse_formula(text)
     f = memo.get(text)
     if f is None:
@@ -78,8 +81,9 @@ def _parse_sequent(text, memo: dict[str, Formula]) -> Sequent:
     if isinstance(text, str):
         left, _, right = text.partition("|-")
         try:
-            ante = [_parse(t.strip(), memo) for t in left.split(",")] if left.strip() else []
-            return Sequent(frozenset(ante), _parse(right.strip(), memo))
+            parts = left.split(",") if left.strip() else []
+            ante = [formula_from_doc(t.strip(), memo) for t in parts]
+            return Sequent(frozenset(ante), formula_from_doc(right.strip(), memo))
         except ParseError:
             pass
     return parse_sequent(text)
@@ -93,6 +97,8 @@ def derivation_from_doc(doc: dict, _memo: dict[str, Formula] | None = None) -> D
         premises = doc.get("premises", [])
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed proof node: {exc}") from exc
+    if not isinstance(premises, list):
+        raise DocumentError(f"premises must be a list, got {premises!r}")
     children = tuple(derivation_from_doc(p, memo) for p in premises)
     if rule_name in ("axiom", "open"):
         if children:
@@ -100,8 +106,8 @@ def derivation_from_doc(doc: dict, _memo: dict[str, Formula] | None = None) -> D
         return Derivation(seq)
     if rule_name not in ("L->", "R->", "L==1", "L==2", "L==3"):
         raise DocumentError(f"unknown rule {rule_name!r}")
-    principal = _parse(doc["principal"], memo) if "principal" in doc else None
-    principal2 = _parse(doc["principal2"], memo) if "principal2" in doc else None
+    principal = formula_from_doc(doc["principal"], memo) if "principal" in doc else None
+    principal2 = formula_from_doc(doc["principal2"], memo) if "principal2" in doc else None
     op = doc.get("op")
     if op not in (None, "->", "=="):
         raise DocumentError(f"unknown connective {op!r}")
@@ -151,7 +157,7 @@ def model_from_doc(doc: dict):
             raise DocumentError(f"valuation row for unknown world {world!r}")
         if value not in (0, 1):
             raise DocumentError(f"valuation value must be 0 or 1, got {value!r}")
-        valuation[(_parse(text, memo), world)] = value
+        valuation[(formula_from_doc(text, memo), world)] = value
     for a, b in pairs:
         if a not in worlds or b not in worlds:
             raise DocumentError(f"order pair ({a!r}, {b!r}) outside the world set")

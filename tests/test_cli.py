@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -88,6 +89,30 @@ def test_check_model_rejects_tampering(capsys):
     code, out2, _ = run(capsys, "check-model", json.dumps(doc))
     assert code == 1
     assert "INVALID MODEL" in out2
+
+
+@pytest.mark.parametrize("bad", [5, None, {"a": 1}, ["p"]], ids=["int", "null", "object", "array"])
+@pytest.mark.parametrize(
+    "formula, command, field",
+    [
+        ("p == p", "check-proof", ("proof", "principal")),
+        ("p == p", "check-proof", ("proof", "premises")),
+        ("p == p", "check-proof", ("formula",)),
+        ("p -> q", "check-model", ("model", "valuation", 0, 0)),
+        ("p -> q", "check-model", ("formula",)),
+    ],
+)
+def test_malformed_document_field_is_an_input_error(capsys, formula, command, field, bad):
+    _, out, _ = run(capsys, "decide", formula, "--format", "structured")
+    doc = json.loads(out)
+    *path, last = field
+    node = doc
+    for key in path:
+        node = node[key]
+    node[last] = bad
+    code, _, err = run(capsys, command, json.dumps(doc))
+    assert code == 2
+    assert err.startswith("input error:")
 
 
 def test_check_model_catches_designated_forcing(capsys):
@@ -243,5 +268,21 @@ def test_oracle_stops_at_the_deadline_decide_started(capsys, monkeypatch):
     monkeypatch.setattr(isci.cli, "decide", slow_decide)
     monkeypatch.setattr(isci.semantics, "_search_blocks", no_assignments)
     code, _, err = run(capsys, "decide", "p == q -> (q == p)", "--oracle", "4", "--timeout", "10", "--quiet")
+    assert code == 3
+    assert "resource limit: timeout hit in the oracle" in err
+
+
+def test_oracle_stops_inside_a_frame(capsys, monkeypatch):
+    # the clock passes the deadline after the first frame has started; the
+    # oracle would refute p within that frame, so only a check inside the
+    # frame stops it
+    calls = [0]
+
+    def clock():
+        calls[0] += 1
+        return 0.0 if calls[0] == 1 else float("inf")
+
+    monkeypatch.setattr(isci.semantics, "time", types.SimpleNamespace(monotonic=clock))
+    code, _, err = run(capsys, "decide", "p", "--oracle", "1", "--quiet")
     assert code == 3
     assert "resource limit: timeout hit in the oracle" in err

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from isci.calculus import check_proof, is_axiom, sequent
+from isci.countermodel import decide
 from isci.formulas import Id, Imp, Var, extended_subformulas_within
 from isci.invariants import (
     antecedents_inherited,
@@ -9,7 +12,7 @@ from isci.invariants import (
 )
 from isci.parser import parse_formula, parse_sequent
 from isci.prover import EXSUB_CAP, Limits, ResourceExhausted, Saturator, prove
-from isci.serialize import proof_doc
+from isci.serialize import dumps, proof_doc
 
 p, q, r, s = (Var(n) for n in "pqrs")
 
@@ -141,3 +144,28 @@ def test_search_statistics_are_exposed():
     verdict = prove(parse_formula("((p -> q) -> p) -> p"))
     assert verdict.stats.nodes > 0
     assert verdict.stats.backtracks > 0
+
+
+CONGRUENCE = "(p == q) -> (r == s) -> ((p -> r) == (q -> s))"
+
+
+@pytest.mark.parametrize(
+    "text, nodes, backtracks",
+    [
+        ("(p -> #) == q -> r", 108, 19),
+        ("((p -> q) -> p) -> p", 28, 3),
+        (CONGRUENCE, 418, 0),
+        ("# == p -> (q -> #) -> q", 59_207, 40_642),
+    ],
+)
+def test_search_space_is_pinned(text, nodes, backtracks):
+    # the loop check blocking one premise more or less changes these counts
+    # (blocking less can loop until the node cap); they do not depend on the
+    # string hash seed
+    verdict = decide(parse_formula(text), Limits(max_nodes=100_000))
+    assert (verdict.stats.nodes, verdict.stats.backtracks) == (nodes, backtracks)
+    if text == CONGRUENCE:
+        document = dumps(proof_doc(verdict.proof)).encode()
+        assert hashlib.sha256(document).hexdigest() == (
+            "9482aae232c40f425d6c39da4fc624dae45065ab63fd2a0a716a280f4dea7aab"
+        )
