@@ -30,7 +30,6 @@ order).  A validation failure means a bug, not a property of the input.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -46,10 +45,11 @@ from .formulas import (
     sort_key,
     sorted_formulas,
     sub_closure,
+    variables,
 )
 from .invariants import assert_restricted_derivation
 from .printer import format_formula, format_sequent
-from .prover import Limits, ResourceExhausted, Saturator, SearchStats, Verdict, _ProofSearch
+from .prover import Limits, Saturator, SearchStats, Verdict, _ProofSearch
 from .semantics import (
     KripkeModel,
     check_admissible,
@@ -115,8 +115,6 @@ class CounterModelBundle:
             "  rankdir=BT;",
             '  node [shape=box, fontname="monospace"];',
         ]
-        from .formulas import variables
-
         atoms = sorted(variables(self.formula), key=sort_key)
         for w in self.worlds:
             marker = "*" if w.name == self.designated else ""
@@ -137,8 +135,6 @@ class CounterModelBundle:
     def model_rows(self) -> list[tuple[Formula, str, int]]:
         """Valuation rows for export: every variable of the goal at every
         world, plus the positive equation entries."""
-        from .formulas import variables
-
         rows: list[tuple[Formula, str, int]] = []
         for v in sorted(variables(self.formula), key=sort_key):
             for w in self.worlds:
@@ -178,12 +174,7 @@ class _Builder:
         # in {seq} can match a gate call, and those are unconditional.
         self.prover = search
 
-    def tick(self):
-        self.stats.nodes += 1
-        if self.stats.nodes > self.limits.max_nodes:
-            raise ResourceExhausted(f"node cap {self.limits.max_nodes} hit")
-        if time.monotonic() > self.deadline:
-            raise ResourceExhausted(f"timeout {self.limits.timeout}s hit")
+    tick = _ProofSearch.tick  # the search's caps, on the builder's own count
 
     # -- derivation under the saturation-before-R-> regime ------------------
 
@@ -193,9 +184,10 @@ class _Builder:
         self.derivations.append(d)
         return d
 
-    def _expand(self, seq: Sequent, history: frozenset[Sequent], sat: Saturator) -> Derivation:
-        """`history` holds the ancestors with the antecedent of `seq`, the
-        only ones a premise can repeat (see `_ProofSearch`)."""
+    def _expand(self, seq: Sequent, history: frozenset[Formula], sat: Saturator) -> Derivation:
+        """`history` holds the succedents of the ancestors with the
+        antecedent of `seq`, the only ones a premise can repeat (see
+        `_ProofSearch`)."""
         self.tick()
         if is_axiom(seq):
             return Derivation(seq)
@@ -207,14 +199,14 @@ class _Builder:
         proof, _blockers = self.prover.expand(seq, frozenset(), sat)
         if proof is not None:
             return proof
-        hist = history | {seq}
+        hist = history | {seq.succedent}
         chain: list[tuple[Sequent, RuleInstance]] = []
         sat = sat.extend(seq)
         for conclusion, inst in sat.saturate():
             chain.append((conclusion, inst))
             self.tick()
         if chain:
-            hist = frozenset((sat.sequent,))  # each step grows the antecedent
+            hist = frozenset((seq.succedent,))  # each step grows the antecedent
         # identity rules are invertible, so the chain of an unprovable
         # sequent stays unprovable and in particular never hits an axiom
         if is_axiom(sat.sequent):
@@ -224,14 +216,12 @@ class _Builder:
             result = Derivation(conclusion, inst, (result,))
         return result
 
-    def _tail(self, seq: Sequent, hist: frozenset[Sequent], sat: Saturator) -> Derivation:
+    def _tail(self, seq: Sequent, hist: frozenset[Formula], sat: Saturator) -> Derivation:
         ante = seq.antecedent
         for f in self.prover.implications(ante):
-            if f.right in ante or f.left is seq.succedent:
-                continue  # already saturated with respect to f
+            if f.right in ante or f.left in hist:
+                continue  # saturated with respect to f, or blocked by the loop check
             left = Sequent(ante, f.left)
-            if left in hist:
-                continue  # blocked by the branch repetition check
             right = Sequent(ante | {f.right}, seq.succedent)
             return Derivation(
                 seq,
@@ -239,8 +229,9 @@ class _Builder:
                 (self._expand(left, hist, sat), self._expand(right, frozenset(), sat)),
             )
         if isinstance(seq.succedent, Imp):
-            premise, history = self.prover.r_imp_premise(seq, hist)
-            if premise not in history:
+            step = self.prover.r_imp_premise(seq, hist)
+            if step is not None:
+                premise, history = step
                 return Derivation(seq, RuleInstance(R_IMP), (self._expand(premise, history, sat),))
         return Derivation(seq)  # open leaf
 
@@ -258,34 +249,26 @@ class _Builder:
             segments[-1].append(occ)
             if occ.rule is not None and occ.rule.rule == R_IMP:
                 segments.append([])
-        names: list[str] = []
+        worlds: list[World] = []
         for seg in segments:
-            name = f"w{len(self.worlds)}"
             union = frozenset().union(*(o.sequent.antecedent for o in seg))
-            self.worlds.append(World(name, tuple(seg), union))
-            names.append(name)
-        for a, b in zip(names, names[1:]):
-            self.segment_edges.add((a, b))
-        world_of = {}
-        for name, seg in zip(names, segments):
-            for occ in seg:
-                world_of[occ.index] = name
+            worlds.append(World(f"w{len(self.worlds)}", tuple(seg), union))
+            self.worlds.append(worlds[-1])
+        self.segment_edges.update((a.name, b.name) for a, b in zip(worlds, worlds[1:]))
+        world_of = {occ.index: w for w, seg in zip(worlds, segments) for occ in seg}
         for occ in occurrences:
             if occ.rule is not None and occ.rule.rule == R_IMP:
                 premise = occurrences[occ.index + 1].sequent
-                self.memo.setdefault(premise, world_of[occ.index + 1])
+                self.memo.setdefault(premise, world_of[occ.index + 1].name)
         for occ in occurrences:
             succ = occ.sequent.succedent
             if isinstance(succ, Imp):
-                world = self.world_named(world_of[occ.index])
+                world = world_of[occ.index]
                 key = Sequent(world.gamma_max | {succ.left}, succ.right)
                 self.pending.append((world.name, key))
-        return names[0]
+        return worlds[0].name
 
-    def world_named(self, name: str) -> World:
-        return next(w for w in self.worlds if w.name == name)
-
-    def close(self) -> None:
+    def run(self) -> CounterModelBundle:
         root = Sequent(frozenset(), self.goal)
         d0 = self.build(root)
         b0 = leftmost_open_branch(d0)
@@ -303,9 +286,6 @@ class _Builder:
                 target = self.add_branch(branch)
                 self.memo[key] = target
             self.spawn_edges.add((src, target))
-
-    def run(self) -> CounterModelBundle:
-        self.close()
         return self.assemble()
 
     def assemble(self) -> CounterModelBundle:

@@ -189,7 +189,8 @@ def extended_subformulas(phi: Formula) -> frozenset[Formula]:
     """The extended-subformula set of phi (always finite, but it can be
     large for complex formulas; see `extended_subformulas_within`)."""
     result = _exsub_worklist(phi, None)
-    assert result is not None
+    if result is None:  # only a cap stops the worklist early
+        raise RuntimeError("the uncapped extended-subformula worklist gave up")
     return result
 
 

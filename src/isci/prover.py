@@ -36,7 +36,6 @@ equation only against its partners instead of rescanning all pairs.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import sys
 import time
@@ -144,9 +143,14 @@ class Saturator:
                     self._push(self._heap, RuleInstance(L_ID1, principal=e.left), (e,))
 
     def extend(self, seq: Sequent) -> "Saturator":
-        """A copy positioned at `seq`, whose antecedent contains this one's."""
-        child = copy.copy(self)
+        """A copy positioned at `seq`, whose antecedent contains this one's.
+        In full mode a premise with this saturator's antecedent at its
+        fixpoint (an empty heap) shares the state, which it cannot change."""
+        child = Saturator.__new__(Saturator)
+        child.__dict__ = self.__dict__.copy()
         child.sequent = seq
+        if self.plan is not None and seq.antecedent is self._ante and not self._heap:
+            return child
         child._sub = set(self._sub)
         child._buckets = dict(self._buckets)
         child._heap = list(self._heap)
@@ -290,10 +294,13 @@ class _ProofSearch:
     among others.  Every blocker lies in the segment where it blocked and
     every cached blocker set in the segment of its sequent, so each
     repetition test and each cache entry is the one the whole branch
-    would give.  For L-> on an implication a -> b, the right premise
-    Γ, b ⊢ C repeats a sequent exactly when b is in Γ, and it is then the
-    conclusion itself; it is built only once the left premise Γ ⊢ a is
-    proved.
+    would give.  A segment's sequents share their antecedent, so the
+    history and the blockers are succedents, the failure cache is keyed by
+    antecedent and then succedent, and a child's blockers count only when
+    it is on the same segment.  For L-> on an implication a -> b, the right
+    premise Γ, b ⊢ C repeats a sequent exactly when b is in Γ, and it is
+    then the conclusion itself; it is built only once the left premise
+    Γ ⊢ a is proved.
 
     The cache and the deadline outlive `run`: after a failed search the
     countermodel builder asks the same object about the sequents of its
@@ -305,7 +312,8 @@ class _ProofSearch:
         self.limits = limits
         self.stats = SearchStats()
         self.deadline = time.monotonic() + limits.timeout
-        self.failed: dict[Sequent, list[frozenset[Sequent]]] = {}
+        # antecedent -> succedent -> blocker sets of its failures
+        self.failed: dict[frozenset[Formula], dict[Formula, list[frozenset[Formula]]]] = {}
         self._implications: dict[frozenset[Formula], tuple[Imp, ...]] = {}
 
     def tick(self):
@@ -331,13 +339,16 @@ class _ProofSearch:
         return imps
 
     @staticmethod
-    def r_imp_premise(seq: Sequent, hist: frozenset[Sequent]):
-        """The R-> premise of `seq`, with the part of `seq`'s segment `hist`
-        it can repeat: all of it when the antecedent stays, none otherwise."""
-        succ = seq.succedent
-        if succ.left in seq.antecedent:
-            return Sequent(seq.antecedent, succ.right), hist
-        return Sequent(seq.antecedent | {succ.left}, succ.right), frozenset()
+    def r_imp_premise(seq: Sequent, hist: frozenset[Formula]):
+        """The R-> premise of `seq` with its history, or None when it
+        repeats a sequent of `seq`'s segment, whose succedents are `hist`.
+        The premise stays on that segment exactly when its antecedent does."""
+        ante, succ = seq.antecedent, seq.succedent
+        if succ.left not in ante:
+            return Sequent(ante | {succ.left}, succ.right), frozenset()
+        if succ.right in hist:
+            return None
+        return Sequent(ante, succ.right), hist
 
     def run(self) -> Derivation | None:
         """Search the goal's root sequent; a proof found is certified."""
@@ -348,24 +359,26 @@ class _ProofSearch:
             certify(proof, self.goal)
         return proof
 
-    def expand(self, seq: Sequent, history: frozenset[Sequent], sat: Saturator):
+    def expand(self, seq: Sequent, history: frozenset[Formula], sat: Saturator):
         """Returns (proof tree or None, blockers a failure relied on).
-        `history` holds the ancestors with the antecedent of `seq`; `sat`
-        holds the saturation state of the branch below `seq`."""
+        `history` holds the succedents of the ancestors with the antecedent
+        of `seq`; `sat` holds the saturation state of the branch below `seq`."""
         self.tick()
         if is_axiom(seq):
             return Derivation(seq), frozenset()
-        hist = history | {seq}
-        for entry in self.failed.get(seq, ()):
-            if entry <= hist:
-                return None, entry
-        used: set[Sequent] = set()
+        hist = history | {seq.succedent}
+        cached = self.failed.get(seq.antecedent)
+        if cached:
+            for entry in cached.get(seq.succedent, ()):
+                if entry <= hist:
+                    return None, entry
+        used: set[Formula] = set()
         result = self._expand_inner(seq, hist, used, sat.extend(seq))
         if result is not None:
             return result, frozenset()
-        # a blocker off this segment is on no ancestor's segment either
+        # blockers off the ancestors are `seq` and its descendants
         entry = hist.intersection(used)
-        entries = self.failed.setdefault(seq, [])
+        entries = self.failed.setdefault(seq.antecedent, {}).setdefault(seq.succedent, [])
         entries[:] = [e for e in entries if not entry <= e]
         entries.append(entry)
         return None, entry
@@ -378,7 +391,8 @@ class _ProofSearch:
             self.tick()
         current = sat.sequent
         if chain:
-            hist = frozenset((current,))  # each step grows the antecedent
+            # each step grows the antecedent: a new segment, blocking nothing here
+            hist, used = frozenset((current.succedent,)), set()
         if is_axiom(current):
             result = Derivation(current)
         else:
@@ -391,34 +405,33 @@ class _ProofSearch:
 
     def _tail(self, seq, hist, used, sat) -> Derivation | None:
         """R-> first, then the L-> alternatives; `seq` is saturated."""
-        if isinstance(seq.succedent, Imp):
-            premise, history = self.r_imp_premise(seq, hist)
-            if premise not in history:
+        ante, succ = seq.antecedent, seq.succedent
+        if isinstance(succ, Imp):
+            step = self.r_imp_premise(seq, hist)
+            if step is None:
+                used.add(succ.right)
+            else:
+                premise, history = step
                 child, sub = self.expand(premise, history, sat)
                 if child is not None:
                     return Derivation(seq, RuleInstance(R_IMP), (child,))
-                used |= sub
+                if premise.antecedent is ante:
+                    used |= sub
                 self.stats.backtracks += 1
-            else:
-                used.add(premise)
-        ante = seq.antecedent
         for f in self.implications(ante):
-            left = Sequent(ante, f.left)
-            if left in hist:
-                used.add(left)
+            if f.left in hist:
+                used.add(f.left)
                 continue
             if f.right in ante:
-                used.add(seq)  # the right premise is `seq` itself
+                used.add(succ)  # the right premise is `seq` itself
                 continue
-            lchild, sub = self.expand(left, hist, sat)
+            lchild, sub = self.expand(Sequent(ante, f.left), hist, sat)
             if lchild is None:
                 used |= sub
                 self.stats.backtracks += 1
                 continue
-            right = Sequent(ante | {f.right}, seq.succedent)
-            rchild, sub = self.expand(right, frozenset(), sat)
+            rchild, _ = self.expand(Sequent(ante | {f.right}, succ), frozenset(), sat)
             if rchild is None:
-                used |= sub
                 self.stats.backtracks += 1
                 continue
             return Derivation(seq, RuleInstance(L_IMP, principal=f), (lchild, rchild))

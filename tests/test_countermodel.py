@@ -101,6 +101,15 @@ def test_decide_has_one_deadline(monkeypatch):
         decide(parse_formula("((p -> q) -> p) -> p"), Limits(timeout=10.0))
 
 
+def test_costliest_builder_run_is_pinned():
+    # the builder's history of succedents blocks exactly the premises a
+    # history of sequents blocked: the same worlds and the same node counts
+    verdict = decide(parse_formula("p == q -> q -> r"))
+    assert not verdict.proved
+    assert len(verdict.model.worlds) == 9
+    assert (verdict.stats.nodes, verdict.model.stats.nodes) == (92_404, 1_804)
+
+
 def refute(text):
     phi = parse_formula(text)
     assert not prove(phi).proved

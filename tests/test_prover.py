@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from isci.calculus import check_proof, is_axiom, sequent
+from isci.calculus import Sequent, check_proof, is_axiom, sequent
 from isci.countermodel import decide
 from isci.formulas import Id, Imp, Var, extended_subformulas_within
 from isci.invariants import (
@@ -11,7 +11,7 @@ from isci.invariants import (
     no_branch_repetition,
 )
 from isci.parser import parse_formula, parse_sequent
-from isci.prover import EXSUB_CAP, Limits, ResourceExhausted, Saturator, prove
+from isci.prover import EXSUB_CAP, Limits, ResourceExhausted, Saturator, _ProofSearch, prove
 from isci.serialize import dumps, proof_doc
 
 p, q, r, s = (Var(n) for n in "pqrs")
@@ -169,3 +169,21 @@ def test_search_space_is_pinned(text, nodes, backtracks):
         assert hashlib.sha256(document).hexdigest() == (
             "9482aae232c40f425d6c39da4fc624dae45065ab63fd2a0a716a280f4dea7aab"
         )
+
+
+def test_proof_search_hashes_no_sequent(monkeypatch):
+    # a segment's sequents share their antecedent, so the loop check and the
+    # failure cache are keyed by formulas and never hash a whole sequent
+    hashed = []
+    sequent_hash = Sequent.__hash__
+
+    def counting_hash(self):
+        hashed.append(self)
+        return sequent_hash(self)
+
+    monkeypatch.setattr(Sequent, "__hash__", counting_hash)
+    search = _ProofSearch(parse_formula("# == p -> (q -> #) -> q"), Limits())
+    assert search.run() is None
+    assert hashed == []
+    # the same failures are cached as when the cache was keyed by sequent
+    assert sum(len(e) for by_succ in search.failed.values() for e in by_succ.values()) == 255
