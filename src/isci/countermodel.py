@@ -2,8 +2,8 @@
 
 `decide` runs the proof search once.  When the search fails, the
 construction re-derives the goal under a stricter regime than proof
-search, with the failed search (its failure cache and its deadline) as
-the provability check at every node.  Before R-> may fire, every
+search, with the failed search (its provability table and its deadline)
+as the provability check at every node.  Before R-> may fire, every
 antecedent implication must be saturated (its consequent present, or
 its antecedent the succedent) or treated by L->.  The leftmost open
 branch of such a derivation is cut at the R-> applications into worlds;
@@ -169,9 +169,8 @@ class _Builder:
         self.spawn_edges: set[tuple[str, str]] = set()
         self.memo: dict[Sequent, str] = {}
         self.pending: deque[tuple[str, Sequent]] = deque()
-        # provability gate: the failed search, whose failure cache answers
-        # the root and carries across nodes.  Only cache entries contained
-        # in {seq} can match a gate call, and those are unconditional.
+        # provability gate: the failed search, whose provability table
+        # answers every sequent it has failed on, the root among them
         self.prover = search
 
     tick = _ProofSearch.tick  # the search's caps, on the builder's own count
@@ -196,7 +195,7 @@ class _Builder:
         # branch.  Closing them here also keeps later antecedent growth
         # honest, because every formula injected into a world is justified
         # by a genuinely closed left premise.
-        proof, _blockers = self.prover.expand(seq, frozenset(), sat)
+        proof = self.prover.expand(seq, frozenset(), sat)
         if proof is not None:
             return proof
         hist = history | {seq.succedent}
@@ -222,7 +221,7 @@ class _Builder:
             if f.right in ante or f.left in hist:
                 continue  # saturated with respect to f, or blocked by the loop check
             left = Sequent(ante, f.left)
-            right = Sequent(ante | {f.right}, seq.succedent)
+            right = Sequent(self.prover.grow(ante, f.right), seq.succedent)
             return Derivation(
                 seq,
                 RuleInstance(L_IMP, principal=f),
@@ -364,8 +363,10 @@ def decide(phi: Formula, limits: Limits | None = None) -> Verdict:
     """Prove `phi` or refute it.  One proof search runs; a proof is
     certified, and otherwise the same search gates the construction of a
     countermodel, which is validated.  `limits.timeout` bounds the whole
-    call, and the verdict's stats count every node the search expanded,
-    the builder's provability checks included."""
+    call.  The verdict's stats count the search's expansions, saturation
+    steps and provability-table evaluations, the builder's checks
+    included; `limits.max_nodes` bounds them, and the builder's own nodes
+    apart."""
     search = _ProofSearch(phi, limits or Limits())
     proof = search.run()
     if proof is not None:

@@ -161,6 +161,8 @@ class Saturator:
     def saturate(self) -> Iterator[tuple[Sequent, RuleInstance]]:
         """Apply identity instances until the fixpoint or an axiom, yielding
         each conclusion with the instance applied to it."""
+        if self.plan is not None and self.sequent.antecedent is self._ante and not self._heap:
+            return  # shared by `extend` at its fixpoint
         while not is_axiom(self.sequent):
             inst = identity_instance(self)
             if inst is None:
@@ -273,38 +275,40 @@ def identity_instance(sat: Saturator) -> RuleInstance | None:
 
 
 class _ProofSearch:
-    """Depth-first backward search with conflict-directed failure caching.
+    """Depth-first backward search with a provability table.
 
     A rule application is blocked exactly when a premise would repeat a
-    sequent on the branch, so enlarging the blocking set only removes
-    options and failure is monotone: if a sequent's subtree failed while
-    relying on blockers B (the branch sequents that actually suppressed
-    an application somewhere inside), it fails again under any blocking
-    set containing B.  Each failure caches its blocker set, and later
-    visits whose branch dominates a cached set are cut off.  Monotonicity
-    is also why a failed R-> premise falls back to the L-> alternatives
-    instead of committing; R-> is still tried first, so proofs keep the
-    invertible-rule-first shape.
+    sequent on the branch.  R-> is tried first, so proofs keep the
+    invertible-rule-first shape, and a failed R-> premise falls back to
+    the L-> alternatives instead of committing.
 
     Antecedents only grow upward, so a premise can repeat only an ancestor
     with the same antecedent, and those ancestors end the branch (the
     loop check of Heuerding, Seyfried and Zimmermann, TABLEAUX 1996).  The
     history handed down is therefore just that segment; it restarts
     whenever the antecedent grows, after every identity-saturation step
-    among others.  Every blocker lies in the segment where it blocked and
-    every cached blocker set in the segment of its sequent, so each
-    repetition test and each cache entry is the one the whole branch
-    would give.  A segment's sequents share their antecedent, so the
-    history and the blockers are succedents, the failure cache is keyed by
-    antecedent and then succedent, and a child's blockers count only when
-    it is on the same segment.  For L-> on an implication a -> b, the right
-    premise Γ, b ⊢ C repeats a sequent exactly when b is in Γ, and it is
-    then the conclusion itself; it is built only once the left premise
-    Γ ⊢ a is proved.
+    among others.  A segment's sequents share their antecedent, so the
+    history is the set of their succedents.  For L-> on an implication
+    a -> b, the right premise Γ, b ⊢ C repeats a sequent exactly when b is
+    in Γ, and it is then the conclusion itself; it is built only once the
+    left premise Γ ⊢ a is proved.
 
-    The cache and the deadline outlive `run`: after a failed search the
+    Whether a sequent fails depends on the branch, but whether it is
+    provable does not.  The provable succedents of a saturated antecedent
+    Γ form the least fixpoint of Γ's R-> and L-> clauses (Horn clauses,
+    as in Dowling and Gallier, 1984), whose other premises have strictly
+    larger antecedents.  `provable` computes it lazily, in a table keyed
+    by antecedent and then succedent.  The search asks the table only
+    about a sequent that has failed before: an unprovable one fails again
+    at once, any other is searched again, so the proofs are those of a
+    search with no table.  A success marks its sequent provable; a
+    failure with an empty history marks it unprovable, since a search
+    from the sequent alone is complete.  Every expansion, saturation step
+    and table evaluation is a node, and the node cap bounds them all.
+
+    The table and the deadline outlive `run`: after a failed search the
     countermodel builder asks the same object about the sequents of its
-    derivation, which answers the root from the cache.
+    derivation, which answers the root from the table.
     """
 
     def __init__(self, goal: Formula, limits: Limits):
@@ -312,9 +316,13 @@ class _ProofSearch:
         self.limits = limits
         self.stats = SearchStats()
         self.deadline = time.monotonic() + limits.timeout
-        # antecedent -> succedent -> blocker sets of its failures
-        self.failed: dict[frozenset[Formula], dict[Formula, list[frozenset[Formula]]]] = {}
+        self.failed: dict[frozenset[Formula], set[Formula]] = {}  # antecedent -> succedents
+        # antecedent -> succedent -> provable; only decided sequents are in it
+        self.table: dict[frozenset[Formula], dict[Formula, bool]] = {}
+        # saturated antecedent -> (goals to evaluate, goal -> its waiters)
+        self._open: dict[frozenset[Formula], tuple[list[Formula], dict]] = {}
         self._implications: dict[frozenset[Formula], tuple[Imp, ...]] = {}
+        self._grown: dict[frozenset[Formula], dict[Formula, frozenset[Formula]]] = {}
 
     def tick(self):
         self.stats.nodes += 1
@@ -338,14 +346,22 @@ class _ProofSearch:
             self._implications[antecedent] = imps
         return imps
 
-    @staticmethod
-    def r_imp_premise(seq: Sequent, hist: frozenset[Formula]):
+    def grow(self, antecedent: frozenset[Formula], f: Formula) -> frozenset[Formula]:
+        """`antecedent | {f}`, built once per pair and shared by every
+        premise that adds `f` to `antecedent`."""
+        by_f = self._grown.setdefault(antecedent, {})
+        grown = by_f.get(f)
+        if grown is None:
+            grown = by_f[f] = antecedent | {f}
+        return grown
+
+    def r_imp_premise(self, seq: Sequent, hist: frozenset[Formula]):
         """The R-> premise of `seq` with its history, or None when it
         repeats a sequent of `seq`'s segment, whose succedents are `hist`.
         The premise stays on that segment exactly when its antecedent does."""
         ante, succ = seq.antecedent, seq.succedent
         if succ.left not in ante:
-            return Sequent(ante | {succ.left}, succ.right), frozenset()
+            return Sequent(self.grow(ante, succ.left), succ.right), frozenset()
         if succ.right in hist:
             return None
         return Sequent(ante, succ.right), hist
@@ -354,36 +370,31 @@ class _ProofSearch:
         """Search the goal's root sequent; a proof found is certified."""
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
         root = Sequent(frozenset(), self.goal)
-        proof, _used = self.expand(root, frozenset(), Saturator(self.goal))
+        proof = self.expand(root, frozenset(), Saturator(self.goal))
         if proof is not None:
             certify(proof, self.goal)
         return proof
 
     def expand(self, seq: Sequent, history: frozenset[Formula], sat: Saturator):
-        """Returns (proof tree or None, blockers a failure relied on).
-        `history` holds the succedents of the ancestors with the antecedent
-        of `seq`; `sat` holds the saturation state of the branch below `seq`."""
+        """A proof of `seq`, or None.  `history` holds the succedents of
+        the ancestors with the antecedent of `seq`; `sat` holds the
+        saturation state of the branch below `seq`."""
         self.tick()
         if is_axiom(seq):
-            return Derivation(seq), frozenset()
-        hist = history | {seq.succedent}
-        cached = self.failed.get(seq.antecedent)
-        if cached:
-            for entry in cached.get(seq.succedent, ()):
-                if entry <= hist:
-                    return None, entry
-        used: set[Formula] = set()
-        result = self._expand_inner(seq, hist, used, sat.extend(seq))
-        if result is not None:
-            return result, frozenset()
-        # blockers off the ancestors are `seq` and its descendants
-        entry = hist.intersection(used)
-        entries = self.failed.setdefault(seq.antecedent, {}).setdefault(seq.succedent, [])
-        entries[:] = [e for e in entries if not entry <= e]
-        entries.append(entry)
-        return None, entry
+            return Derivation(seq)
+        ante, succ = seq.antecedent, seq.succedent
+        if succ in self.failed.get(ante, ()) and not self.provable(seq, sat):
+            return None
+        result = self._expand_inner(seq, history | {succ}, sat.extend(seq))
+        if result is None:
+            self.failed.setdefault(ante, set()).add(succ)
+            if not history:
+                self.table.setdefault(ante, {})[succ] = False
+        else:
+            self.table.setdefault(ante, {})[succ] = True
+        return result
 
-    def _expand_inner(self, seq, hist, used, sat) -> Derivation | None:
+    def _expand_inner(self, seq, hist, sat) -> Derivation | None:
         # identity saturation first, built iteratively (chains can be long)
         chain: list[tuple[Sequent, RuleInstance]] = []
         for conclusion, inst in sat.saturate():
@@ -391,51 +402,117 @@ class _ProofSearch:
             self.tick()
         current = sat.sequent
         if chain:
-            # each step grows the antecedent: a new segment, blocking nothing here
-            hist, used = frozenset((current.succedent,)), set()
+            hist = frozenset((current.succedent,))  # each step grows the antecedent
         if is_axiom(current):
             result = Derivation(current)
         else:
-            result = self._tail(current, hist, used, sat)
+            result = self._tail(current, hist, sat)
         if result is None:
             return None
         for conclusion, inst in reversed(chain):
             result = Derivation(conclusion, inst, (result,))
         return result
 
-    def _tail(self, seq, hist, used, sat) -> Derivation | None:
+    def _tail(self, seq, hist, sat) -> Derivation | None:
         """R-> first, then the L-> alternatives; `seq` is saturated."""
         ante, succ = seq.antecedent, seq.succedent
         if isinstance(succ, Imp):
             step = self.r_imp_premise(seq, hist)
-            if step is None:
-                used.add(succ.right)
-            else:
-                premise, history = step
-                child, sub = self.expand(premise, history, sat)
+            if step is not None:
+                child = self.expand(*step, sat)
                 if child is not None:
                     return Derivation(seq, RuleInstance(R_IMP), (child,))
-                if premise.antecedent is ante:
-                    used |= sub
                 self.stats.backtracks += 1
         for f in self.implications(ante):
-            if f.left in hist:
-                used.add(f.left)
-                continue
-            if f.right in ante:
-                used.add(succ)  # the right premise is `seq` itself
-                continue
-            lchild, sub = self.expand(Sequent(ante, f.left), hist, sat)
+            if f.left in hist or f.right in ante:
+                continue  # a premise repeats a sequent of the segment
+            lchild = self.expand(Sequent(ante, f.left), hist, sat)
             if lchild is None:
-                used |= sub
                 self.stats.backtracks += 1
                 continue
-            rchild, _ = self.expand(Sequent(ante | {f.right}, succ), frozenset(), sat)
+            rchild = self.expand(Sequent(self.grow(ante, f.right), succ), frozenset(), sat)
             if rchild is None:
                 self.stats.backtracks += 1
                 continue
             return Derivation(seq, RuleInstance(L_IMP, principal=f), (lchild, rchild))
         return None
+
+    # -- provability table ----------------------------------------------------
+
+    def provable(self, seq: Sequent, sat: Saturator) -> bool:
+        """Whether `seq` is derivable, on any branch.  `sat` is a saturator
+        positioned at a sequent whose antecedent `seq`'s contains."""
+        answers = self.table.setdefault(seq.antecedent, {})
+        answer = answers.get(seq.succedent)
+        if answer is None:
+            sat = sat.extend(seq)
+            for _ in sat.saturate():
+                self.tick()
+            if is_axiom(sat.sequent):
+                answer = True
+            elif sat.sequent is not seq:  # saturation grew the antecedent
+                answer = self.provable(sat.sequent, sat)
+            else:
+                answer = self._fixpoint(seq.antecedent, seq.succedent, sat)
+            answers[seq.succedent] = answer
+        return answer
+
+    def _fixpoint(self, ante: frozenset[Formula], goal: Formula, sat: Saturator) -> bool:
+        """Decide `ante ⊢ goal` for a saturated, non-axiomatic `ante`: run
+        the least fixpoint over `ante`'s goals until `goal` is proved or
+        none is left to evaluate, when every goal not proved is unprovable.
+        A later query resumes it.  A goal is re-evaluated when a goal it
+        waits on is proved.  In guided mode too, `ante` is saturated for
+        every goal: each is a succedent `ante` was saturated for, or a
+        subformula of one or of `ante`, which admits no new instance."""
+        answers = self.table[ante]
+        queue, waiting = self._open.setdefault(ante, ([], {}))
+        if goal not in waiting:
+            waiting[goal] = []
+            queue.append(goal)
+        while queue:
+            d = queue.pop()
+            if answers.get(d) is None and not self._clauses(ante, d, sat, queue, waiting):
+                continue
+            answers[d] = True
+            queue.extend(waiting[d])
+            waiting[d] = []
+            if d == goal:
+                return True
+        del self._open[ante]
+        for d in waiting:
+            answers.setdefault(d, False)
+        return False
+
+    def _clauses(self, ante, goal, sat, queue, waiting) -> bool:
+        """One evaluation of `goal`'s clauses in `ante`'s fixpoint.  A goal
+        of `ante` still undecided is queued, and `goal` waits on it; every
+        other premise has a larger antecedent and is asked of `provable`."""
+        self.tick()
+        if goal in ante:
+            return True
+        answers = self.table[ante]
+
+        def proved(x: Formula) -> bool:
+            answer = answers.get(x)
+            if answer is None:
+                if x not in waiting:
+                    waiting[x] = []
+                    queue.append(x)
+                waiting[x].append(goal)
+            return answer is True
+
+        if isinstance(goal, Imp):
+            if goal.left not in ante:
+                if self.provable(Sequent(self.grow(ante, goal.left), goal.right), sat):
+                    return True
+            elif proved(goal.right):
+                return True
+        for f in self.implications(ante):
+            if f.right not in ante and proved(f.left):
+                if self.provable(Sequent(self.grow(ante, f.right), goal), sat):
+                    return True
+        return False
 
 
 def certify(proof: Derivation, goal: Formula) -> None:

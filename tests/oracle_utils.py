@@ -85,3 +85,9 @@ if st is not None:
         lambda kids: st.builds(Imp, kids, kids) | st.builds(Id, kids, kids),
         max_leaves=4,
     )
+    atoms_pqr = st.sampled_from([Var("p"), Var("q"), Var("r"), BOT])
+    small_formulas_pqr = st.recursive(
+        atoms_pqr,
+        lambda kids: st.builds(Imp, kids, kids) | st.builds(Id, kids, kids),
+        max_leaves=5,
+    )

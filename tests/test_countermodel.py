@@ -80,7 +80,7 @@ def test_decide_searches_the_root_once(monkeypatch):
     monkeypatch.setattr(_ProofSearch, "_expand_inner", spy)
     verdict = decide(phi)
     assert not verdict.proved and verdict.model is not None
-    # the builder's provability gate at the root is a failure-cache hit
+    # the builder's provability gate at the root is answered by the table
     assert expanded.count(root) == 1
 
 
@@ -103,11 +103,13 @@ def test_decide_has_one_deadline(monkeypatch):
 
 def test_costliest_builder_run_is_pinned():
     # the builder's history of succedents blocks exactly the premises a
-    # history of sequents blocked: the same worlds and the same node counts
+    # history of sequents blocked: the same worlds and builder nodes; the
+    # provability table answers the gate's revisits, which sets the search
+    # nodes
     verdict = decide(parse_formula("p == q -> q -> r"))
     assert not verdict.proved
     assert len(verdict.model.worlds) == 9
-    assert (verdict.stats.nodes, verdict.model.stats.nodes) == (92_404, 1_804)
+    assert (verdict.stats.nodes, verdict.model.stats.nodes) == (7_685, 1_804)
 
 
 def refute(text):

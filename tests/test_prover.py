@@ -1,9 +1,11 @@
 import hashlib
 
 import pytest
+from hypothesis import assume, given, settings
 
+from isci import prover
 from isci.calculus import Sequent, check_proof, is_axiom, sequent
-from isci.countermodel import decide
+from isci.countermodel import CounterModelError, decide
 from isci.formulas import Id, Imp, Var, extended_subformulas_within
 from isci.invariants import (
     antecedents_inherited,
@@ -13,6 +15,8 @@ from isci.invariants import (
 from isci.parser import parse_formula, parse_sequent
 from isci.prover import EXSUB_CAP, Limits, ResourceExhausted, Saturator, _ProofSearch, prove
 from isci.serialize import dumps, proof_doc
+
+from oracle_utils import small_formulas_pqr
 
 p, q, r, s = (Var(n) for n in "pqrs")
 
@@ -152,16 +156,17 @@ CONGRUENCE = "(p == q) -> (r == s) -> ((p -> r) == (q -> s))"
 @pytest.mark.parametrize(
     "text, nodes, backtracks",
     [
-        ("(p -> #) == q -> r", 108, 19),
-        ("((p -> q) -> p) -> p", 28, 3),
+        ("(p -> #) == q -> r", 109, 12),
+        ("((p -> q) -> p) -> p", 29, 3),
         (CONGRUENCE, 418, 0),
-        ("# == p -> (q -> #) -> q", 59_207, 40_642),
+        ("# == p -> (q -> #) -> q", 3_881, 1_706),
     ],
 )
 def test_search_space_is_pinned(text, nodes, backtracks):
-    # the loop check blocking one premise more or less changes these counts
-    # (blocking less can loop until the node cap); they do not depend on the
-    # string hash seed
+    # the loop check blocking one premise more or less, or the provability
+    # table cutting one sequent more or less, changes these counts (blocking
+    # less can loop until the node cap); they do not depend on the string
+    # hash seed
     verdict = decide(parse_formula(text), Limits(max_nodes=100_000))
     assert (verdict.stats.nodes, verdict.stats.backtracks) == (nodes, backtracks)
     if text == CONGRUENCE:
@@ -172,8 +177,9 @@ def test_search_space_is_pinned(text, nodes, backtracks):
 
 
 def test_proof_search_hashes_no_sequent(monkeypatch):
-    # a segment's sequents share their antecedent, so the loop check and the
-    # failure cache are keyed by formulas and never hash a whole sequent
+    # a segment's sequents share their antecedent, so the loop check, the
+    # failures and the provability table are keyed by formulas and never
+    # hash a whole sequent
     hashed = []
     sequent_hash = Sequent.__hash__
 
@@ -185,5 +191,53 @@ def test_proof_search_hashes_no_sequent(monkeypatch):
     search = _ProofSearch(parse_formula("# == p -> (q -> #) -> q"), Limits())
     assert search.run() is None
     assert hashed == []
-    # the same failures are cached as when the cache was keyed by sequent
-    assert sum(len(e) for by_succ in search.failed.values() for e in by_succ.values()) == 255
+    # failures are succedents per antecedent, and the table holds decided
+    # answers per antecedent and succedent, the failed root's among them
+    assert all(isinstance(a, frozenset) for a in (*search.failed, *search.table))
+    assert search.table[frozenset()] == {search.goal: False}
+    answers = [v for by_succ in search.table.values() for v in by_succ.values()]
+    assert (
+        sum(map(len, search.failed.values())),
+        answers.count(True),
+        answers.count(False),
+    ) == (249, 78, 249)
+
+
+TABLE_NODE_CAP = 20_000
+
+
+def decided(phi, table=True):
+    """What `decide` gives with or without the provability table (one
+    answering "provable" everywhere cuts nothing): the verdict and its
+    document, or the error it raises; None when the cap is hit."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not table:
+            mp.setattr(_ProofSearch, "provable", lambda self, seq, sat: True)
+        try:
+            verdict = decide(phi, Limits(max_nodes=TABLE_NODE_CAP))
+        except ResourceExhausted:
+            return None
+        except CounterModelError as error:  # guided mode may fail validation
+            return "error", str(error)
+    if verdict.proved:
+        return True, dumps(proof_doc(verdict.proof))
+    return False, dumps(verdict.model.model_document())
+
+
+@pytest.mark.parametrize("guided", [False, True], ids=["full", "guided"])
+@settings(max_examples=150, deadline=None)
+@given(phi=small_formulas_pqr)
+def test_table_keeps_verdicts_and_proofs(guided, phi):
+    # the table only cuts unprovable sequents, so the search finds the same
+    # proofs and the builder the same models as with no table at all; and
+    # the table alone, asked about the root, gives the verdict
+    with pytest.MonkeyPatch.context() as mp:
+        if guided:
+            mp.setattr(prover, "EXSUB_CAP", 0)
+        with_table, without = decided(phi), decided(phi, table=False)
+        assume(with_table is not None and without is not None)
+        assert with_table == without
+        if with_table[0] != "error":
+            search = _ProofSearch(phi, Limits())
+            root = Sequent(frozenset(), phi)
+            assert search.provable(root, Saturator(phi)) == with_table[0]
