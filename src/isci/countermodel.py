@@ -30,8 +30,9 @@ order).  A validation failure means a bug, not a property of the input.
 
 from __future__ import annotations
 
+import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .calculus import L_IMP, R_IMP, Derivation, RuleInstance, Sequent, is_axiom
 from .formulas import (
@@ -49,14 +50,14 @@ from .formulas import (
 )
 from .invariants import assert_restricted_derivation
 from .printer import format_formula, format_sequent
-from .prover import Limits, Saturator, SearchStats, Verdict, _ProofSearch
+from .prover import Limits, ResourceExhausted, Saturator, SearchStats, Verdict, _ProofSearch
 from .semantics import (
+    Evaluator,
     KripkeModel,
     check_admissible,
     check_frame,
     check_identity_entails_implications,
     check_monotonicity,
-    forces,
     value,
 )
 
@@ -99,13 +100,17 @@ class CounterModelBundle:
     branches: list[list[BranchOccurrence]]
     derivations: list[Derivation]
     stats: SearchStats
+    _by_name: dict[str, World] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._by_name = {w.name: w for w in self.worlds}
 
     @property
     def base_edges(self) -> frozenset[tuple[str, str]]:
         return self.segment_edges | self.spawn_edges
 
     def world_named(self, name: str) -> World:
-        return next(w for w in self.worlds if w.name == name)
+        return self._by_name[name]
 
     def to_dot(self) -> str:
         """Graph rendering with each world labeled by its accumulated
@@ -372,7 +377,7 @@ def decide(phi: Formula, limits: Limits | None = None) -> Verdict:
     if proof is not None:
         return Verdict(True, proof, search.stats)
     bundle = _Builder(search).run()
-    validate_bundle(bundle)
+    validate_bundle(bundle, search.deadline)
     return Verdict(False, None, search.stats, bundle)
 
 
@@ -385,11 +390,9 @@ def countermodel(phi: Formula, limits: Limits | None = None) -> CounterModelBund
     return verdict.model
 
 
-def _validation_material(phi: Formula, bundle: CounterModelBundle) -> frozenset[Formula]:
-    exs = extended_subformulas_within(phi, VALIDATION_CAP)
-    if exs is not None:
-        return exs
-    # Degraded base for very large goals: everything the model mentions.
+def _degraded_material(phi: Formula, bundle: CounterModelBundle) -> frozenset[Formula]:
+    """Validation base for goals whose closure exceeds VALIDATION_CAP:
+    everything the model mentions."""
     seen: set[Formula] = {phi}
     for w in bundle.worlds:
         seen |= w.gamma_max
@@ -398,84 +401,138 @@ def _validation_material(phi: Formula, bundle: CounterModelBundle) -> frozenset[
     return sub_closure(seen)
 
 
-def validate_bundle(bundle: CounterModelBundle) -> None:
+def small_eqs(phi: Formula, material: frozenset[Formula], closure: bool) -> list[Id]:
+    """Equations the calculus was allowed to compose, in canonical order:
+    the non-reflexive members of the extended-subformula closure with both
+    sides in `material` and complexity at most c(phi).  When `material`
+    is the closure itself (`closure`), they are read off its own members;
+    otherwise the pairs of `material` are built only within the bound."""
+    n = complexity(phi)
+    if closure:
+        found = [
+            e
+            for e in material
+            if isinstance(e, Id)
+            and e.left != e.right
+            and complexity(e) <= n
+            and e.left in material
+            and e.right in material
+        ]
+        return sorted_formulas(found)
+    by_complexity: dict[int, list[Formula]] = {}
+    for f in material:
+        by_complexity.setdefault(complexity(f), []).append(f)
+    found = [
+        e
+        for a in material
+        for c in range(n - complexity(a))
+        for b in by_complexity.get(c, ())
+        if a != b
+        for e in (Id(a, b),)
+        if in_extended_subformulas(e, phi)
+    ]
+    return sorted_formulas(found)
+
+
+def wide_eqs(n: int, material: frozenset[Formula], model: KripkeModel) -> list[Id]:
+    """The equations `a == b` over `material`, with c(a) + c(b) <= 2n,
+    that may be true somewhere.  An equation is true only where the
+    valuation lists it, where it is reflexive, or where its sides share a
+    connective whose component equations are true; so each formula's
+    partners (the sides it may be equal to) follow from its components'
+    partners.  They are built bottom-up over the subformulas of
+    `material`, since the components of its members need not lie in it,
+    and no equation that cannot be true is built (and so interned)."""
+    listed: dict[Formula, set[Formula]] = {}
+    for (f, _w), v in model.valuation.items():
+        if v and isinstance(f, Id):
+            listed.setdefault(f.left, set()).add(f.right)
+    closed = sorted(sub_closure(material), key=complexity)
+    by_left: dict[tuple[type, Formula], list[Formula]] = {}
+    for f in closed:
+        if isinstance(f, (Imp, Id)):
+            by_left.setdefault((type(f), f.left), []).append(f)
+    partners: dict[Formula, set[Formula]] = {}
+    for a in closed:  # components come first
+        found = {a} | listed.get(a, set())
+        if isinstance(a, (Imp, Id)):
+            right = partners[a.right]
+            for left in partners[a.left]:
+                found.update(b for b in by_left.get((type(a), left), ()) if b.right in right)
+        partners[a] = found
+    return [
+        Id(a, b)
+        for a in material
+        for b in partners[a]
+        if b in material and complexity(a) + complexity(b) <= 2 * n
+    ]
+
+
+def validate_bundle(bundle: CounterModelBundle, deadline: float | None = None) -> None:
+    """Check the bundle against the semantics and against what the
+    construction promises; a failure raises CounterModelError.  Past
+    `deadline` it raises ResourceExhausted, checked between the checks and
+    inside their per-world and per-equation loops."""
     phi = bundle.formula
     model = bundle.model
+    ev = Evaluator(model)
     n = complexity(phi)
-    if not check_frame(model):
+
+    def check_deadline(stage: str) -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceExhausted(f"timeout hit in validation, at {stage}")
+
+    check_deadline("the frame check")
+    if not check_frame(ev):
         raise CounterModelError("order is not a preorder")
     for src, dst in bundle.base_edges:
         if not bundle.world_named(src).gamma_max <= bundle.world_named(dst).gamma_max:
             raise CounterModelError(f"antecedents shrink along {src} <= {dst}")
-    memo: dict = {}
     for w in bundle.worlds:
+        check_deadline("the forcing of antecedents and succedents")
+        bit = model.bit[w.name]
         for occ in w.occurrences:
             succ = occ.sequent.succedent
             if in_form0(succ) and succ in w.gamma_max:
                 raise CounterModelError(
                     f"succedent {format_formula(succ)} occurs in the antecedents of {w.name}"
                 )
-            if forces(model, w.name, succ, memo):
+            if ev.forces(succ) & bit:
                 raise CounterModelError(
                     f"{w.name} forces its succedent {format_formula(succ)}"
                 )
         for f in sorted_formulas(w.gamma_max):
-            if not forces(model, w.name, f, memo):
+            if not ev.forces(f) & bit:
                 raise CounterModelError(
                     f"{w.name} does not force its antecedent formula {format_formula(f)}"
                 )
-    material = _validation_material(phi, bundle)
-    msorted = sorted_formulas(material)
-    # Equations the calculus was allowed to compose: members of the
-    # extended-subformula closure.  Equations outside it can become true by
-    # decomposition when splitting a composed equation injects one of its
-    # sides' components into an antecedent, but the subformula bound
-    # forbids the rules from ever placing them on the left.
-    small_eqs = [
-        e
-        for a in msorted
-        for b in msorted
-        if a != b and complexity(a) + complexity(b) + 1 <= n
-        for e in (Id(a, b),)
-        if in_extended_subformulas(e, phi)
-    ]
-    for e in small_eqs:
+    check_deadline("the closure")
+    closure = extended_subformulas_within(phi, VALIDATION_CAP)
+    material = closure if closure is not None else _degraded_material(phi, bundle)
+    # Equations outside the closure can become true by decomposition when
+    # splitting a composed equation injects one of its sides' components
+    # into an antecedent, but the subformula bound forbids the rules from
+    # ever placing them on the left.
+    for e in small_eqs(phi, material, closure is not None):
+        check_deadline("the small equations")
+        true = ev.value(e)
+        if not true:
+            continue
         for w in bundle.worlds:
-            if value(model, e, w.name) == 1 and e not in w.gamma_max:
+            if true & model.bit[w.name] and e not in w.gamma_max:
                 raise CounterModelError(
                     f"true small equation {format_formula(e)} missing from {w.name}'s antecedents"
                 )
-    base_eqs = [f for f in msorted if isinstance(f, Id)]
-    if not check_admissible(model, base_eqs):
+    check_deadline("the admissibility check")
+    if not check_admissible(ev, [f for f in material if isinstance(f, Id)]):
         raise CounterModelError("assignment is not admissible on the checked base")
-    if not check_monotonicity(model, list(msorted) + [phi]):
+    check_deadline("the monotonicity check")
+    if not check_monotonicity(ev, material):
         raise CounterModelError("forcing is not monotone on the checked base")
-    # Only a true equation can fail to force its implications, and an
-    # equation is true only when the valuation lists it, it is reflexive,
-    # or both sides share a connective whose component equations are true.
-    # Pairs that cannot be true are skipped without building (and so
-    # interning) their equation.
-    listed = {
-        (f.left, f.right) for (f, _w), v in model.valuation.items() if v and isinstance(f, Id)
-    }
-
-    def may_be_true(a: Formula, b: Formula) -> bool:
-        if a is b or (a, b) in listed:
-            return True
-        return (
-            type(a) is type(b)
-            and isinstance(a, (Imp, Id))
-            and may_be_true(a.left, b.left)
-            and may_be_true(a.right, b.right)
-        )
-
-    wide_eqs = [
-        Id(a, b)
-        for a in msorted
-        for b in msorted
-        if complexity(a) + complexity(b) + 1 <= 2 * n + 1 and may_be_true(a, b)
-    ]
-    if not check_identity_entails_implications(model, wide_eqs):
+    check_deadline("the equations that may be true")
+    eqs = wide_eqs(n, material, model)
+    check_deadline("the identity-to-implication check")
+    if not check_identity_entails_implications(ev, eqs):
         raise CounterModelError("a true equation fails to force its implications")
-    if forces(model, bundle.designated, phi, memo):
+    if ev.forces(phi) & model.bit[bundle.designated]:
         raise CounterModelError("designated world forces the goal formula")

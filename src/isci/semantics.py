@@ -7,6 +7,13 @@ syntactically reflexive equation is true, an equation whose sides share
 their outer connective takes the conjunction of its component equations,
 and everything else (including unlisted variables) is false.  This makes
 every finite table a total assignment on variables and equations.
+
+An `Evaluator` computes truth sets: for each formula, one int whose bits
+are the worlds where it is true (`value`) or forced (`forces`), computed
+once for the whole model and memoized.  It reads a formula's rows only
+when that formula is first asked for, so it costs nothing to build; the
+oracle changes the valuation between candidates and builds a fresh one
+for each.  Every check below goes through it.
 """
 
 from __future__ import annotations
@@ -37,127 +44,167 @@ class KripkeModel:
     worlds: tuple[str, ...]
     order: frozenset[tuple[str, str]]
     valuation: dict[tuple[Formula, str], int]
-    _succ: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    # world -> its bit in a truth set; a repeated world name shares one bit
+    bit: dict[str, int] = field(init=False, repr=False)
+    # (bit, up-set mask) per distinct world, in world order
+    up: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    full: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._succ = {
-            w: tuple(v for v in self.worlds if (w, v) in self.order) for w in self.worlds
-        }
-
-    def successors(self, w: str) -> tuple[str, ...]:
-        return self._succ[w]
+        bit: dict[str, int] = {}
+        for w in self.worlds:
+            bit.setdefault(w, 1 << len(bit))
+        up = dict.fromkeys(bit, 0)
+        for a, b in self.order:
+            if a in bit and b in bit:
+                up[a] |= bit[b]
+        self.bit = bit
+        self.up = tuple((bit[w], up[w]) for w in bit)
+        self.full = (1 << len(bit)) - 1
 
     def copy(self) -> "KripkeModel":
         return KripkeModel(self.worlds, self.order, dict(self.valuation))
 
 
+class Evaluator:
+    """Truth sets of one model under its valuation as it stands: each
+    formula maps to an int whose bit `model.bit[w]` is set at the worlds
+    where it is true (`value`) or forced (`forces`), memoized per formula.
+    Rows are read per formula, lazily, so building an evaluator costs
+    O(1); whoever changes the valuation builds a fresh one."""
+
+    __slots__ = ("model", "_value", "_forces")
+
+    def __init__(self, model: KripkeModel):
+        self.model = model
+        self._value: dict[Formula, int] = {}
+        self._forces: dict[Formula, int] = {}
+
+    def floor(self, f: Formula) -> int:
+        """The extension clauses alone: where `f` is true if no row lists
+        it, which is the least value admissibility allows."""
+        if isinstance(f, Id):
+            l, r = f.left, f.right
+            if l == r:
+                return self.model.full
+            if type(l) is type(r) and isinstance(l, (Imp, Id)):
+                return self.value(Id(l.left, r.left)) & self.value(Id(l.right, r.right))
+        return 0
+
+    def value(self, f: Formula) -> int:
+        """Assignment value of a variable or equation: its rows where the
+        valuation lists it, the extension clauses elsewhere."""
+        mask = self._value.get(f)
+        if mask is None:
+            mask = self.floor(f)
+            rows = self.model.valuation
+            for w, b in self.model.bit.items():
+                v = rows.get((f, w))
+                if v is not None:
+                    mask = mask | b if v else mask & ~b
+            self._value[f] = mask
+        return mask
+
+    def forces(self, f: Formula) -> int:
+        """Forcing: variables and equations through the assignment, falsum
+        nowhere, `A -> B` at the worlds whose up-set avoids A & ~B."""
+        if isinstance(f, Imp):
+            mask = self._forces.get(f)
+            if mask is None:
+                mask = self.avoiding(self.forces(f.left) & ~self.forces(f.right))
+                self._forces[f] = mask
+            return mask
+        if isinstance(f, (Var, Id)):
+            return self.value(f)
+        if isinstance(f, Bottom):
+            return 0
+        raise TypeError(f"not a formula: {f!r}")
+
+    def avoiding(self, bad: int) -> int:
+        """The worlds none of whose successors lies in `bad`."""
+        out = 0
+        for b, up in self.model.up:
+            if not up & bad:
+                out |= b
+        return out
+
+
+def _evaluator(model: KripkeModel | Evaluator) -> Evaluator:
+    return model if isinstance(model, Evaluator) else Evaluator(model)
+
+
 def value(model: KripkeModel, f: Formula, w: str) -> int:
     """Assignment value of a variable or equation at a world."""
-    stored = model.valuation.get((f, w))
-    if stored is not None:
-        return stored
-    if isinstance(f, Id):
-        l, r = f.left, f.right
-        if l == r:
-            return 1
-        if type(l) is type(r) and isinstance(l, (Imp, Id)):
-            if value(model, Id(l.left, r.left), w) and value(model, Id(l.right, r.right), w):
-                return 1
-        return 0
-    return 0
+    return 1 if Evaluator(model).value(f) & model.bit[w] else 0
 
 
-def check_frame(model: KripkeModel) -> bool:
+def forces(model: KripkeModel, w: str, f: Formula) -> bool:
+    """Whether world `w` forces `f`."""
+    return bool(Evaluator(model).forces(f) & model.bit[w])
+
+
+def check_frame(model: KripkeModel | Evaluator) -> bool:
     """Reflexive and transitive over the world set."""
-    order = model.order
-    for w in model.worlds:
-        if (w, w) not in order:
+    up = _evaluator(model).model.up
+    for b, mask in up:
+        if not mask & b:
             return False
-    for a, b in order:
-        for b2, c in order:
-            if b2 == b and (a, c) not in order:
-                return False
+        if any(mask & b2 and up2 & ~mask for b2, up2 in up):
+            return False
     return True
 
 
-def forces(model: KripkeModel, w: str, f: Formula, _memo: dict | None = None) -> bool:
-    """Forcing: variables and equations through the assignment, falsum
-    never, implications by quantifying over ordered successors."""
-    if _memo is None:
-        _memo = {}
-    key = (f, w)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(f, (Var, Id)):
-        out = value(model, f, w) == 1
-    elif isinstance(f, Bottom):
-        out = False
-    elif isinstance(f, Imp):
-        out = all(
-            not forces(model, v, f.left, _memo) or forces(model, v, f.right, _memo)
-            for v in model.successors(w)
-        )
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    _memo[key] = out
-    return out
-
-
-def check_admissible(model: KripkeModel, base) -> bool:
+def check_admissible(model: KripkeModel | Evaluator, base) -> bool:
     """Reflexivity of identity over the base material and closure of true
-    equations under composition by either connective."""
-    eqs = [e for e in sorted_formulas(base) if isinstance(e, Id)]
-    material = sorted_formulas({s for e in eqs for s in (e.left, e.right)} | set(eqs))
-    for chi in material:
-        for w in model.worlds:
-            if value(model, Id(chi, chi), w) != 1:
-                return False
-    # a composition is built only where both of its equations are true
-    true_at = {e: frozenset(w for w in model.worlds if value(model, e, w)) for e in eqs}
-    for e1 in eqs:
-        if not true_at[e1]:
-            continue
-        for e2 in eqs:
-            both = true_at[e1] & true_at[e2]
-            if not both:
-                continue
-            for op in (Imp, Id):
-                comp = Id(op(e1.left, e2.left), op(e1.right, e2.right))
-                if not all(value(model, comp, w) for w in both):
-                    return False
-    return True
+    equations under composition by either connective.
 
-
-def check_monotonicity(model: KripkeModel, formulas) -> bool:
-    memo: dict = {}
-    for a, b in model.order:
-        if a == b:
+    By the extension clauses an equation no row lists is true wherever it
+    is reflexive, and a composition no row lists is true wherever both of
+    its component equations are; so only rows listed 0 can break either
+    law, and those are the rows checked."""
+    ev = _evaluator(model)
+    m = ev.model
+    eqs = {(e.left, e.right): e for e in base if isinstance(e, Id)}
+    material = {s for l, r in eqs for s in (l, r)} | set(eqs.values())
+    for (f, w), v in m.valuation.items():
+        if v or w not in m.bit or not isinstance(f, Id):
             continue
-        for f in sorted_formulas(formulas):
-            if forces(model, a, f, memo) and not forces(model, b, f, memo):
+        l, r = f.left, f.right
+        if l == r and l in material:
+            return False
+        if type(l) is type(r) and isinstance(l, (Imp, Id)):
+            e1 = eqs.get((l.left, r.left))
+            e2 = eqs.get((l.right, r.right))
+            if e1 is not None and e2 is not None and ev.value(e1) & ev.value(e2) & m.bit[w]:
                 return False
     return True
 
 
-def check_identity_entails_implications(model: KripkeModel, base) -> bool:
+def check_monotonicity(model: KripkeModel | Evaluator, formulas) -> bool:
+    ev = _evaluator(model)
+    if all(not up & ~b for b, up in ev.model.up):
+        return True  # no world sees another
+    for f in formulas:
+        mask = ev.forces(f)
+        if mask & ~ev.avoiding(~mask):
+            return False
+    return True
+
+
+def check_identity_entails_implications(model: KripkeModel | Evaluator, base) -> bool:
     """Every true equation must force both of its implications."""
-    memo: dict = {}
-    for e in sorted_formulas(base):
-        if not isinstance(e, Id):
-            continue
-        for w in model.worlds:
-            if value(model, e, w) == 1:
-                if not forces(model, w, Imp(e.left, e.right), memo):
-                    return False
-                if not forces(model, w, Imp(e.right, e.left), memo):
-                    return False
+    ev = _evaluator(model)
+    for e in base:
+        if not isinstance(e, Id) or e.left == e.right:
+            continue  # x -> x is forced at every world of every model
+        true = ev.value(e)
+        if true and true & ~(ev.forces(Imp(e.left, e.right)) & ev.forces(Imp(e.right, e.left))):
+            return False
     return True
 
 
 def valid_in_model(model: KripkeModel, f: Formula) -> bool:
-    memo: dict = {}
-    return all(forces(model, w, f, memo) for w in model.worlds)
+    return Evaluator(model).forces(f) == model.full
 
 
 # --- bounded countermodel search -------------------------------------------
@@ -203,18 +250,6 @@ def _monotone_vectors(k: int, rel: frozenset) -> tuple[tuple[int, ...], ...]:
         if all(vec[a] <= vec[b] for a, b in rel if a != b):
             out.append(vec)
     return tuple(out)
-
-
-def _floor(model: KripkeModel, e: Id, w: str) -> int:
-    """Least admissible value of `e` at `w`: what the extension clauses
-    would derive from the rows already in place."""
-    l, r = e.left, e.right
-    if l == r:
-        return 1
-    if type(l) is type(r) and isinstance(l, (Imp, Id)):
-        if value(model, Id(l.left, r.left), w) and value(model, Id(l.right, r.right), w):
-            return 1
-    return 0
 
 
 def bounded_countermodel_search(phi: Formula, max_worlds: int = 3, deadline: float | None = None):
@@ -271,41 +306,43 @@ def _check_deadline(deadline: float | None, k: int) -> None:
         raise ResourceExhausted(f"timeout hit in the oracle, at frames of {k} worlds")
 
 
-def _refutes(model, phi):
-    memo: dict = {}
-    return next((w for w in model.worlds if not forces(model, w, phi, memo)), None)
+def _refutes(ev: Evaluator, phi: Formula) -> str | None:
+    forced, bit = ev.forces(phi), ev.model.bit
+    return next((w for w in ev.model.worlds if not forced & bit[w]), None)
 
 
 def _eq_vector_ok(model, f, vec) -> bool:
-    for i, w in enumerate(model.worlds):
-        if vec[i] < _floor(model, f, w):
-            return False
-        if vec[i] == 1 and not (
-            forces(model, w, Imp(f.left, f.right)) and forces(model, w, Imp(f.right, f.left))
-        ):
-            return False
-    return True
+    ev = Evaluator(model)
+    true = sum(v << i for i, v in enumerate(vec))
+    if ev.floor(f) & ~true:
+        return False
+    if not true:
+        return True
+    implied = ev.forces(Imp(f.left, f.right)) & ev.forces(Imp(f.right, f.left))
+    return not true & ~implied
 
 
 def _search_blocks(model, phi, base, blocks, boundary, idx, vectors, deadline):
-    if idx == boundary + 1 and _refutes(model, phi) is None:
+    if idx == boundary + 1 and _refutes(Evaluator(model), phi) is None:
         return None
     if idx == len(blocks):
-        bad = _refutes(model, phi)
+        ev = Evaluator(model)
+        bad = _refutes(ev, phi)
         if bad is None:
             return None
         if (
-            check_frame(model)
-            and check_admissible(model, base)
-            and check_monotonicity(model, base)
-            and check_identity_entails_implications(model, base)
+            check_frame(ev)
+            and check_admissible(ev, base)
+            and check_monotonicity(ev, base)
+            and check_identity_entails_implications(ev, base)
         ):
             return model.copy(), bad
         return None
     f, enumerated = blocks[idx]
     if not enumerated:
         # invisible to the goal's forcing: pin to the least admissible value
-        vec = tuple(_floor(model, f, w) for w in model.worlds)
+        floor = Evaluator(model).floor(f)
+        vec = tuple(floor >> i & 1 for i in range(len(model.worlds)))
         for i, w in enumerate(model.worlds):
             model.valuation[(f, w)] = vec[i]
         found = None

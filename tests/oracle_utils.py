@@ -91,3 +91,137 @@ if st is not None:
         lambda kids: st.builds(Imp, kids, kids) | st.builds(Id, kids, kids),
         max_leaves=5,
     )
+
+
+# --- reference semantics ----------------------------------------------------
+# The per-world recursive evaluation and the pair scans that `isci.semantics`
+# and `isci.countermodel` replaced with truth-set bitmasks and constructive
+# equation sets; the differential tests compare the two.
+
+
+def ref_successors(model, w: str) -> list[str]:
+    return [v for v in model.worlds if (w, v) in model.order]
+
+
+def ref_value(model, f: Formula, w: str) -> int:
+    stored = model.valuation.get((f, w))
+    if stored is not None:
+        return stored
+    if isinstance(f, Id):
+        l, r = f.left, f.right
+        if l == r:
+            return 1
+        if type(l) is type(r) and isinstance(l, (Imp, Id)):
+            if ref_value(model, Id(l.left, r.left), w) and ref_value(model, Id(l.right, r.right), w):
+                return 1
+        return 0
+    return 0
+
+
+def ref_forces(model, w: str, f: Formula) -> bool:
+    if isinstance(f, (Var, Id)):
+        return ref_value(model, f, w) == 1
+    if isinstance(f, Imp):
+        return all(
+            not ref_forces(model, v, f.left) or ref_forces(model, v, f.right)
+            for v in ref_successors(model, w)
+        )
+    return False
+
+
+def ref_check_frame(model) -> bool:
+    order = model.order
+    for w in model.worlds:
+        if (w, w) not in order:
+            return False
+    for a, b in order:
+        for b2, c in order:
+            if b2 == b and (a, c) not in order:
+                return False
+    return True
+
+
+def ref_check_admissible(model, base) -> bool:
+    eqs = [e for e in sorted(base, key=sort_key) if isinstance(e, Id)]
+    material = {s for e in eqs for s in (e.left, e.right)} | set(eqs)
+    for chi in sorted(material, key=sort_key):
+        for w in model.worlds:
+            if ref_value(model, Id(chi, chi), w) != 1:
+                return False
+    true_at = {e: frozenset(w for w in model.worlds if ref_value(model, e, w)) for e in eqs}
+    for e1 in eqs:
+        if not true_at[e1]:
+            continue
+        for e2 in eqs:
+            both = true_at[e1] & true_at[e2]
+            if not both:
+                continue
+            for op in (Imp, Id):
+                comp = Id(op(e1.left, e2.left), op(e1.right, e2.right))
+                if not all(ref_value(model, comp, w) for w in both):
+                    return False
+    return True
+
+
+def ref_check_monotonicity(model, formulas) -> bool:
+    for a, b in model.order:
+        if a == b:
+            continue
+        for f in sorted(formulas, key=sort_key):
+            if ref_forces(model, a, f) and not ref_forces(model, b, f):
+                return False
+    return True
+
+
+def ref_check_identity_entails_implications(model, base) -> bool:
+    for e in sorted(base, key=sort_key):
+        if not isinstance(e, Id):
+            continue
+        for w in model.worlds:
+            if ref_value(model, e, w) == 1:
+                if not ref_forces(model, w, Imp(e.left, e.right)):
+                    return False
+                if not ref_forces(model, w, Imp(e.right, e.left)):
+                    return False
+    return True
+
+
+def ref_small_eqs(phi: Formula, material) -> list[Id]:
+    """Every pair of distinct material formulas whose equation lies in the
+    extended-subformula closure within complexity c(phi), canonically
+    ordered."""
+    from isci.formulas import in_extended_subformulas
+
+    n = complexity(phi)
+    msorted = sorted(material, key=sort_key)
+    return [
+        Id(a, b)
+        for a in msorted
+        for b in msorted
+        if a != b and complexity(a) + complexity(b) + 1 <= n and in_extended_subformulas(Id(a, b), phi)
+    ]
+
+
+def ref_wide_eqs(n: int, material, model) -> set[Id]:
+    """Every pair of material formulas whose equation may be true: listed
+    true at some world, reflexive, or composed of pairs that may be."""
+    listed = {
+        (f.left, f.right) for (f, _w), v in model.valuation.items() if v and isinstance(f, Id)
+    }
+
+    def may_be_true(a: Formula, b: Formula) -> bool:
+        if a is b or (a, b) in listed:
+            return True
+        return (
+            type(a) is type(b)
+            and isinstance(a, (Imp, Id))
+            and may_be_true(a.left, b.left)
+            and may_be_true(a.right, b.right)
+        )
+
+    return {
+        Id(a, b)
+        for a in material
+        for b in material
+        if complexity(a) + complexity(b) + 1 <= 2 * n + 1 and may_be_true(a, b)
+    }

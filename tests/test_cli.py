@@ -124,6 +124,22 @@ def test_check_model_catches_designated_forcing(capsys):
     assert "forces the formula" in out2
 
 
+@pytest.mark.parametrize(
+    "valuation",
+    [
+        # a composition listed 0 where both of its component equations are true
+        [["p == q", "a", 1], ["r == s", "a", 1], ["(p -> r) == (q -> s)", "a", 0]],
+        # a reflexive equation listed 0
+        [["p == p", "a", 0]],
+    ],
+)
+def test_check_model_rejects_an_inadmissible_row(capsys, valuation):
+    doc = {"worlds": ["a"], "order_pairs": [["a", "a"]], "valuation": valuation, "designated_world": "a"}
+    code, out, _ = run(capsys, "check-model", json.dumps(doc))
+    assert code == 1
+    assert out == "INVALID MODEL: assignment not admissible\n"
+
+
 def test_prove_command_stops_without_model(capsys):
     code, out, _ = run(capsys, "prove", "((p -> q) -> p) -> p")
     assert code == 1

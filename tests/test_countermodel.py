@@ -2,9 +2,30 @@ import time
 
 import pytest
 
+from oracle_utils import all_formulas, ref_small_eqs, ref_wide_eqs
+
 from isci.calculus import is_axiom, sequent
-from isci.countermodel import NoOpenBranchError, countermodel, decide, leftmost_open_branch
-from isci.formulas import Id, Imp, Var, complexity, extended_subformulas, in_form0
+from isci.countermodel import (
+    VALIDATION_CAP,
+    NoOpenBranchError,
+    _Builder,
+    _degraded_material,
+    countermodel,
+    decide,
+    leftmost_open_branch,
+    small_eqs,
+    validate_bundle,
+    wide_eqs,
+)
+from isci.formulas import (
+    Id,
+    Imp,
+    Var,
+    complexity,
+    extended_subformulas,
+    extended_subformulas_within,
+    in_form0,
+)
 from isci.invariants import antecedents_inherited, no_branch_repetition
 from isci.parser import parse_formula
 from isci.prover import Limits, ResourceExhausted, _ProofSearch, prove
@@ -266,3 +287,34 @@ def test_bottom_antecedent_implications_close_by_r_imp():
             if isinstance(succ, Imp):
                 assert succ.left != succ.right
                 assert not forces(b.model, w.name, succ)
+
+
+def test_validation_stops_at_the_deadline():
+    bundle = countermodel(parse_formula("p == q -> q -> r"))
+    validate_bundle(bundle, deadline=time.monotonic() + 60)
+    with pytest.raises(ResourceExhausted, match="timeout hit in validation"):
+        validate_bundle(bundle, deadline=time.monotonic() - 1)
+
+
+def test_equation_sets_match_the_pair_scans():
+    """The constructive small and wide equation sets equal the pair scans
+    they replace, on every refuted formula over p and q of complexity at
+    most 3 and on a goal whose closure is not subformula-closed (built but
+    not validated: validation fails on it, ROADMAP item 1)."""
+    goals = all_formulas([p, q], 3) + [parse_formula("r == (q -> q -> r) -> r == q")]
+    refuted = 0
+    for phi in goals:
+        search = _ProofSearch(phi, Limits())
+        if search.run() is not None:
+            continue
+        refuted += 1
+        bundle = _Builder(search).run()
+        n = complexity(phi)
+        closure = extended_subformulas_within(phi, VALIDATION_CAP)
+        assert small_eqs(phi, closure, True) == ref_small_eqs(phi, closure)
+        for material in (closure, _degraded_material(phi, bundle)):
+            assert small_eqs(phi, material, False) == ref_small_eqs(phi, material)
+            found = wide_eqs(n, material, bundle.model)
+            assert len(found) == len(set(found))
+            assert set(found) == ref_wide_eqs(n, material, bundle.model)
+    assert refuted > 500

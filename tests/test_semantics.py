@@ -1,3 +1,15 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle_utils import (
+    formulas_pq,
+    ref_check_admissible,
+    ref_check_frame,
+    ref_check_identity_entails_implications,
+    ref_check_monotonicity,
+    ref_forces,
+    ref_value,
+)
+
 from isci.formulas import BOT, Id, Imp, Var, extended_subformulas
 from isci.parser import parse_formula
 from isci.semantics import (
@@ -46,6 +58,9 @@ def test_admissibility_requires_composition_closure():
     }
     m = model(["a"], reflexive("a"), rows)
     assert not check_admissible(m, [Id(p, q), Id(r, s), Id(Imp(p, r), Imp(q, s))])
+    # a reflexive composition whose sides lie outside the base
+    m = model(["a"], reflexive("a"), {(Id(Imp(p, q), Imp(p, q)), "a"): 0})
+    assert not check_admissible(m, [Id(p, p), Id(q, q)])
 
 
 def test_admissibility_vacuous_when_equations_false():
@@ -151,3 +166,43 @@ def test_returned_models_validate_equation_implication_axiom():
     for e in (f for f in extended_subformulas(phi) if isinstance(f, Id)):
         assert valid_in_model(m, Imp(e, Imp(e.left, e.right)))
         assert valid_in_model(m, Imp(e, Imp(e.right, e.left)))
+
+
+# sides for the rows of random models: enough for reflexive equations and
+# for compositions of equations to be listed
+_SIDES = [p, q, BOT, Imp(p, q), Imp(q, p), Imp(p, p), Id(p, q), Id(q, p), Id(p, p)]
+_ROW_FORMULAS = [p, q] + [Id(a, b) for a in _SIDES for b in _SIDES]
+
+
+@st.composite
+def random_models(draw):
+    k = draw(st.integers(1, 4))
+    worlds = tuple(f"w{i}" for i in range(k))
+    pairs = [(a, b) for a in worlds for b in worlds]
+    order = set(draw(st.sets(st.sampled_from(pairs))))
+    if draw(st.booleans()):  # the checks past the frame's mostly see preorders
+        order |= {(w, w) for w in worlds}
+        for mid in worlds:
+            order |= {(a, c) for a, b in order if b == mid for b2, c in order if b2 == mid}
+    keys = st.tuples(st.sampled_from(_ROW_FORMULAS), st.sampled_from(worlds))
+    rows = draw(st.dictionaries(keys, st.sampled_from([0, 1]), max_size=16))
+    return KripkeModel(worlds, frozenset(order), rows)
+
+
+@given(
+    random_models(),
+    st.lists(st.sampled_from(_ROW_FORMULAS), max_size=10),
+    st.lists(formulas_pq, min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_evaluator_agrees_with_the_per_world_reference(m, base, formulas):
+    for w in m.worlds:
+        for f in formulas + base:
+            assert forces(m, w, f) == ref_forces(m, w, f)
+            assert value(m, f, w) == ref_value(m, f, w)
+    assert check_frame(m) == ref_check_frame(m)
+    assert check_admissible(m, base) == ref_check_admissible(m, base)
+    assert check_monotonicity(m, base + formulas) == ref_check_monotonicity(m, base + formulas)
+    assert check_identity_entails_implications(m, base) == ref_check_identity_entails_implications(
+        m, base
+    )
