@@ -1,10 +1,11 @@
 """Decision procedure for intuitionistic sentential logic with identity.
 
 `decide` runs one proof search: a proof is certified by the independent
-checker, and a failed search becomes the provability gate of a finite
-Kripke countermodel, which is validated against the semantics before it
-is returned.  `prove` is the search alone; `countermodel` is `decide` for
-a formula known to be unprovable.
+checker, and the provability table of a failed search steers the open
+branches that a finite Kripke countermodel is read from, which is
+validated against the semantics before it is returned.  `prove` is the
+search alone; `isci.countermodel.countermodel` is `decide` for a formula
+known to be unprovable.
 """
 
 from .calculus import (
@@ -20,9 +21,7 @@ from .countermodel import (
     CounterModelBundle,
     CounterModelError,
     NoOpenBranchError,
-    countermodel,
     decide,
-    leftmost_open_branch,
 )
 from .formulas import (
     BOT,
@@ -86,7 +85,6 @@ __all__ = [
     "check_monotonicity",
     "check_proof",
     "complexity",
-    "countermodel",
     "decide",
     "extended_subformulas",
     "forces",
@@ -97,7 +95,6 @@ __all__ = [
     "in_extended_subformulas",
     "in_form0",
     "is_axiom",
-    "leftmost_open_branch",
     "parse_formula",
     "parse_sequent",
     "prove",

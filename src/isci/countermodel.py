@@ -1,22 +1,23 @@
 """Decision: a checked proof, or a validated countermodel.
 
 `decide` runs the proof search once.  When the search fails, the
-construction re-derives the goal under a stricter regime than proof
-search, with the failed search (its provability table and its deadline)
-as the provability check at every node.  Before R-> may fire, every
-antecedent implication must be saturated (its consequent present, or
-its antecedent the succedent) or treated by L->.  The leftmost open
-branch of such a derivation is cut at the R-> applications into worlds;
-branches are then closed under spawning a fresh derivation for every
-sequent whose succedent is an implication, giving the extra worlds that
-refute those implications.  The valuation
-reads a variable or equation as true at a world exactly when it occurs in
-one of the world's antecedents (reflexive equations are true everywhere,
-and truth of equations propagates through componentwise composition).
+construction walks one open branch of the goal under a stricter regime
+than proof search, with the failed search (its provability table and its
+deadline) deciding which premise the branch follows.  Before R-> may
+fire, every antecedent implication must be saturated (its consequent
+present, or its antecedent the succedent) or treated by L->; at an L->
+the branch takes the left premise unless the table proves it, and then
+the right one.  The branch is cut at its R-> applications into worlds;
+branches are then closed under walking a fresh branch for every sequent
+whose succedent is an implication, giving the extra worlds that refute
+those implications.  The valuation reads a variable or equation as true
+at a world exactly when it occurs in one of the world's antecedents
+(reflexive equations are true everywhere, and truth of equations
+propagates through componentwise composition).
 
 Self-implications (x -> x) in antecedents are exempt from the saturation
 requirement: they are forced at every world of every model, and treating
-them would spawn derivations of provable sequents, which the construction
+them would spawn branches above provable sequents, which the construction
 cannot use.
 
 The resulting bundle is validated before it is returned: frame laws,
@@ -174,70 +175,79 @@ class _Builder:
         self.spawn_edges: set[tuple[str, str]] = set()
         self.memo: dict[Sequent, str] = {}
         self.pending: deque[tuple[str, Sequent]] = deque()
-        # provability gate: the failed search, whose provability table
-        # answers every sequent it has failed on, the root among them
+        # the failed search, whose provability table picks each L-> premise
+        # of a branch and proves no spawned root
         self.prover = search
 
     tick = _ProofSearch.tick  # the search's caps, on the builder's own count
 
-    # -- derivation under the saturation-before-R-> regime ------------------
+    # -- the open branch, under the saturation-before-R-> regime ------------
 
-    def build(self, seq: Sequent) -> Derivation:
-        d = self._expand(seq, frozenset(), Saturator(self.goal))
-        assert_restricted_derivation(d, self.goal)
-        self.derivations.append(d)
-        return d
-
-    def _expand(self, seq: Sequent, history: frozenset[Formula], sat: Saturator) -> Derivation:
-        """`history` holds the succedents of the ancestors with the
-        antecedent of `seq`, the only ones a premise can repeat (see
-        `_ProofSearch`)."""
-        self.tick()
-        if is_axiom(seq):
-            return Derivation(seq)
-        # Provable sequents must never sit on an open branch: a world whose
-        # antecedents prove one of its own succedents cannot model the
-        # branch.  Closing them here also keeps later antecedent growth
-        # honest, because every formula injected into a world is justified
-        # by a genuinely closed left premise.
-        proof = self.prover.expand(seq, frozenset(), sat)
-        if proof is not None:
-            return proof
-        hist = history | {seq.succedent}
-        chain: list[tuple[Sequent, RuleInstance]] = []
-        sat = sat.extend(seq)
-        for conclusion, inst in sat.saturate():
-            chain.append((conclusion, inst))
+    def walk(self, seq: Sequent) -> list[Derivation]:
+        """The open branch above the unprovable `seq`, root first.  Each
+        node is saturated; the branch then takes the first unblocked L->,
+        on to its right premise exactly when the provability table proves
+        the left one, else R->, else it ends at an open leaf.  It is
+        recorded as a derivation whose one node off the branch per L-> is
+        the other premise, as a leaf.  `history` holds the succedents of
+        the ancestors with the current node's antecedent, the only ones a
+        premise can repeat (see `_ProofSearch`)."""
+        steps: list[tuple[Sequent, RuleInstance | None, tuple[Sequent | None, ...]]] = []
+        history: frozenset[Formula] = frozenset()
+        sat = Saturator(self.goal)
+        while True:
             self.tick()
-        if chain:
-            hist = frozenset((seq.succedent,))  # each step grows the antecedent
-        # identity rules are invertible, so the chain of an unprovable
-        # sequent stays unprovable and in particular never hits an axiom
-        if is_axiom(sat.sequent):
-            raise CounterModelError(f"saturation closed {format_sequent(seq)}")
-        result = self._tail(sat.sequent, hist, sat)
-        for conclusion, inst in reversed(chain):
-            result = Derivation(conclusion, inst, (result,))
-        return result
-
-    def _tail(self, seq: Sequent, hist: frozenset[Formula], sat: Saturator) -> Derivation:
-        ante = seq.antecedent
-        for f in self.prover.implications(ante):
-            if f.right in ante or f.left in hist:
-                continue  # saturated with respect to f, or blocked by the loop check
-            left = Sequent(ante, f.left)
-            right = Sequent(self.prover.grow(ante, f.right), seq.succedent)
-            return Derivation(
-                seq,
-                RuleInstance(L_IMP, principal=f),
-                (self._expand(left, hist, sat), self._expand(right, frozenset(), sat)),
-            )
-        if isinstance(seq.succedent, Imp):
-            step = self.prover.r_imp_premise(seq, hist)
-            if step is not None:
-                premise, history = step
-                return Derivation(seq, RuleInstance(R_IMP), (self._expand(premise, history, sat),))
-        return Derivation(seq)  # open leaf
+            if is_axiom(seq):
+                raise CounterModelError(f"open branch reaches an axiom: {format_sequent(seq)}")
+            hist = history | {seq.succedent}
+            sat = sat.extend(seq)
+            for conclusion, inst in sat.saturate():
+                steps.append((conclusion, inst, (None,)))
+                hist = frozenset((seq.succedent,))  # each step grows the antecedent
+                self.tick()
+            # identity rules are invertible, so the chain of an unprovable
+            # sequent stays unprovable and in particular never hits an axiom
+            if is_axiom(sat.sequent):
+                raise CounterModelError(f"saturation closed {format_sequent(seq)}")
+            node = sat.sequent
+            ante = node.antecedent
+            for f in self.prover.implications(ante):
+                if f.right in ante or f.left in hist:
+                    continue  # saturated with respect to f, or blocked by the loop check
+                left = Sequent(ante, f.left)
+                right = Sequent(self.prover.grow(ante, f.right), node.succedent)
+                inst = RuleInstance(L_IMP, principal=f)
+                # a provable sequent must never sit on the branch: a world
+                # whose antecedents prove one of its succedents cannot model
+                # it; R-> and the identity rules are invertible, so only
+                # this choice needs the table
+                if self.prover.provable(left, sat):
+                    steps.append((node, inst, (left, None)))
+                    seq, history = right, frozenset()
+                else:
+                    steps.append((node, inst, (None, right)))
+                    seq, history = left, hist
+                break
+            else:
+                step = None
+                if isinstance(node.succedent, Imp):
+                    step = self.prover.r_imp_premise(node, hist)
+                if step is None:
+                    steps.append((node, None, ()))  # open leaf
+                    break
+                steps.append((node, RuleInstance(R_IMP), (None,)))
+                seq, history = step
+        # None marks the premise on the branch
+        branch: list[Derivation] = []
+        above = None
+        for sequent, rule, premises in reversed(steps):
+            children = tuple(above if s is None else Derivation(s) for s in premises)
+            above = Derivation(sequent, rule, children)
+            branch.append(above)
+        branch.reverse()
+        assert_restricted_derivation(branch[0], self.goal)
+        self.derivations.append(branch[0])
+        return branch
 
     # -- branches, worlds, closure ------------------------------------------
 
@@ -273,21 +283,16 @@ class _Builder:
         return worlds[0].name
 
     def run(self) -> CounterModelBundle:
-        root = Sequent(frozenset(), self.goal)
-        d0 = self.build(root)
-        b0 = leftmost_open_branch(d0)
-        self.add_branch(b0)
+        self.add_branch(self.walk(Sequent(frozenset(), self.goal)))
         while self.pending:
             src, key = self.pending.popleft()
             target = self.memo.get(key)
             if target is None:
-                d = self.build(key)
-                branch = _leftmost_open_or_none(d)
-                if branch is None:
+                if self.prover.provable(key, Saturator(self.goal)):
                     raise CounterModelError(
                         f"spawned sequent is provable: {format_sequent(key)}"
                     )
-                target = self.add_branch(branch)
+                target = self.add_branch(self.walk(key))
                 self.memo[key] = target
             self.spawn_edges.add((src, target))
         return self.assemble()
@@ -337,39 +342,12 @@ def _reflexive_transitive_closure(names: list[str], edges: set[tuple[str, str]])
     return frozenset((a, b) for a in names for b in reach[a])
 
 
-def _leftmost_open_or_none(d: Derivation) -> list[Derivation] | None:
-    path: list[Derivation] = []
-
-    def walk(node: Derivation) -> bool:
-        path.append(node)
-        if node.rule is None:
-            if not is_axiom(node.sequent):
-                return True
-            path.pop()
-            return False
-        for child in node.children:
-            if walk(child):
-                return True
-        path.pop()
-        return False
-
-    return path if walk(d) else None
-
-
-def leftmost_open_branch(d: Derivation) -> list[Derivation]:
-    """Root-to-leaf path to the leftmost open leaf, left premises first."""
-    branch = _leftmost_open_or_none(d)
-    if branch is None:
-        raise NoOpenBranchError("derivation has no open leaf (the sequent is provable)")
-    return branch
-
-
 def decide(phi: Formula, limits: Limits | None = None) -> Verdict:
     """Prove `phi` or refute it.  One proof search runs; a proof is
-    certified, and otherwise the same search gates the construction of a
-    countermodel, which is validated.  `limits.timeout` bounds the whole
+    certified, and otherwise its provability table steers the branches of
+    a countermodel, which is validated.  `limits.timeout` bounds the whole
     call.  The verdict's stats count the search's expansions, saturation
-    steps and provability-table evaluations, the builder's checks
+    steps and provability-table evaluations, those the branches ask for
     included; `limits.max_nodes` bounds them, and the builder's own nodes
     apart."""
     search = _ProofSearch(phi, limits or Limits())

@@ -307,8 +307,8 @@ class _ProofSearch:
     and table evaluation is a node, and the node cap bounds them all.
 
     The table and the deadline outlive `run`: after a failed search the
-    countermodel builder asks the same object about the sequents of its
-    derivation, which answers the root from the table.
+    countermodel builder asks the same object which premise of each L->
+    its branch follows, and whether a spawned sequent is provable.
     """
 
     def __init__(self, goal: Formula, limits: Limits):

@@ -8,6 +8,7 @@ production worklist, so the two can cross-check each other.
 
 from __future__ import annotations
 
+from isci.calculus import L_IMP, R_IMP, Derivation, RuleInstance, Sequent, is_axiom
 from isci.formulas import (
     BOT,
     Formula,
@@ -19,6 +20,7 @@ from isci.formulas import (
     subformulas,
     variables,
 )
+from isci.prover import Saturator
 
 try:
     import hypothesis.strategies as st
@@ -225,3 +227,74 @@ def ref_wide_eqs(n: int, material, model) -> set[Id]:
         for b in material
         if complexity(a) + complexity(b) + 1 <= 2 * n + 1 and may_be_true(a, b)
     }
+
+
+# --- reference countermodel builder -------------------------------------------
+# The tree builder `isci.countermodel._Builder` walked before: it derives
+# the whole tree above a sequent, closing every provable node with a proof
+# the failed search finds for it, and reads the leftmost open branch off
+# it.  The differential test compares its branches with the walked ones.
+
+
+def ref_build(search, seq: Sequent) -> Derivation:
+    """The whole derivation of `seq`, with the failed `_ProofSearch` as
+    provability gate at every node; its node cap bounds the tree too."""
+    return _ref_expand(search, seq, frozenset(), Saturator(search.goal))
+
+
+def _ref_expand(search, seq: Sequent, history, sat) -> Derivation:
+    search.tick()
+    if is_axiom(seq):
+        return Derivation(seq)
+    proof = search.expand(seq, frozenset(), sat)
+    if proof is not None:
+        return proof
+    hist = history | {seq.succedent}
+    chain = []
+    sat = sat.extend(seq)
+    for conclusion, inst in sat.saturate():
+        chain.append((conclusion, inst))
+    if chain:
+        hist = frozenset((seq.succedent,))
+    result = _ref_tail(search, sat.sequent, hist, sat)
+    for conclusion, inst in reversed(chain):
+        result = Derivation(conclusion, inst, (result,))
+    return result
+
+
+def _ref_tail(search, seq: Sequent, hist, sat) -> Derivation:
+    ante = seq.antecedent
+    for f in search.implications(ante):
+        if f.right in ante or f.left in hist:
+            continue
+        left = Sequent(ante, f.left)
+        right = Sequent(search.grow(ante, f.right), seq.succedent)
+        return Derivation(
+            seq,
+            RuleInstance(L_IMP, principal=f),
+            (_ref_expand(search, left, hist, sat), _ref_expand(search, right, frozenset(), sat)),
+        )
+    if isinstance(seq.succedent, Imp):
+        step = search.r_imp_premise(seq, hist)
+        if step is not None:
+            premise, history = step
+            return Derivation(seq, RuleInstance(R_IMP), (_ref_expand(search, premise, history, sat),))
+    return Derivation(seq)
+
+
+def ref_leftmost_open_branch(d: Derivation) -> list[Derivation] | None:
+    """Root-to-leaf path to the leftmost open leaf, left premises first;
+    None when every leaf is an axiom."""
+    path: list[Derivation] = []
+
+    def walk(node: Derivation) -> bool:
+        path.append(node)
+        if node.rule is None:
+            if not is_axiom(node.sequent):
+                return True
+        elif any(walk(child) for child in node.children):
+            return True
+        path.pop()
+        return False
+
+    return path if walk(d) else None

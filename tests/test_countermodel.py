@@ -1,10 +1,20 @@
+import sys
 import time
 
 import pytest
 
-from oracle_utils import all_formulas, ref_small_eqs, ref_wide_eqs
+from hypothesis import assume, given, settings
+from oracle_utils import (
+    all_formulas,
+    ref_build,
+    ref_leftmost_open_branch,
+    ref_small_eqs,
+    ref_wide_eqs,
+    small_formulas_pqr,
+)
 
-from isci.calculus import is_axiom, sequent
+from isci import prover
+from isci.calculus import L_IMP, is_axiom, sequent
 from isci.countermodel import (
     VALIDATION_CAP,
     NoOpenBranchError,
@@ -12,7 +22,6 @@ from isci.countermodel import (
     _degraded_material,
     countermodel,
     decide,
-    leftmost_open_branch,
     small_eqs,
     validate_bundle,
     wide_eqs,
@@ -36,14 +45,13 @@ p, q, r = Var("p"), Var("q"), Var("r")
 
 
 def build(text):
-    """The goal and the root derivation the countermodel is read from."""
-    phi = parse_formula(text)
-    return phi, countermodel(phi).derivations[0]
+    """The goal's walked branch and the derivation that records it."""
+    bundle = countermodel(parse_formula(text))
+    return bundle.branches[0], bundle.derivations[0]
 
 
 def test_build_c5_on_implication_goal():
-    phi, d = build("p -> q")
-    branch = leftmost_open_branch(d)
+    branch, d = build("p -> q")
     leaf = branch[-1].sequent
     assert p in leaf.antecedent
     assert leaf.succedent == q
@@ -52,9 +60,9 @@ def test_build_c5_on_implication_goal():
 
 
 def test_build_c5_on_bare_variable():
-    phi, d = build("p")
+    branch, d = build("p")
     assert d.rule is None and not is_axiom(d.sequent)
-    assert [n.sequent for n in leftmost_open_branch(d)] == [sequent((), p)]
+    assert [occ.sequent for occ in branch] == [sequent((), p)]
 
 
 def test_build_c5_on_provable_goal_closes():
@@ -62,8 +70,63 @@ def test_build_c5_on_provable_goal_closes():
         build("p == p")
 
 
+def test_builder_walks_its_branches_without_searching(monkeypatch):
+    # each derivation is its branch plus, at every L->, the other premise
+    # as a leaf; the table picks the premise, and no proof is searched
+    phi = parse_formula("p == q -> q -> r")
+    search = _ProofSearch(phi, Limits())
+    assert search.run() is None
+
+    def no_search(self, *args):
+        raise AssertionError("the builder searched")
+
+    monkeypatch.setattr(_ProofSearch, "expand", no_search)
+    bundle = _Builder(search).run()
+    assert len(bundle.derivations) == len(bundle.branches) > 1
+    for d, branch in zip(bundle.derivations, bundle.branches):
+        l_imps = sum(occ.rule is not None and occ.rule.rule == L_IMP for occ in branch)
+        assert d.size() == len(branch) + l_imps
+        assert sum(node.is_leaf for node in d.walk()) == l_imps + 1
+
+
+def test_package_exposes_the_countermodel_module():
+    import isci.countermodel as cm
+
+    assert cm is sys.modules["isci.countermodel"]
+    assert cm.countermodel is countermodel
+
+
+WALK_NODE_CAP = 50_000
+
+
+@pytest.mark.parametrize("guided", [False, True], ids=["full", "guided"])
+@settings(max_examples=100, deadline=None)
+@given(phi=small_formulas_pqr)
+def test_walk_follows_the_tree_builders_leftmost_open_branch(guided, phi):
+    # the table's choice of premise at each L-> is the branch the tree
+    # builder reached by deriving the whole tree and taking the leftmost
+    # open leaf: the same sequents and rules on every branch
+    with pytest.MonkeyPatch.context() as mp:
+        if guided:
+            mp.setattr(prover, "EXSUB_CAP", 0)
+        try:
+            search = _ProofSearch(phi, Limits(max_nodes=WALK_NODE_CAP))
+            assume(search.run() is None)
+            bundle = _Builder(search).run()
+            reference = _ProofSearch(phi, Limits(max_nodes=WALK_NODE_CAP))
+            assert reference.run() is None
+            expected = [
+                ref_leftmost_open_branch(ref_build(reference, branch[0].sequent))
+                for branch in bundle.branches
+            ]
+        except ResourceExhausted:
+            assume(False)
+    for walked, branch in zip(bundle.branches, expected):
+        assert [(o.sequent, o.rule) for o in walked] == [(n.sequent, n.rule) for n in branch]
+
+
 def first_branch_segments(text):
-    """The worlds the goal's leftmost open branch is cut into, and the
+    """The worlds the goal's walked branch is cut into, and the
     segment edges between them as index pairs."""
     b = countermodel(parse_formula(text))
     names = [w.name for w in b.worlds if w.occurrences[0].branch == 0]
@@ -101,7 +164,7 @@ def test_decide_searches_the_root_once(monkeypatch):
     monkeypatch.setattr(_ProofSearch, "_expand_inner", spy)
     verdict = decide(phi)
     assert not verdict.proved and verdict.model is not None
-    # the builder's provability gate at the root is answered by the table
+    # the builder walks the failed root without searching it again
     assert expanded.count(root) == 1
 
 
@@ -123,14 +186,14 @@ def test_decide_has_one_deadline(monkeypatch):
 
 
 def test_costliest_builder_run_is_pinned():
-    # the builder's history of succedents blocks exactly the premises a
-    # history of sequents blocked: the same worlds and builder nodes; the
-    # provability table answers the gate's revisits, which sets the search
-    # nodes
+    # the builder walks only its branches, so its nodes are theirs, and the
+    # table answers every premise it asks about from the search, whose
+    # nodes are all the verdict counts
     verdict = decide(parse_formula("p == q -> q -> r"))
     assert not verdict.proved
     assert len(verdict.model.worlds) == 9
-    assert (verdict.stats.nodes, verdict.model.stats.nodes) == (7_685, 1_804)
+    assert sum(map(len, verdict.model.branches)) == 159
+    assert (verdict.stats.nodes, verdict.model.stats.nodes) == (3_188, 159)
 
 
 def refute(text):
