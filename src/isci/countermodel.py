@@ -74,18 +74,10 @@ class NoOpenBranchError(CounterModelError):
     """The derivation closed, so there is nothing to refute."""
 
 
-@dataclass(frozen=True, slots=True)
-class BranchOccurrence:
-    branch: int
-    index: int
-    sequent: Sequent
-    rule: RuleInstance | None  # rule applied at this occurrence along the branch
-
-
 @dataclass(slots=True)
 class World:
     name: str
-    occurrences: tuple[BranchOccurrence, ...]
+    occurrences: tuple[Derivation, ...]  # the walked nodes of its segment
     gamma_max: frozenset[Formula]
 
 
@@ -98,13 +90,19 @@ class CounterModelBundle:
     order: frozenset[tuple[str, str]]  # reflexive-transitive closure
     designated: str
     model: KripkeModel
-    branches: list[list[BranchOccurrence]]
-    derivations: list[Derivation]
+    branches: list[list[Derivation]]  # each walked branch's nodes, root first
     stats: SearchStats
+    # validation checked only `_degraded_material`: the closure exceeds VALIDATION_CAP
+    fallback_base: bool = False
     _by_name: dict[str, World] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._by_name = {w.name: w for w in self.worlds}
+
+    @property
+    def derivations(self) -> list[Derivation]:
+        """Each branch's derivation: its root node."""
+        return [b[0] for b in self.branches]
 
     @property
     def base_edges(self) -> frozenset[tuple[str, str]]:
@@ -168,8 +166,7 @@ class _Builder:
         self.limits = search.limits
         self.stats = SearchStats()
         self.deadline = search.deadline
-        self.branches: list[list[BranchOccurrence]] = []
-        self.derivations: list[Derivation] = []
+        self.branches: list[list[Derivation]] = []
         self.worlds: list[World] = []
         self.segment_edges: set[tuple[str, str]] = set()
         self.spawn_edges: set[tuple[str, str]] = set()
@@ -246,41 +243,31 @@ class _Builder:
             branch.append(above)
         branch.reverse()
         assert_restricted_derivation(branch[0], self.goal)
-        self.derivations.append(branch[0])
         return branch
 
     # -- branches, worlds, closure ------------------------------------------
 
     def add_branch(self, nodes: list[Derivation]) -> str:
-        bidx = len(self.branches)
-        occurrences = [
-            BranchOccurrence(bidx, i, node.sequent, node.rule)
-            for i, node in enumerate(nodes)
-        ]
-        self.branches.append(occurrences)
-        segments: list[list[BranchOccurrence]] = [[]]
-        for occ in occurrences:
-            segments[-1].append(occ)
-            if occ.rule is not None and occ.rule.rule == R_IMP:
+        self.branches.append(nodes)
+        segments: list[list[Derivation]] = [[]]
+        for node in nodes:
+            segments[-1].append(node)
+            if node.rule is not None and node.rule.rule == R_IMP:
                 segments.append([])
-        worlds: list[World] = []
+        first = len(self.worlds)
         for seg in segments:
-            union = frozenset().union(*(o.sequent.antecedent for o in seg))
-            worlds.append(World(f"w{len(self.worlds)}", tuple(seg), union))
-            self.worlds.append(worlds[-1])
-        self.segment_edges.update((a.name, b.name) for a, b in zip(worlds, worlds[1:]))
-        world_of = {occ.index: w for w, seg in zip(worlds, segments) for occ in seg}
-        for occ in occurrences:
-            if occ.rule is not None and occ.rule.rule == R_IMP:
-                premise = occurrences[occ.index + 1].sequent
-                self.memo.setdefault(premise, world_of[occ.index + 1].name)
-        for occ in occurrences:
-            succ = occ.sequent.succedent
-            if isinstance(succ, Imp):
-                world = world_of[occ.index]
-                key = Sequent(world.gamma_max | {succ.left}, succ.right)
-                self.pending.append((world.name, key))
-        return worlds[0].name
+            union = frozenset().union(*(d.sequent.antecedent for d in seg))
+            world = World(f"w{len(self.worlds)}", tuple(seg), union)
+            if len(self.worlds) > first:  # the world opens with an R-> premise
+                self.segment_edges.add((self.worlds[-1].name, world.name))
+                self.memo.setdefault(seg[0].sequent, world.name)
+            self.worlds.append(world)
+            for node in seg:
+                succ = node.sequent.succedent
+                if isinstance(succ, Imp):
+                    key = Sequent(world.gamma_max | {succ.left}, succ.right)
+                    self.pending.append((world.name, key))
+        return self.worlds[first].name
 
     def run(self) -> CounterModelBundle:
         self.add_branch(self.walk(Sequent(frozenset(), self.goal)))
@@ -320,7 +307,6 @@ class _Builder:
             designated=names[0],
             model=model,
             branches=self.branches,
-            derivations=self.derivations,
             stats=self.stats,
         )
 
@@ -329,16 +315,10 @@ def _reflexive_transitive_closure(names: list[str], edges: set[tuple[str, str]])
     reach = {a: {a} for a in names}
     for a, b in edges:
         reach[a].add(b)
-    changed = True
-    while changed:
-        changed = False
+    for k in names:  # Warshall
         for a in names:
-            extra = set()
-            for b in reach[a]:
-                extra |= reach[b]
-            if not extra <= reach[a]:
-                reach[a] |= extra
-                changed = True
+            if k in reach[a]:
+                reach[a] |= reach[k]
     return frozenset((a, b) for a in names for b in reach[a])
 
 
@@ -355,7 +335,7 @@ def decide(phi: Formula, limits: Limits | None = None) -> Verdict:
     if proof is not None:
         return Verdict(True, proof, search.stats)
     bundle = _Builder(search).run()
-    validate_bundle(bundle, search.deadline)
+    bundle.fallback_base = validate_bundle(bundle, search.deadline)
     return Verdict(False, None, search.stats, bundle)
 
 
@@ -377,39 +357,6 @@ def _degraded_material(phi: Formula, bundle: CounterModelBundle) -> frozenset[Fo
         for occ in w.occurrences:
             seen.add(occ.sequent.succedent)
     return sub_closure(seen)
-
-
-def small_eqs(phi: Formula, material: frozenset[Formula], closure: bool) -> list[Id]:
-    """Equations the calculus was allowed to compose, in canonical order:
-    the non-reflexive members of the extended-subformula closure with both
-    sides in `material` and complexity at most c(phi).  When `material`
-    is the closure itself (`closure`), they are read off its own members;
-    otherwise the pairs of `material` are built only within the bound."""
-    n = complexity(phi)
-    if closure:
-        found = [
-            e
-            for e in material
-            if isinstance(e, Id)
-            and e.left != e.right
-            and complexity(e) <= n
-            and e.left in material
-            and e.right in material
-        ]
-        return sorted_formulas(found)
-    by_complexity: dict[int, list[Formula]] = {}
-    for f in material:
-        by_complexity.setdefault(complexity(f), []).append(f)
-    found = [
-        e
-        for a in material
-        for c in range(n - complexity(a))
-        for b in by_complexity.get(c, ())
-        if a != b
-        for e in (Id(a, b),)
-        if in_extended_subformulas(e, phi)
-    ]
-    return sorted_formulas(found)
 
 
 def wide_eqs(n: int, material: frozenset[Formula], model: KripkeModel) -> list[Id]:
@@ -446,11 +393,13 @@ def wide_eqs(n: int, material: frozenset[Formula], model: KripkeModel) -> list[I
     ]
 
 
-def validate_bundle(bundle: CounterModelBundle, deadline: float | None = None) -> None:
+def validate_bundle(bundle: CounterModelBundle, deadline: float | None = None) -> bool:
     """Check the bundle against the semantics and against what the
     construction promises; a failure raises CounterModelError.  Past
     `deadline` it raises ResourceExhausted, checked between the checks and
-    inside their per-world and per-equation loops."""
+    inside their per-world and per-equation loops.  Returns whether the
+    closure exceeds VALIDATION_CAP, so that the checks read only the
+    weaker base `_degraded_material`."""
     phi = bundle.formula
     model = bundle.model
     ev = Evaluator(model)
@@ -491,7 +440,17 @@ def validate_bundle(bundle: CounterModelBundle, deadline: float | None = None) -
     # splitting a composed equation injects one of its sides' components
     # into an antecedent, but the subformula bound forbids the rules from
     # ever placing them on the left.
-    for e in small_eqs(phi, material, closure is not None):
+    check_deadline("the equations that may be true")
+    eqs = wide_eqs(n, material, model)
+    # the small equations, non-reflexive closure members (whose complexity
+    # never exceeds c(phi)): the check reads only the true ones, all in `eqs`
+    small = [
+        e
+        for e in eqs
+        if e.left != e.right
+        and (e in material if closure is not None else in_extended_subformulas(e, phi))
+    ]
+    for e in sorted_formulas(small):
         check_deadline("the small equations")
         true = ev.value(e)
         if not true:
@@ -507,10 +466,9 @@ def validate_bundle(bundle: CounterModelBundle, deadline: float | None = None) -
     check_deadline("the monotonicity check")
     if not check_monotonicity(ev, material):
         raise CounterModelError("forcing is not monotone on the checked base")
-    check_deadline("the equations that may be true")
-    eqs = wide_eqs(n, material, model)
     check_deadline("the identity-to-implication check")
     if not check_identity_entails_implications(ev, eqs):
         raise CounterModelError("a true equation fails to force its implications")
     if ev.forces(phi) & model.bit[bundle.designated]:
         raise CounterModelError("designated world forces the goal formula")
+    return closure is None

@@ -73,6 +73,37 @@ def test_structured_model_revalidates(capsys):
     assert "VALID MODEL" in out2
 
 
+# refutable goals whose closure exceeds VALIDATION_CAP
+FALLBACK_GOALS = [
+    "(# == p) == q -> # == (r == #)",
+    "p == q -> (p -> (p -> r)) == (q -> (r -> r))",
+]
+
+
+def test_fallback_validation_is_noted_on_stderr(capsys):
+    code, out, err = run(capsys, "decide", FALLBACK_GOALS[0], "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["status"] == "refuted"
+    assert err == (
+        "REFUTED\nnote: the closure exceeds 4096 formulas, so the model was "
+        "validated only on the subformulas of what it mentions\n"
+    )
+    code, _, err = run(capsys, "decide", "p -> q", "--format", "structured")
+    assert (code, err) == (1, "REFUTED\n")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the fallback validation base misses true equations that check-model reads "
+    "(ROADMAP item 1)",
+)
+def test_fallback_validated_models_pass_check_model(capsys):
+    for formula in FALLBACK_GOALS:
+        code, out, _ = run(capsys, "decide", formula, "--format", "structured")
+        assert code == 1
+        assert run(capsys, "check-model", out)[:2] == (0, "VALID MODEL\n")
+
+
 def test_check_proof_rejects_tampering(capsys):
     _, out, _ = run(capsys, "decide", "p == p", "--format", "structured")
     doc = json.loads(out)
