@@ -17,7 +17,6 @@ from .formulas import (
     Id,
     Imp,
     sort_key,
-    sorted_formulas,
 )
 
 L_IMP = "L->"
@@ -41,9 +40,6 @@ class InapplicableRuleError(ValueError):
 class Sequent:
     antecedent: frozenset[Formula]
     succedent: Formula
-
-    def sorted_antecedent(self) -> list[Formula]:
-        return sorted_formulas(self.antecedent)
 
     def with_antecedent(self, *extra: Formula) -> "Sequent":
         return Sequent(self.antecedent.union(extra), self.succedent)

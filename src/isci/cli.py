@@ -54,6 +54,18 @@ def _limits(args) -> Limits:
     return Limits(max_nodes=args.max_nodes, timeout=args.timeout)
 
 
+def _stage_deadline(args, command: str):
+    """`check(stage)` raises ResourceExhausted once `--timeout` has passed,
+    naming the stage about to start; the checkers call it between stages."""
+    deadline = time.monotonic() + args.timeout
+
+    def check(stage: str) -> None:
+        if time.monotonic() >= deadline:
+            raise ResourceExhausted(f"timeout {args.timeout}s hit in {command}, at {stage}")
+
+    return check
+
+
 def _emit(args, text: str):
     if not args.quiet:
         sys.stdout.write(text)
@@ -142,13 +154,16 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
+    check_deadline = _stage_deadline(args, "check-proof")
     doc = serialize.loads(_read_input(args.input))
+    check_deadline("the parse")
     proof_node = doc.get("proof", doc)
     derivation = serialize.derivation_from_doc(proof_node)
     if "formula" in doc:
         claim = Sequent(frozenset(), serialize.formula_from_doc(doc["formula"]))
     else:
         claim = derivation.sequent
+    check_deadline("the proof check")
     result = check_proof(derivation, claim)
     if result.ok:
         print("VALID PROOF")
@@ -158,27 +173,36 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
+    check_deadline = _stage_deadline(args, "check-model")
     doc = serialize.loads(_read_input(args.input))
+    check_deadline("the parse")
     model_node = doc.get("model", doc)
     model, designated = serialize.model_from_doc(model_node)
     base = {f for (f, _w) in model.valuation}
     phi = None
     if "formula" in doc:
         phi = serialize.formula_from_doc(doc["formula"])
+        check_deadline("the closure")
         base |= extended_subformulas(phi)
+    check_deadline("the frame check")
     ev = Evaluator(model)  # every check reads its truth sets; none reads the base's order
     failures = []
     if not check_frame(ev):
         failures.append("order is not reflexive-transitive")
     else:
+        check_deadline("the admissibility check")
         if not check_admissible(ev, base):
             failures.append("assignment not admissible")
+        check_deadline("the monotonicity check")
         if not check_monotonicity(ev, base):
             failures.append("forcing not monotone")
+        check_deadline("the identity-to-implication check")
         if not check_identity_entails_implications(ev, base):
             failures.append("a true equation fails to force its implications")
-        if phi is not None and ev.forces(phi) & model.bit[designated]:
-            failures.append("designated world forces the formula")
+        if phi is not None:
+            check_deadline("the forcing of the formula")
+            if ev.forces(phi) & model.bit[designated]:
+                failures.append("designated world forces the formula")
     if failures:
         print("INVALID MODEL: " + "; ".join(failures))
         return EXIT_REFUTED

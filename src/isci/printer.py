@@ -4,8 +4,10 @@
 `==` binds tighter than `->`, `->` is right-associative, `==` is
 non-associative.  Model renderers work on the plain model document
 produced by `serialize`, so externally supplied models render the same
-way as freshly built ones.  Derivation renderers format each distinct
-formula once per call, passing a cached `format_formula` on as `text`.
+way as freshly built ones.  Derivation renderers rank the tree's formulas
+by `sort_key` once per call and order each antecedent by that rank, and
+they format each distinct formula once per call, passing a cached
+formatter on as `text`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from functools import cache
 
 from .calculus import Derivation, RuleInstance, Sequent, is_axiom
-from .formulas import Bottom, Formula, Id, Imp, Var
+from .formulas import Bottom, Formula, Id, Imp, Var, sort_key
 
 
 def format_formula(f: Formula) -> str:
@@ -34,12 +36,23 @@ def _fmt(f: Formula, top: bool = False, eq_side: bool = False, imp_left: bool = 
     raise TypeError(f"not a formula: {f!r}")
 
 
-def format_sequent(s: Sequent, text=format_formula) -> str:
+def format_sequent(s: Sequent, text=format_formula, key=sort_key) -> str:
+    """`key` orders the antecedent; any key that orders formulas as
+    `sort_key` does, such as `derivation_order`'s, prints the same text."""
     succ = text(s.succedent)
     if not s.antecedent:
         return f"|- {succ}"
-    left = ", ".join(text(f) for f in s.sorted_antecedent())
+    left = ", ".join(map(text, sorted(s.antecedent, key=key)))
     return f"{left} |- {succ}"
+
+
+def derivation_order(d: Derivation):
+    """A key ordering the formulas of `d` as `sort_key` does: their rank.
+
+    `sort_key` compares nested tuples; ranking the tree's formulas once
+    lets each sequent sort by an integer instead."""
+    rank = {f: i for i, f in enumerate(sorted(d.formulas(), key=sort_key))}
+    return rank.__getitem__
 
 
 def rule_label(r: RuleInstance | None, s: Sequent, text=format_formula) -> str:
@@ -59,9 +72,10 @@ def format_derivation(d: Derivation) -> str:
     """Indented tree, conclusion first, one sequent per line."""
     lines: list[str] = []
     text = cache(format_formula)
+    key = derivation_order(d)
 
     def walk(node: Derivation, depth: int):
-        seq = format_sequent(node.sequent, text)
+        seq = format_sequent(node.sequent, text, key)
         lines.append(f"{'  ' * depth}{seq}   [{rule_label(node.rule, node.sequent, text)}]")
         for child in node.children:
             walk(child, depth + 1)
@@ -92,9 +106,9 @@ def latex_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def latex_sequent(s: Sequent) -> str:
-    left = ", ".join(latex_formula(f) for f in s.sorted_antecedent())
-    return f"{left} \\Rightarrow {latex_formula(s.succedent)}"
+def latex_sequent(s: Sequent, text=latex_formula, key=sort_key) -> str:
+    left = ", ".join(map(text, sorted(s.antecedent, key=key)))
+    return f"{left} \\Rightarrow {text(s.succedent)}"
 
 
 _LATEX_RULES = {
@@ -108,12 +122,15 @@ _LATEX_RULES = {
 
 def format_derivation_latex(d: Derivation) -> str:
     """Nested \\infer lines (proof.sty style)."""
+    text = cache(latex_formula)
+    key = derivation_order(d)
 
     def walk(node: Derivation) -> str:
+        seq = latex_sequent(node.sequent, text, key)
         if node.rule is None:
-            return latex_sequent(node.sequent)
+            return seq
         premises = " & ".join(walk(c) for c in node.children)
-        return f"\\infer[{_LATEX_RULES[node.rule.rule]}]{{{latex_sequent(node.sequent)}}}{{{premises}}}"
+        return f"\\infer[{_LATEX_RULES[node.rule.rule]}]{{{seq}}}{{{premises}}}"
 
     return "\\[\n" + walk(d) + "\n\\]\n"
 
@@ -122,12 +139,13 @@ def format_derivation_dot(d: Derivation) -> str:
     lines = ["digraph derivation {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
     counter = 0
     text = cache(format_formula)
+    key = derivation_order(d)
 
     def walk(node: Derivation) -> str:
         nonlocal counter
         name = f"n{counter}"
         counter += 1
-        label = format_sequent(node.sequent, text).replace('"', '\\"')
+        label = format_sequent(node.sequent, text, key).replace('"', '\\"')
         lines.append(f'  {name} [label="{label}"];')
         for child in node.children:
             cname = walk(child)

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from typing import Any, Callable
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any
 
 from .calculus import Derivation, RuleInstance, Sequent, is_axiom
 from .formulas import Formula, sort_key
 from .parser import ParseError, parse_formula, parse_sequent
-from .printer import format_formula, format_sequent
+from .printer import derivation_order, format_formula, format_sequent
 
 
 class DocumentError(ValueError):
@@ -32,7 +33,57 @@ class DocumentError(ValueError):
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, in one pass.
+
+    With `indent` the standard library encodes in pure Python, passing each
+    piece up through one generator per nesting level, so a deep proof costs
+    depth times size; this writer appends every piece to one list.  It takes
+    what documents hold: dicts with string keys, lists, strings, ints,
+    booleans and None."""
+    pieces: list[str] = []
+    append = pieces.append
+
+    def write(value, newline: str) -> None:
+        if isinstance(value, str):
+            append(_quote(value))
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = newline + "  "
+            separator = "{" + inner
+            for k, v in value.items():
+                append(separator)
+                append(_quote(k))
+                append(": ")
+                write(v, inner)
+                separator = "," + inner
+            append(newline + "}")
+        elif isinstance(value, list):
+            if not value:
+                append("[]")
+                return
+            inner = newline + "  "
+            separator = "[" + inner
+            for v in value:
+                append(separator)
+                write(v, inner)
+                separator = "," + inner
+            append(newline + "]")
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    write(doc, "\n")
+    append("\n")
+    return "".join(pieces)
 
 
 def loads(text: str) -> dict:
@@ -45,21 +96,26 @@ def loads(text: str) -> dict:
     return doc
 
 
-def proof_doc(d: Derivation, _text: Callable[[Formula], str] | None = None) -> dict:
-    text = _text or cache(format_formula)
-    node: dict[str, Any] = {"sequent": format_sequent(d.sequent, text)}
-    if d.rule is None:
-        node["rule"] = "axiom" if is_axiom(d.sequent) else "open"
-    else:
-        node["rule"] = d.rule.rule
-        if d.rule.principal is not None:
-            node["principal"] = text(d.rule.principal)
-        if d.rule.principal2 is not None:
-            node["principal2"] = text(d.rule.principal2)
-        if d.rule.op is not None:
-            node["op"] = d.rule.op
-    node["premises"] = [proof_doc(c, text) for c in d.children]
-    return node
+def proof_doc(d: Derivation) -> dict:
+    text = cache(format_formula)
+    key = derivation_order(d)
+
+    def node_doc(n: Derivation) -> dict:
+        node: dict[str, Any] = {"sequent": format_sequent(n.sequent, text, key)}
+        if n.rule is None:
+            node["rule"] = "axiom" if is_axiom(n.sequent) else "open"
+        else:
+            node["rule"] = n.rule.rule
+            if n.rule.principal is not None:
+                node["principal"] = text(n.rule.principal)
+            if n.rule.principal2 is not None:
+                node["principal2"] = text(n.rule.principal2)
+            if n.rule.op is not None:
+                node["op"] = n.rule.op
+        node["premises"] = [node_doc(c) for c in n.children]
+        return node
+
+    return node_doc(d)
 
 
 def formula_from_doc(text, memo: dict[str, Formula] | None = None) -> Formula:

@@ -83,7 +83,7 @@ def rule_instances(seq):
     formulas = set()
     for f in seq.antecedent | {seq.succedent}:
         formulas |= subformulas(f)
-    eqs = [f for f in seq.sorted_antecedent() if isinstance(f, Id)]
+    eqs = [f for f in sorted_formulas(seq.antecedent) if isinstance(f, Id)]
     out = [RuleInstance("L==1", principal=f) for f in sorted_formulas(formulas)]
     out += [RuleInstance("L==2", principal=e) for e in eqs]
     out += [
@@ -94,7 +94,7 @@ def rule_instances(seq):
     ]
     if isinstance(seq.succedent, Imp):
         out.append(RuleInstance("R->"))
-    out += [RuleInstance("L->", principal=f) for f in seq.sorted_antecedent() if isinstance(f, Imp)]
+    out += [RuleInstance("L->", principal=f) for f in sorted_formulas(seq.antecedent) if isinstance(f, Imp)]
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -71,6 +72,34 @@ def test_structured_model_revalidates(capsys):
     code, out2, _ = run(capsys, "check-model", out)
     assert code == 0
     assert "VALID MODEL" in out2
+
+
+@pytest.mark.parametrize(
+    "formula, digest",
+    [
+        (
+            "p == q -> (p -> (p -> r)) == (p -> (q -> r))",
+            "8122283e71b12189379c31a2c3ef9577d657368ca9240a118b6bdc359b86998c",
+        ),
+        ("p == q -> q -> r", "06ac1ac27c095373062bae1ba1dc67997a27c41961a6655bd315228f07924eb9"),
+    ],
+)
+def test_structured_documents_are_pinned(capsys, formula, digest):
+    # a depth-2 congruence proof and a nine-world model, byte for byte
+    _, out, _ = run(capsys, "decide", formula, "--format", "structured")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "formula, command",
+    [("p == q -> (p -> q)", "check-proof"), ("((p -> #) -> #) -> p", "check-model")],
+)
+def test_checkers_obey_the_timeout(capsys, formula, command):
+    _, doc, _ = run(capsys, "decide", formula, "--format", "structured")
+    assert run(capsys, command, doc)[0] == 0
+    code, out, err = run(capsys, command, doc, "--timeout", "0")
+    assert code == 3 and out == ""
+    assert err.startswith(f"resource limit: timeout 0.0s hit in {command}, at the parse")
 
 
 # refutable goals whose closure exceeds VALIDATION_CAP

@@ -13,6 +13,7 @@ from isci.invariants import (
     no_branch_repetition,
 )
 from isci.parser import parse_formula, parse_sequent
+from isci.printer import format_derivation, format_derivation_dot, format_derivation_latex
 from isci.prover import EXSUB_CAP, Limits, ResourceExhausted, Saturator, _ProofSearch, prove
 from isci.serialize import dumps, proof_doc
 
@@ -170,10 +171,18 @@ def test_search_space_is_pinned(text, nodes, backtracks):
     verdict = decide(parse_formula(text), Limits(max_nodes=100_000))
     assert (verdict.stats.nodes, verdict.stats.backtracks) == (nodes, backtracks)
     if text == CONGRUENCE:
-        document = dumps(proof_doc(verdict.proof)).encode()
-        assert hashlib.sha256(document).hexdigest() == (
-            "9482aae232c40f425d6c39da4fc624dae45065ab63fd2a0a716a280f4dea7aab"
-        )
+        renderings = [
+            dumps(proof_doc(verdict.proof)),
+            format_derivation(verdict.proof),
+            format_derivation_latex(verdict.proof),
+            format_derivation_dot(verdict.proof),
+        ]
+        assert [hashlib.sha256(r.encode()).hexdigest() for r in renderings] == [
+            "9482aae232c40f425d6c39da4fc624dae45065ab63fd2a0a716a280f4dea7aab",
+            "f9fb47962cc78ef73c0c01bdaa1b904b5f5f6e2dd14927a000a7a172ca1623f4",
+            "f2c7d27b93b2491d8a7f28aba7da17c1621d01a3a6847203470f11e1a58b0add",
+            "58584bdbd4f49d3fc846417c51effa8898d031a22ffdf9c47ffb488e8a4b1218",
+        ]
 
 
 def test_proof_search_hashes_no_sequent(monkeypatch):

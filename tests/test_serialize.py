@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ import isci.parser
 import isci.printer
 import isci.serialize
 from isci.calculus import Sequent, check_proof, sequent
-from isci.countermodel import countermodel
+from isci.countermodel import countermodel, decide
 from isci.formulas import Var
 from isci.parser import ParseError, parse_formula, parse_sequent
 from isci.printer import format_sequent
@@ -22,6 +24,7 @@ from isci.serialize import (
     verdict_doc,
 )
 from oracle_utils import formulas_pq
+from test_acceptance import NON_THEOREMS, THEOREMS
 
 p, q = Var("p"), Var("q")
 CONGRUENCE = "(p == q) -> (r == s) -> ((p -> r) == (q -> s))"
@@ -53,6 +56,30 @@ def test_verdict_document_status():
     doc = verdict_doc(psi, model=countermodel(psi).model_document())
     assert doc["status"] == "refuted"
     assert doc["formula"] == "p == q"
+
+
+json_text = st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2203\U0001d4b3') | st.characters())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda children: st.lists(children) | st.dictionaries(json_text, children),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+def test_dumps_writes_what_json_dumps_writes(value):
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("text", THEOREMS + NON_THEOREMS)
+def test_dumps_writes_each_acceptance_document_as_json_dumps_does(text):
+    phi = parse_formula(text)
+    verdict = decide(phi)
+    if verdict.proved:
+        doc = verdict_doc(phi, proof=verdict.proof)
+    else:
+        doc = verdict_doc(phi, model=verdict.model.model_document())
+    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_malformed_documents_rejected():
