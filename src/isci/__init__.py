@@ -39,6 +39,7 @@ from .formulas import (
 from .parser import ParseError, parse_formula, parse_sequent
 from .printer import format_derivation, format_formula, format_model, format_sequent
 from .prover import (
+    Budget,
     CertificationError,
     Limits,
     ResourceExhausted,
@@ -60,6 +61,7 @@ from .semantics import (
 __all__ = [
     "BOT",
     "Bottom",
+    "Budget",
     "CertificationError",
     "CounterModelBundle",
     "CounterModelError",

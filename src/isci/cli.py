@@ -1,21 +1,19 @@
 """Command line interface.
 
-Commands: decide, prove, countermodel, check-proof, check-model, exsub.
-Exit codes: 0 proved/valid, 1 refuted/invalid, 2 input error, 3 resource
-caps hit, 4 internal validation failure.
+Commands: decide, prove, check-proof, check-model, exsub.  Each accepts
+only the options it reads.  Exit codes: 0 proved/valid, 1 refuted/invalid,
+2 input error, 3 resource caps hit, 4 internal validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import time
 
 from . import serialize
 from .calculus import Sequent, check_proof
 from .countermodel import VALIDATION_CAP, CounterModelError, decide
-from .formulas import complexity, extended_subformulas, sorted_formulas, variables
+from .formulas import complexity, extended_subformulas_budgeted, sorted_formulas, variables
 from .parser import ParseError, parse_formula
 from .printer import (
     format_derivation,
@@ -24,7 +22,7 @@ from .printer import (
     format_formula,
     format_model,
 )
-from .prover import CertificationError, Limits, ResourceExhausted, prove
+from .prover import Budget, CertificationError, Limits, ResourceExhausted, prove
 from .semantics import (
     Evaluator,
     bounded_countermodel_search,
@@ -41,29 +39,11 @@ EXIT_RESOURCES = 3
 EXIT_INTERNAL = 4
 
 
-def _read_input(arg: str) -> str:
-    if arg == "-":
-        return sys.stdin.read()
-    if os.path.isfile(arg):
-        with open(arg, encoding="utf-8") as handle:
-            return handle.read()
-    return arg
-
-
-def _limits(args) -> Limits:
-    return Limits(max_nodes=args.max_nodes, timeout=args.timeout)
-
-
-def _stage_deadline(args, command: str):
-    """`check(stage)` raises ResourceExhausted once `--timeout` has passed,
-    naming the stage about to start; the checkers call it between stages."""
-    deadline = time.monotonic() + args.timeout
-
-    def check(stage: str) -> None:
-        if time.monotonic() >= deadline:
-            raise ResourceExhausted(f"timeout {args.timeout}s hit in {command}, at {stage}")
-
-    return check
+def _start(args, limits: Limits) -> tuple[str, Budget]:
+    """The input, the argument itself or standard input for `-`, and the
+    call's one budget, started once the input is read."""
+    text = sys.stdin.read() if args.input == "-" else args.input
+    return text, limits.start()
 
 
 def _emit(args, text: str):
@@ -107,15 +87,15 @@ def _report_model(args, phi, bundle) -> int:
 
 
 def _cmd_decide(args) -> int:
-    phi = parse_formula(_read_input(args.input))
-    deadline = time.monotonic() + args.timeout  # the oracle shares decide's budget
-    verdict = decide(phi, _limits(args))
+    text, budget = _start(args, Limits(args.max_nodes, args.timeout))
+    phi = parse_formula(text)
+    verdict = decide(phi, budget)
     if verdict.proved:
         code = _report_proof(args, phi, verdict.proof)
     else:
         code = _report_model(args, phi, verdict.model)
     if args.oracle is not None:
-        found = bounded_countermodel_search(phi, max_worlds=args.oracle, deadline=deadline)
+        found = bounded_countermodel_search(phi, args.oracle, budget)  # the same budget
         if verdict.proved and found is not None:
             print(
                 f"oracle: DISAGREEMENT, countermodel at {found[1]} despite a proof",
@@ -136,34 +116,26 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    phi = parse_formula(_read_input(args.input))
-    verdict = prove(phi, _limits(args))
+    text, budget = _start(args, Limits(args.max_nodes, args.timeout))
+    phi = parse_formula(text)
+    verdict = prove(phi, budget)
     if verdict.proved:
         return _report_proof(args, phi, verdict.proof)
     print("NOT PROVED")
     return EXIT_REFUTED
 
 
-def _cmd_countermodel(args) -> int:
-    phi = parse_formula(_read_input(args.input))
-    verdict = decide(phi, _limits(args))
-    if verdict.proved:
-        print("PROVED (no countermodel exists)")
-        return EXIT_PROVED
-    return _report_model(args, phi, verdict.model)
-
-
 def _cmd_check_proof(args) -> int:
-    check_deadline = _stage_deadline(args, "check-proof")
-    doc = serialize.loads(_read_input(args.input))
-    check_deadline("the parse")
+    text, budget = _start(args, Limits(timeout=args.timeout))
+    doc = serialize.loads(text)
+    budget.check("check-proof", "the parse")
     proof_node = doc.get("proof", doc)
     derivation = serialize.derivation_from_doc(proof_node)
     if "formula" in doc:
         claim = Sequent(frozenset(), serialize.formula_from_doc(doc["formula"]))
     else:
         claim = derivation.sequent
-    check_deadline("the proof check")
+    budget.check("check-proof", "the proof check")
     result = check_proof(derivation, claim)
     if result.ok:
         print("VALID PROOF")
@@ -173,34 +145,33 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
-    check_deadline = _stage_deadline(args, "check-model")
-    doc = serialize.loads(_read_input(args.input))
-    check_deadline("the parse")
+    text, budget = _start(args, Limits(timeout=args.timeout))
+    doc = serialize.loads(text)
+    budget.check("check-model", "the parse")
     model_node = doc.get("model", doc)
     model, designated = serialize.model_from_doc(model_node)
     base = {f for (f, _w) in model.valuation}
     phi = None
     if "formula" in doc:
         phi = serialize.formula_from_doc(doc["formula"])
-        check_deadline("the closure")
-        base |= extended_subformulas(phi)
-    check_deadline("the frame check")
+        base |= extended_subformulas_budgeted(phi, budget, "check-model")
+    budget.check("check-model", "the frame check")
     ev = Evaluator(model)  # every check reads its truth sets; none reads the base's order
     failures = []
     if not check_frame(ev):
         failures.append("order is not reflexive-transitive")
     else:
-        check_deadline("the admissibility check")
+        budget.check("check-model", "the admissibility check")
         if not check_admissible(ev, base):
             failures.append("assignment not admissible")
-        check_deadline("the monotonicity check")
+        budget.check("check-model", "the monotonicity check")
         if not check_monotonicity(ev, base):
             failures.append("forcing not monotone")
-        check_deadline("the identity-to-implication check")
+        budget.check("check-model", "the identity-to-implication check")
         if not check_identity_entails_implications(ev, base):
             failures.append("a true equation fails to force its implications")
         if phi is not None:
-            check_deadline("the forcing of the formula")
+            budget.check("check-model", "the forcing of the formula")
             if ev.forces(phi) & model.bit[designated]:
                 failures.append("designated world forces the formula")
     if failures:
@@ -211,8 +182,9 @@ def _cmd_check_model(args) -> int:
 
 
 def _cmd_exsub(args) -> int:
-    phi = parse_formula(_read_input(args.input))
-    members = sorted_formulas(extended_subformulas(phi))
+    text, budget = _start(args, Limits(timeout=args.timeout))
+    phi = parse_formula(text)
+    members = sorted_formulas(extended_subformulas_budgeted(phi, budget, "exsub"))
     members.sort(key=complexity)
     for f in members:
         print(f"c={complexity(f)}  {format_formula(f)}")
@@ -229,19 +201,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("input", help="formula (or document), '-' for stdin, or a file path")
-        p.add_argument(
-            "--format",
-            choices=["text", "structured", "graph", "latex"],
-            default="text",
-        )
-        p.add_argument("--max-nodes", type=int, default=1_000_000)
+    def command(name, func, summary, searches=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("input", help="the formula or document itself, or '-' for stdin")
         p.add_argument("--timeout", type=float, default=30.0)
-        p.add_argument("--quiet", action="store_true", help="verdict line only")
+        if searches:
+            p.add_argument("--format", choices=["text", "structured", "graph", "latex"], default="text")
+            p.add_argument("--max-nodes", type=int, default=1_000_000)
+            p.add_argument("--quiet", action="store_true", help="verdict line only")
+        return p
 
-    p = sub.add_parser("decide", help="prove or refute a formula")
-    common(p)
+    p = command("decide", _cmd_decide, "prove or refute a formula", searches=True)
     p.add_argument(
         "--oracle",
         nargs="?",
@@ -252,27 +223,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="cross-check against brute-force search over at most K worlds (1 to 4)",
     )
-    p.set_defaults(func=_cmd_decide)
-
-    p = sub.add_parser("prove", help="proof search only, no countermodel")
-    common(p)
-    p.set_defaults(func=_cmd_prove)
-
-    p = sub.add_parser("countermodel", help="build a countermodel for an unprovable formula")
-    common(p)
-    p.set_defaults(func=_cmd_countermodel)
-
-    p = sub.add_parser("check-proof", help="validate a serialized proof")
-    common(p)
-    p.set_defaults(func=_cmd_check_proof)
-
-    p = sub.add_parser("check-model", help="validate a serialized model")
-    common(p)
-    p.set_defaults(func=_cmd_check_model)
-
-    p = sub.add_parser("exsub", help="print the extended subformulas of a formula")
-    common(p)
-    p.set_defaults(func=_cmd_exsub)
+    command("prove", _cmd_prove, "proof search only, no countermodel", searches=True)
+    command("check-proof", _cmd_check_proof, "validate a serialized proof")
+    command("check-model", _cmd_check_model, "validate a serialized model")
+    command("exsub", _cmd_exsub, "print the extended subformulas of a formula")
     return parser
 
 

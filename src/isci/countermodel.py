@@ -3,7 +3,7 @@
 `decide` runs the proof search once.  When the search fails, the
 construction walks one open branch of the goal under a stricter regime
 than proof search, with the failed search (its provability table and its
-deadline) deciding which premise the branch follows.  Before R-> may
+budget) deciding which premise the branch follows.  Before R-> may
 fire, every antecedent implication must be saturated (its consequent
 present, or its antecedent the succedent) or treated by L->; at an L->
 the branch takes the left premise unless the table proves it, and then
@@ -31,7 +31,6 @@ order).  A validation failure means a bug, not a property of the input.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -51,7 +50,7 @@ from .formulas import (
 )
 from .invariants import assert_restricted_derivation
 from .printer import format_formula, format_sequent
-from .prover import Limits, ResourceExhausted, Saturator, SearchStats, Verdict, _ProofSearch
+from .prover import Budget, Limits, Saturator, SearchStats, Verdict, _ProofSearch
 from .semantics import (
     Evaluator,
     KripkeModel,
@@ -163,9 +162,9 @@ class CounterModelBundle:
 class _Builder:
     def __init__(self, search: _ProofSearch):
         self.goal = search.goal
-        self.limits = search.limits
         self.stats = SearchStats()
-        self.deadline = search.deadline
+        # the search's budget, on the builder's own count
+        self.tick = search.budget.counter(self.stats, "the countermodel walk")
         self.branches: list[list[Derivation]] = []
         self.worlds: list[World] = []
         self.segment_edges: set[tuple[str, str]] = set()
@@ -175,8 +174,6 @@ class _Builder:
         # the failed search, whose provability table picks each L-> premise
         # of a branch and proves no spawned root
         self.prover = search
-
-    tick = _ProofSearch.tick  # the search's caps, on the builder's own count
 
     # -- the open branch, under the saturation-before-R-> regime ------------
 
@@ -322,24 +319,25 @@ def _reflexive_transitive_closure(names: list[str], edges: set[tuple[str, str]])
     return frozenset((a, b) for a in names for b in reach[a])
 
 
-def decide(phi: Formula, limits: Limits | None = None) -> Verdict:
+def decide(phi: Formula, limits: Limits | Budget | None = None) -> Verdict:
     """Prove `phi` or refute it.  One proof search runs; a proof is
     certified, and otherwise its provability table steers the branches of
-    a countermodel, which is validated.  `limits.timeout` bounds the whole
-    call.  The verdict's stats count the search's expansions, saturation
-    steps and provability-table evaluations, those the branches ask for
-    included; `limits.max_nodes` bounds them, and the builder's own nodes
+    a countermodel, which is validated.  One budget, started here unless
+    `limits` is one already running, bounds every phase with the same
+    deadline.  The verdict's stats count the search's expansions,
+    saturation steps and provability-table evaluations, those the branches
+    ask for included; `max_nodes` bounds them, and the builder's own nodes
     apart."""
     search = _ProofSearch(phi, limits or Limits())
     proof = search.run()
     if proof is not None:
         return Verdict(True, proof, search.stats)
     bundle = _Builder(search).run()
-    bundle.fallback_base = validate_bundle(bundle, search.deadline)
+    bundle.fallback_base = validate_bundle(bundle, search.budget)
     return Verdict(False, None, search.stats, bundle)
 
 
-def countermodel(phi: Formula, limits: Limits | None = None) -> CounterModelBundle:
+def countermodel(phi: Formula, limits: Limits | Budget | None = None) -> CounterModelBundle:
     """The validated countermodel `decide` builds; on a provable formula
     this raises NoOpenBranchError."""
     verdict = decide(phi, limits)
@@ -393,30 +391,26 @@ def wide_eqs(n: int, material: frozenset[Formula], model: KripkeModel) -> list[I
     ]
 
 
-def validate_bundle(bundle: CounterModelBundle, deadline: float | None = None) -> bool:
+def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits()) -> bool:
     """Check the bundle against the semantics and against what the
-    construction promises; a failure raises CounterModelError.  Past
-    `deadline` it raises ResourceExhausted, checked between the checks and
-    inside their per-world and per-equation loops.  Returns whether the
-    closure exceeds VALIDATION_CAP, so that the checks read only the
-    weaker base `_degraded_material`."""
+    construction promises; a failure raises CounterModelError.  The
+    budget's deadline is checked between the checks and inside their
+    per-world and per-equation loops.  Returns whether the closure exceeds
+    VALIDATION_CAP, so that the checks read only the weaker base
+    `_degraded_material`."""
     phi = bundle.formula
     model = bundle.model
     ev = Evaluator(model)
     n = complexity(phi)
-
-    def check_deadline(stage: str) -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceExhausted(f"timeout hit in validation, at {stage}")
-
-    check_deadline("the frame check")
+    budget = limits.start()
+    budget.check("validation", "the frame check")
     if not check_frame(ev):
         raise CounterModelError("order is not a preorder")
     for src, dst in bundle.base_edges:
         if not bundle.world_named(src).gamma_max <= bundle.world_named(dst).gamma_max:
             raise CounterModelError(f"antecedents shrink along {src} <= {dst}")
     for w in bundle.worlds:
-        check_deadline("the forcing of antecedents and succedents")
+        budget.check("validation", "the forcing of antecedents and succedents")
         bit = model.bit[w.name]
         for occ in w.occurrences:
             succ = occ.sequent.succedent
@@ -433,14 +427,14 @@ def validate_bundle(bundle: CounterModelBundle, deadline: float | None = None) -
                 raise CounterModelError(
                     f"{w.name} does not force its antecedent formula {format_formula(f)}"
                 )
-    check_deadline("the closure")
+    budget.check("validation", "the closure")
     closure = extended_subformulas_within(phi, VALIDATION_CAP)
     material = closure if closure is not None else _degraded_material(phi, bundle)
     # Equations outside the closure can become true by decomposition when
     # splitting a composed equation injects one of its sides' components
     # into an antecedent, but the subformula bound forbids the rules from
     # ever placing them on the left.
-    check_deadline("the equations that may be true")
+    budget.check("validation", "the equations that may be true")
     eqs = wide_eqs(n, material, model)
     # the small equations, non-reflexive closure members (whose complexity
     # never exceeds c(phi)): the check reads only the true ones, all in `eqs`
@@ -451,7 +445,7 @@ def validate_bundle(bundle: CounterModelBundle, deadline: float | None = None) -
         and (e in material if closure is not None else in_extended_subformulas(e, phi))
     ]
     for e in sorted_formulas(small):
-        check_deadline("the small equations")
+        budget.check("validation", "the small equations")
         true = ev.value(e)
         if not true:
             continue
@@ -460,13 +454,13 @@ def validate_bundle(bundle: CounterModelBundle, deadline: float | None = None) -
                 raise CounterModelError(
                     f"true small equation {format_formula(e)} missing from {w.name}'s antecedents"
                 )
-    check_deadline("the admissibility check")
+    budget.check("validation", "the admissibility check")
     if not check_admissible(ev, [f for f in material if isinstance(f, Id)]):
         raise CounterModelError("assignment is not admissible on the checked base")
-    check_deadline("the monotonicity check")
+    budget.check("validation", "the monotonicity check")
     if not check_monotonicity(ev, material):
         raise CounterModelError("forcing is not monotone on the checked base")
-    check_deadline("the identity-to-implication check")
+    budget.check("validation", "the identity-to-implication check")
     if not check_identity_entails_implications(ev, eqs):
         raise CounterModelError("a true equation fails to force its implications")
     if ev.forces(phi) & model.bit[bundle.designated]:

@@ -130,10 +130,11 @@ def variables(f: Formula) -> frozenset[Var]:
     return variables(f.left) | variables(f.right)
 
 
-def _exsub_worklist(phi: Formula, cap: int | None) -> frozenset[Formula] | None:
+def _exsub_worklist(phi: Formula, cap: int | None, check=None) -> frozenset[Formula] | None:
     """Closure of sub(phi) under reflexive equations, equation splitting and
     bounded composition of equations.  Returns None once the set would
-    exceed `cap`.
+    exceed `cap`; calls `check` before every 4,096th formula it takes from
+    the worklist, the first included.
 
     Closure rules, with n = complexity(phi):
       * chi in set and c(chi == chi) <= n         adds chi == chi
@@ -160,7 +161,11 @@ def _exsub_worklist(phi: Formula, cap: int | None) -> frozenset[Formula] | None:
     # equations bucketed by complexity(left) + complexity(right), so each new
     # equation is composed only against partners the bound can accept
     buckets: dict[int, list[Id]] = {}
+    taken = 0
     while queue:
+        if check is not None and not taken & 4095:
+            check()
+        taken += 1
         f = queue.pop()
         if 2 * complexity(f) + 1 <= n and not push(Id(f, f)):
             return None
@@ -192,6 +197,13 @@ def extended_subformulas(phi: Formula) -> frozenset[Formula]:
     if result is None:  # only a cap stops the worklist early
         raise RuntimeError("the uncapped extended-subformula worklist gave up")
     return result
+
+
+def extended_subformulas_budgeted(phi: Formula, budget, phase: str) -> frozenset[Formula]:
+    """`extended_subformulas(phi)` computed afresh under `budget` (a
+    `prover.Budget`), which it checks on entry and every 4,096 formulas, so
+    that a large closure stops at the deadline of `phase`, "at the closure"."""
+    return _exsub_worklist(phi, None, lambda: budget.check(phase, "the closure"))
 
 
 @lru_cache(maxsize=None)

@@ -81,11 +81,61 @@ class Limits:
     max_nodes: int = 1_000_000
     timeout: float = 30.0
 
+    def start(self) -> "Budget":
+        return Budget(self)
+
 
 @dataclass
 class SearchStats:
     nodes: int = 0
     backtracks: int = 0
+
+
+class ResourceExhausted(RuntimeError):
+    """Raised when a resource cap is hit; distinct from a NotProved verdict."""
+
+
+class Budget:
+    """The caps of one call, started once from its `Limits`: the only code
+    that computes the deadline, reads the clock, counts a node against
+    `max_nodes` or raises ResourceExhausted.  Every phase of the call
+    checks the same deadline, and names itself (and its stage) in the
+    message, formatted only when raising.  `start` returns the budget
+    itself, so a function handed `Limits` or a running budget calls
+    `start()` either way."""
+
+    __slots__ = ("limits", "deadline")
+
+    def __init__(self, limits: Limits):
+        self.limits = limits
+        self.deadline = time.monotonic() + limits.timeout
+
+    def start(self) -> "Budget":
+        return self
+
+    def check(self, phase: str, stage: str | None = None) -> None:
+        """Raise once the deadline is reached."""
+        if time.monotonic() >= self.deadline:
+            raise self._timeout(phase, stage)
+
+    def _timeout(self, phase: str, stage: str | None = None) -> ResourceExhausted:
+        at = "" if stage is None else f", at {stage}"
+        return ResourceExhausted(f"timeout {self.limits.timeout}s hit in {phase}{at}")
+
+    def counter(self, stats: SearchStats, phase: str):
+        """The `tick` of a phase: it counts one node in the phase's own
+        `stats`, then checks the node cap and the deadline.  The hot loops
+        call it directly, so it is one call per node."""
+        cap, deadline = self.limits.max_nodes, self.deadline
+
+        def tick() -> None:
+            stats.nodes += 1
+            if stats.nodes > cap:
+                raise ResourceExhausted(f"node cap {cap} hit in {phase}")
+            if time.monotonic() >= deadline:
+                raise self._timeout(phase)
+
+        return tick
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,10 +147,6 @@ class Verdict:
     proof: Derivation | None
     stats: SearchStats
     model: CounterModelBundle | None = None
-
-
-class ResourceExhausted(RuntimeError):
-    """Raised when a resource cap is hit; distinct from a NotProved verdict."""
 
 
 class CertificationError(RuntimeError):
@@ -306,16 +352,16 @@ class _ProofSearch:
     from the sequent alone is complete.  Every expansion, saturation step
     and table evaluation is a node, and the node cap bounds them all.
 
-    The table and the deadline outlive `run`: after a failed search the
+    The table and the budget outlive `run`: after a failed search the
     countermodel builder asks the same object which premise of each L->
     its branch follows, and whether a spawned sequent is provable.
     """
 
-    def __init__(self, goal: Formula, limits: Limits):
+    def __init__(self, goal: Formula, limits: Limits | Budget):
         self.goal = goal
-        self.limits = limits
+        self.budget = limits.start()
         self.stats = SearchStats()
-        self.deadline = time.monotonic() + limits.timeout
+        self.tick = self.budget.counter(self.stats, "the proof search")
         self.failed: dict[frozenset[Formula], set[Formula]] = {}  # antecedent -> succedents
         # antecedent -> succedent -> provable; only decided sequents are in it
         self.table: dict[frozenset[Formula], dict[Formula, bool]] = {}
@@ -323,13 +369,6 @@ class _ProofSearch:
         self._open: dict[frozenset[Formula], tuple[list[Formula], dict]] = {}
         self._implications: dict[frozenset[Formula], tuple[Imp, ...]] = {}
         self._grown: dict[frozenset[Formula], dict[Formula, frozenset[Formula]]] = {}
-
-    def tick(self):
-        self.stats.nodes += 1
-        if self.stats.nodes > self.limits.max_nodes:
-            raise ResourceExhausted(f"node cap {self.limits.max_nodes} hit")
-        if time.monotonic() > self.deadline:
-            raise ResourceExhausted(f"timeout {self.limits.timeout}s hit")
 
     def implications(self, antecedent: frozenset[Formula]) -> tuple[Imp, ...]:
         """The L-> candidates of an antecedent in canonical order: its
@@ -525,7 +564,7 @@ def certify(proof: Derivation, goal: Formula) -> None:
     assert_restricted_derivation(proof, goal)
 
 
-def prove(phi: Formula, limits: Limits | None = None) -> Verdict:
+def prove(phi: Formula, limits: Limits | Budget | None = None) -> Verdict:
     """Decide provability of the sequent with empty antecedent and
     succedent `phi`.  Proved verdicts carry a derivation that passes the
     independent checker; NotProved means the whole restricted search space

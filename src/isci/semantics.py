@@ -18,7 +18,6 @@ for each.  Every check below goes through it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -36,7 +35,7 @@ from .formulas import (
     subformulas,
     variables,
 )
-from .prover import ResourceExhausted
+from .prover import Budget, Limits
 
 
 @dataclass(eq=False)
@@ -252,15 +251,17 @@ def _monotone_vectors(k: int, rel: frozenset) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def bounded_countermodel_search(phi: Formula, max_worlds: int = 3, deadline: float | None = None):
+def bounded_countermodel_search(
+    phi: Formula, max_worlds: int = 3, limits: Limits | Budget = Limits()
+):
     """Search for a model over at most `max_worlds` worlds and the base
     {variables of phi} + {equations in extended_subformulas(phi)} in which
     phi fails at some world; every returned candidate has already passed
     check_frame, check_admissible, check_monotonicity and
     check_identity_entails_implications, so a hit is sound by
     construction.  None means the bounded space was exhausted, which is
-    not a validity proof; past `deadline` it raises ResourceExhausted,
-    checked before each frame and each assignment vector tried.
+    not a validity proof.  The budget's deadline is checked before each
+    frame and each assignment vector tried.
 
     Enumeration: world counts ascending; frames by pair-set bitmap, one
     representative per isomorphism class; assignments blockwise, blocks in
@@ -272,6 +273,7 @@ def bounded_countermodel_search(phi: Formula, max_worlds: int = 3, deadline: flo
     admissibility allows.  Vectors that break a floor or make a true
     equation fail to force its implications are pruned.
     """
+    budget = limits.start()
     base_vars = sorted(variables(phi), key=sort_key)
     eqs = [f for f in sorted_formulas(extended_subformulas(phi)) if isinstance(f, Id)]
     reflexive = [e for e in eqs if e.left == e.right]
@@ -286,8 +288,9 @@ def bounded_countermodel_search(phi: Formula, max_worlds: int = 3, deadline: flo
     base = list(base_vars) + eqs
     for k in range(1, max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(k))
+        at = f"frames of {k} worlds"
         for rel in _preorders(k):
-            _check_deadline(deadline, k)
+            budget.check("the oracle", at)
             order = frozenset((worlds[a], worlds[b]) for a, b in rel)
             rows: dict[tuple[Formula, str], int] = {}
             for e in reflexive:
@@ -295,15 +298,10 @@ def bounded_countermodel_search(phi: Formula, max_worlds: int = 3, deadline: flo
                     rows[(e, w)] = 1
             model = KripkeModel(worlds, order, rows)
             vectors = _monotone_vectors(k, rel)
-            found = _search_blocks(model, phi, base, blocks, boundary, 0, vectors, deadline)
+            found = _search_blocks(model, phi, base, blocks, boundary, 0, vectors, budget, at)
             if found is not None:
                 return found
     return None
-
-
-def _check_deadline(deadline: float | None, k: int) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise ResourceExhausted(f"timeout hit in the oracle, at frames of {k} worlds")
 
 
 def _refutes(ev: Evaluator, phi: Formula) -> str | None:
@@ -322,7 +320,7 @@ def _eq_vector_ok(model, f, vec) -> bool:
     return not true & ~implied
 
 
-def _search_blocks(model, phi, base, blocks, boundary, idx, vectors, deadline):
+def _search_blocks(model, phi, base, blocks, boundary, idx, vectors, budget, at):
     if idx == boundary + 1 and _refutes(Evaluator(model), phi) is None:
         return None
     if idx == len(blocks):
@@ -347,18 +345,18 @@ def _search_blocks(model, phi, base, blocks, boundary, idx, vectors, deadline):
             model.valuation[(f, w)] = vec[i]
         found = None
         if _eq_vector_ok(model, f, vec):
-            found = _search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors, deadline)
+            found = _search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors, budget, at)
         if found is None:
             for w in model.worlds:
                 del model.valuation[(f, w)]
         return found
     is_eq = isinstance(f, Id)
     for vec in vectors:
-        _check_deadline(deadline, len(model.worlds))
+        budget.check("the oracle", at)
         for i, w in enumerate(model.worlds):
             model.valuation[(f, w)] = vec[i]
         if not is_eq or _eq_vector_ok(model, f, vec):
-            found = _search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors, deadline)
+            found = _search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors, budget, at)
             if found is not None:
                 return found
     for w in model.worlds:

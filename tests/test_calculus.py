@@ -1,6 +1,9 @@
 import pytest
 
 from isci.calculus import (
+    L_ID1,
+    L_ID3,
+    R_IMP,
     Derivation,
     InapplicableRuleError,
     RuleInstance,
@@ -127,6 +130,36 @@ def test_check_proof_rejects_open_leaf():
 
 def test_check_proof_rejects_wrong_claim():
     assert not check_proof(fact5_proof(), parse_sequent("|- q == q")).ok
+
+
+def test_check_proof_rejects_a_leaf_with_children():
+    leaf = Derivation(sequent([p], p))
+    result = check_proof(Derivation(sequent([p], p), None, (leaf,)), sequent([p], p))
+    assert result.error == "leaf with children at p |- p"
+
+
+def test_check_proof_rejects_a_premise_mismatch():
+    claim = sequent([], Imp(p, p))
+    d = Derivation(claim, RuleInstance(R_IMP), (Derivation(sequent([q], p)),))
+    assert check_proof(d, claim).error == "premise mismatch at |- p -> p for R->"
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (RuleInstance(L_ID1), "L==1 needs the formula to reflect"),
+        (
+            RuleInstance(L_ID3, principal=Id(p, q), principal2=Id(p, q), op="&"),
+            "L==3 needs two antecedent equations and a connective",
+        ),
+        (RuleInstance("cut"), "unknown rule 'cut'"),
+    ],
+    ids=["L==1 without principal", "L==3 with unknown op", "unknown rule"],
+)
+def test_apply_rule_rejects_a_malformed_instance(rule, message):
+    with pytest.raises(InapplicableRuleError) as exc:
+        apply_rule(sequent([Id(p, q)], p), rule)
+    assert str(exc.value) == message
 
 
 def test_assembled_trees_round_trip_through_checker():

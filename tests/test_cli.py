@@ -9,6 +9,7 @@ import types
 import pytest
 
 import isci.cli
+import isci.prover
 import isci.semantics
 from isci.cli import main
 
@@ -200,19 +201,112 @@ def test_check_model_rejects_an_inadmissible_row(capsys, valuation):
     assert out == "INVALID MODEL: assignment not admissible\n"
 
 
+def test_check_model_rejects_an_order_that_is_not_a_preorder(capsys):
+    doc = {"worlds": ["a", "b"], "order_pairs": [["a", "b"]], "valuation": [], "designated_world": "a"}
+    code, out, _ = run(capsys, "check-model", json.dumps(doc))
+    assert (code, out) == (1, "INVALID MODEL: order is not reflexive-transitive\n")
+
+
+def test_check_model_rejects_a_forcing_that_is_not_monotone(capsys):
+    doc = {
+        "worlds": ["a", "b"],
+        "order_pairs": [["a", "a"], ["a", "b"], ["b", "b"]],
+        "valuation": [["p", "a", 1], ["p", "b", 0]],
+        "designated_world": "a",
+    }
+    code, out, _ = run(capsys, "check-model", json.dumps(doc))
+    assert (code, out) == (1, "INVALID MODEL: forcing not monotone\n")
+
+
+ONE_WORLD = {"worlds": ["a"], "order_pairs": [["a", "a"]], "valuation": [], "designated_world": "a"}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "check-proof",
+            {"sequent": "p == q |- p", "rule": "L==3", "principal": "p == q", "op": "&"},
+            "unknown connective '&'",
+        ),
+        ("check-model", {"worlds": ["a"]}, "malformed model document: 'order_pairs'"),
+        ("check-model", {**ONE_WORLD, "designated_world": "b"}, "designated world is not a world"),
+        ("check-model", {**ONE_WORLD, "valuation": [["p", "a"]]}, "malformed valuation row ['p', 'a']"),
+        ("check-model", {**ONE_WORLD, "valuation": [["p", "b", 1]]}, "valuation row for unknown world 'b'"),
+    ],
+    ids=["unknown connective", "missing field", "designated", "short row", "unknown world"],
+)
+def test_malformed_document_messages(capsys, command, doc, message):
+    code, out, err = run(capsys, command, json.dumps(doc))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_decide_graph_of_a_proof(capsys):
+    code, out, _ = run(capsys, "decide", "p -> p", "--format", "graph")
+    assert code == 0
+    assert out == (
+        "PROVED\n"
+        "digraph derivation {\n"
+        "  rankdir=BT;\n"
+        '  node [shape=box, fontname="monospace"];\n'
+        '  n0 [label="|- p -> p"];\n'
+        '  n1 [label="p == p |- p -> p"];\n'
+        '  n2 [label="p -> p, p == p |- p -> p"];\n'
+        '  n2 -> n1 [label="L==2 p == p"];\n'
+        '  n1 -> n0 [label="L==1 p"];\n'
+        "}\n"
+    )
+
+
+# refutable; its closure holds 289,593 formulas and takes seconds to build
+LARGE_CLOSURE = "(p == q) == ((r == p) == (# -> r)) -> q == r"
+
+
+def test_check_model_stops_inside_the_closure(capsys, monkeypatch):
+    # the clock passes the deadline after the budget's start, the parse
+    # check and the closure's first check, so only a check inside the
+    # closure's worklist stops it before the frame check
+    reads = [0]
+
+    def clock():
+        reads[0] += 1
+        return 0.0 if reads[0] <= 3 else float("inf")
+
+    monkeypatch.setattr(isci.prover, "time", types.SimpleNamespace(monotonic=clock))
+    doc = {"formula": LARGE_CLOSURE, "model": ONE_WORLD}
+    started = time.monotonic()
+    code, out, err = run(capsys, "check-model", json.dumps(doc), "--timeout", "0.2")
+    assert (code, out) == (3, "")
+    assert err == "resource limit: timeout 0.2s hit in check-model, at the closure\n"
+    assert time.monotonic() - started < 1.0
+
+
+def test_exsub_obeys_the_timeout(capsys):
+    code, out, err = run(capsys, "exsub", LARGE_CLOSURE, "--timeout", "0")
+    assert (code, out) == (3, "")
+    assert err == "resource limit: timeout 0.0s hit in exsub, at the closure\n"
+
+
+@pytest.mark.parametrize("command", ["check-proof", "check-model", "exsub"])
+@pytest.mark.parametrize("option", [["--max-nodes", "5"], ["--format", "text"], ["--quiet"]])
+def test_commands_reject_options_they_do_not_read(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "p", *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
+
+
+def test_input_is_never_read_from_a_file(capsys, monkeypatch, tmp_path):
+    (tmp_path / "p").write_text("q -> q", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "decide", "p", "--quiet")
+    assert (code, out) == (1, "REFUTED\n")
+
+
 def test_prove_command_stops_without_model(capsys):
     code, out, _ = run(capsys, "prove", "((p -> q) -> p) -> p")
     assert code == 1
     assert out == "NOT PROVED\n"
-
-
-def test_countermodel_command(capsys):
-    code, out, _ = run(capsys, "countermodel", "p == q")
-    assert code == 1
-    assert "valuation" in out
-    code, out, _ = run(capsys, "countermodel", "p == p")
-    assert code == 0
-    assert "no countermodel" in out
 
 
 def test_exsub_command(capsys):
@@ -345,20 +439,30 @@ def test_oracle_stops_at_the_deadline_decide_started(capsys, monkeypatch):
     monkeypatch.setattr(isci.semantics, "_search_blocks", no_assignments)
     code, _, err = run(capsys, "decide", "p == q -> (q == p)", "--oracle", "4", "--timeout", "10", "--quiet")
     assert code == 3
-    assert "resource limit: timeout hit in the oracle" in err
+    assert err == "resource limit: timeout 10.0s hit in the oracle, at frames of 1 worlds\n"
 
 
 def test_oracle_stops_inside_a_frame(capsys, monkeypatch):
-    # the clock passes the deadline after the first frame has started; the
-    # oracle would refute p within that frame, so only a check inside the
-    # frame stops it
-    calls = [0]
+    # once decide has returned, the clock passes the deadline after the
+    # first frame has started; the oracle would refute p within that frame,
+    # so only a check inside the frame stops it
+    calls = [None]
 
     def clock():
+        if calls[0] is None:
+            return 0.0
         calls[0] += 1
         return 0.0 if calls[0] == 1 else float("inf")
 
-    monkeypatch.setattr(isci.semantics, "time", types.SimpleNamespace(monotonic=clock))
+    decide = isci.cli.decide
+
+    def decide_then_tick(phi, limits):
+        verdict = decide(phi, limits)
+        calls[0] = 0
+        return verdict
+
+    monkeypatch.setattr(isci.prover, "time", types.SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(isci.cli, "decide", decide_then_tick)
     code, _, err = run(capsys, "decide", "p", "--oracle", "1", "--quiet")
     assert code == 3
-    assert "resource limit: timeout hit in the oracle" in err
+    assert err == "resource limit: timeout 30.0s hit in the oracle, at frames of 1 worlds\n"

@@ -188,6 +188,23 @@ def test_decide_has_one_deadline(monkeypatch):
         decide(parse_formula("((p -> q) -> p) -> p"), Limits(timeout=10.0))
 
 
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        (Limits(max_nodes=5), "node cap 5 hit in the countermodel walk"),
+        (Limits(timeout=0), "timeout 0s hit in the countermodel walk"),
+    ],
+)
+def test_walk_caps_name_the_walk(limits, message):
+    # the walk counts its own nodes against the budget the search hands it
+    search = _ProofSearch(parse_formula("p == q -> q -> r"), Limits())
+    assert search.run() is None
+    search.budget = limits.start()
+    with pytest.raises(ResourceExhausted) as exc:
+        _Builder(search).run()
+    assert str(exc.value) == message
+
+
 def test_costliest_builder_run_is_pinned():
     # the builder walks only its branches, so its nodes are theirs, and the
     # table answers every premise it asks about from the search, whose
@@ -357,9 +374,10 @@ def test_bottom_antecedent_implications_close_by_r_imp():
 
 def test_validation_stops_at_the_deadline():
     bundle = countermodel(parse_formula("p == q -> q -> r"))
-    validate_bundle(bundle, deadline=time.monotonic() + 60)
-    with pytest.raises(ResourceExhausted, match="timeout hit in validation"):
-        validate_bundle(bundle, deadline=time.monotonic() - 1)
+    validate_bundle(bundle, Limits(timeout=60))
+    with pytest.raises(ResourceExhausted) as exc:
+        validate_bundle(bundle, Limits(timeout=0))
+    assert str(exc.value) == "timeout 0s hit in validation, at the frame check"
 
 
 def test_equation_sets_match_the_pair_scans(monkeypatch):

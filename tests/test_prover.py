@@ -145,6 +145,25 @@ def test_timeout_raises_resource_exhausted():
         prove(parse_formula("((p -> q) -> p) -> p"), Limits(timeout=0.0))
 
 
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        (Limits(max_nodes=3), "node cap 3 hit in the proof search"),
+        (Limits(timeout=0.0), "timeout 0.0s hit in the proof search"),
+    ],
+)
+def test_search_caps_name_the_search(limits, message):
+    with pytest.raises(ResourceExhausted) as exc:
+        prove(parse_formula("((p -> q) -> p) -> p"), limits)
+    assert str(exc.value) == message
+
+
+def test_budget_start_returns_the_running_budget():
+    budget = Limits(max_nodes=7, timeout=5.0).start()
+    assert budget.start() is budget
+    assert _ProofSearch(parse_formula("p"), budget).budget is budget
+
+
 def test_search_statistics_are_exposed():
     verdict = prove(parse_formula("((p -> q) -> p) -> p"))
     assert verdict.stats.nodes > 0

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_utils import (
@@ -12,6 +13,7 @@ from oracle_utils import (
 
 from isci.formulas import BOT, Id, Imp, Var, extended_subformulas
 from isci.parser import parse_formula
+from isci.prover import Limits, ResourceExhausted
 from isci.semantics import (
     KripkeModel,
     bounded_countermodel_search,
@@ -206,3 +208,9 @@ def test_evaluator_agrees_with_the_per_world_reference(m, base, formulas):
     assert check_identity_entails_implications(m, base) == ref_check_identity_entails_implications(
         m, base
     )
+
+
+def test_oracle_timeout_names_the_oracle():
+    with pytest.raises(ResourceExhausted) as exc:
+        bounded_countermodel_search(p, 1, Limits(timeout=0))
+    assert str(exc.value) == "timeout 0s hit in the oracle, at frames of 1 worlds"
