@@ -50,16 +50,8 @@ from .formulas import (
 )
 from .invariants import assert_restricted_derivation
 from .printer import format_formula, format_sequent
-from .prover import Budget, Limits, Saturator, SearchStats, Verdict, _ProofSearch
-from .semantics import (
-    Evaluator,
-    KripkeModel,
-    check_admissible,
-    check_frame,
-    check_identity_entails_implications,
-    check_monotonicity,
-    value,
-)
+from .prover import Budget, Limits, SearchStats, Verdict, _ProofSearch
+from .semantics import Evaluator, KripkeModel, check_identity_entails_implications, model_failures
 
 VALIDATION_CAP = 4096
 
@@ -77,6 +69,7 @@ class NoOpenBranchError(CounterModelError):
 class World:
     name: str
     occurrences: tuple[Derivation, ...]  # the walked nodes of its segment
+    # the union of their antecedents: the last one, as antecedents grow along a branch
     gamma_max: frozenset[Formula]
 
 
@@ -119,10 +112,12 @@ class CounterModelBundle:
             '  node [shape=box, fontname="monospace"];',
         ]
         atoms = sorted(variables(self.formula), key=sort_key)
+        ev = Evaluator(self.model)
         for w in self.worlds:
             marker = "*" if w.name == self.designated else ""
             parts = [w.name + marker]
-            true_atoms = [v.name for v in atoms if value(self.model, v, w.name)]
+            bit = self.model.bit[w.name]
+            true_atoms = [v.name for v in atoms if ev.value(v) & bit]
             if true_atoms:
                 parts.append("atoms: " + " ".join(true_atoms))
             for f in sorted_formulas(w.gamma_max):
@@ -137,13 +132,14 @@ class CounterModelBundle:
 
     def model_rows(self) -> list[tuple[Formula, str, int]]:
         """Valuation rows for export: every variable of the goal at every
-        world, plus the positive equation entries."""
+        world, plus the positive equation entries, unordered."""
+        ev, bit = Evaluator(self.model), self.model.bit
         rows: list[tuple[Formula, str, int]] = []
-        for v in sorted(variables(self.formula), key=sort_key):
+        for v in variables(self.formula):
             for w in self.worlds:
-                rows.append((v, w.name, value(self.model, v, w.name)))
+                rows.append((v, w.name, 1 if ev.value(v) & bit[w.name] else 0))
         for w in self.worlds:
-            for f in sorted_formulas(w.gamma_max):
+            for f in w.gamma_max:
                 if isinstance(f, Id) and f.left != f.right:
                     rows.append((f, w.name, 1))
         return rows
@@ -172,7 +168,8 @@ class _Builder:
         self.memo: dict[Sequent, str] = {}
         self.pending: deque[tuple[str, Sequent]] = deque()
         # the failed search, whose provability table picks each L-> premise
-        # of a branch and proves no spawned root
+        # of a branch and proves no spawned root, and whose saturator each
+        # walk extends
         self.prover = search
 
     # -- the open branch, under the saturation-before-R-> regime ------------
@@ -188,7 +185,7 @@ class _Builder:
         premise can repeat (see `_ProofSearch`)."""
         steps: list[tuple[Sequent, RuleInstance | None, tuple[Sequent | None, ...]]] = []
         history: frozenset[Formula] = frozenset()
-        sat = Saturator(self.goal)
+        sat = self.prover.saturator
         while True:
             self.tick()
             if is_axiom(seq):
@@ -253,8 +250,7 @@ class _Builder:
                 segments.append([])
         first = len(self.worlds)
         for seg in segments:
-            union = frozenset().union(*(d.sequent.antecedent for d in seg))
-            world = World(f"w{len(self.worlds)}", tuple(seg), union)
+            world = World(f"w{len(self.worlds)}", tuple(seg), seg[-1].sequent.antecedent)
             if len(self.worlds) > first:  # the world opens with an R-> premise
                 self.segment_edges.add((self.worlds[-1].name, world.name))
                 self.memo.setdefault(seg[0].sequent, world.name)
@@ -272,7 +268,7 @@ class _Builder:
             src, key = self.pending.popleft()
             target = self.memo.get(key)
             if target is None:
-                if self.prover.provable(key, Saturator(self.goal)):
+                if self.prover.provable(key, self.prover.saturator):
                     raise CounterModelError(
                         f"spawned sequent is provable: {format_sequent(key)}"
                     )
@@ -392,20 +388,40 @@ def wide_eqs(n: int, material: frozenset[Formula], model: KripkeModel) -> list[I
 
 
 def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits()) -> bool:
-    """Check the bundle against the semantics and against what the
-    construction promises; a failure raises CounterModelError.  The
-    budget's deadline is checked between the checks and inside their
-    per-world and per-equation loops.  Returns whether the closure exceeds
-    VALIDATION_CAP, so that the checks read only the weaker base
-    `_degraded_material`."""
+    """Raise CounterModelError on the first of the model's `model_failures`
+    on the base `isci check-model` reads (the valuation's formulas and the
+    closure), then on a broken promise of the construction or a true
+    equation that fails to force its implications.  The budget's deadline
+    is checked between the checks and inside their loops.  Returns whether
+    the closure exceeds VALIDATION_CAP, so that the checks read only the
+    weaker base `_degraded_material` in its place."""
     phi = bundle.formula
     model = bundle.model
     ev = Evaluator(model)
     n = complexity(phi)
     budget = limits.start()
-    budget.check("validation", "the frame check")
-    if not check_frame(ev):
-        raise CounterModelError("order is not a preorder")
+    budget.check("validation", "the closure")
+    closure = extended_subformulas_within(phi, VALIDATION_CAP)
+    material = closure if closure is not None else _degraded_material(phi, bundle)
+    # Equations outside the closure can become true by decomposition when
+    # splitting a composed equation injects one of its sides' components
+    # into an antecedent, but the subformula bound forbids the rules from
+    # ever placing them on the left.
+    budget.check("validation", "the equations that may be true")
+    eqs = wide_eqs(n, material, model)
+    # the small equations, non-reflexive closure members (whose complexity
+    # never exceeds c(phi)): the check reads only the true ones, all in `eqs`
+    small = sorted_formulas(
+        [
+            e
+            for e in eqs
+            if e.left != e.right
+            and (e in material if closure is not None else in_extended_subformulas(e, phi))
+        ]
+    )
+    base = {f for (f, _w) in model.valuation} | material
+    for failure in model_failures(ev, base, phi, bundle.designated, budget, "validation"):
+        raise CounterModelError(failure)
     for src, dst in bundle.base_edges:
         if not bundle.world_named(src).gamma_max <= bundle.world_named(dst).gamma_max:
             raise CounterModelError(f"antecedents shrink along {src} <= {dst}")
@@ -427,24 +443,7 @@ def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits
                 raise CounterModelError(
                     f"{w.name} does not force its antecedent formula {format_formula(f)}"
                 )
-    budget.check("validation", "the closure")
-    closure = extended_subformulas_within(phi, VALIDATION_CAP)
-    material = closure if closure is not None else _degraded_material(phi, bundle)
-    # Equations outside the closure can become true by decomposition when
-    # splitting a composed equation injects one of its sides' components
-    # into an antecedent, but the subformula bound forbids the rules from
-    # ever placing them on the left.
-    budget.check("validation", "the equations that may be true")
-    eqs = wide_eqs(n, material, model)
-    # the small equations, non-reflexive closure members (whose complexity
-    # never exceeds c(phi)): the check reads only the true ones, all in `eqs`
-    small = [
-        e
-        for e in eqs
-        if e.left != e.right
-        and (e in material if closure is not None else in_extended_subformulas(e, phi))
-    ]
-    for e in sorted_formulas(small):
+    for e in small:
         budget.check("validation", "the small equations")
         true = ev.value(e)
         if not true:
@@ -454,15 +453,7 @@ def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits
                 raise CounterModelError(
                     f"true small equation {format_formula(e)} missing from {w.name}'s antecedents"
                 )
-    budget.check("validation", "the admissibility check")
-    if not check_admissible(ev, [f for f in material if isinstance(f, Id)]):
-        raise CounterModelError("assignment is not admissible on the checked base")
-    budget.check("validation", "the monotonicity check")
-    if not check_monotonicity(ev, material):
-        raise CounterModelError("forcing is not monotone on the checked base")
     budget.check("validation", "the identity-to-implication check")
     if not check_identity_entails_implications(ev, eqs):
         raise CounterModelError("a true equation fails to force its implications")
-    if ev.forces(phi) & model.bit[bundle.designated]:
-        raise CounterModelError("designated world forces the goal formula")
     return closure is None

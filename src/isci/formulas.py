@@ -189,21 +189,14 @@ def _exsub_worklist(phi: Formula, cap: int | None, check=None) -> frozenset[Form
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def extended_subformulas(phi: Formula) -> frozenset[Formula]:
-    """The extended-subformula set of phi (always finite, but it can be
-    large for complex formulas; see `extended_subformulas_within`)."""
-    result = _exsub_worklist(phi, None)
-    if result is None:  # only a cap stops the worklist early
-        raise RuntimeError("the uncapped extended-subformula worklist gave up")
-    return result
-
-
-def extended_subformulas_budgeted(phi: Formula, budget, phase: str) -> frozenset[Formula]:
-    """`extended_subformulas(phi)` computed afresh under `budget` (a
-    `prover.Budget`), which it checks on entry and every 4,096 formulas, so
-    that a large closure stops at the deadline of `phase`, "at the closure"."""
-    return _exsub_worklist(phi, None, lambda: budget.check(phase, "the closure"))
+def extended_subformulas(phi: Formula, budget=None, phase: str | None = None) -> frozenset[Formula]:
+    """The extended-subformula set of phi, computed afresh (always finite,
+    but it can be large for complex formulas; see
+    `extended_subformulas_within`).  Under `budget` (a `prover.Budget`) it
+    checks the budget on entry and every 4,096 formulas, so that a large
+    closure stops at the deadline of `phase`, "at the closure"."""
+    check = None if budget is None else lambda: budget.check(phase, "the closure")
+    return _exsub_worklist(phi, None, check)
 
 
 @lru_cache(maxsize=None)

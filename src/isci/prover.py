@@ -352,9 +352,10 @@ class _ProofSearch:
     from the sequent alone is complete.  Every expansion, saturation step
     and table evaluation is a node, and the node cap bounds them all.
 
-    The table and the budget outlive `run`: after a failed search the
-    countermodel builder asks the same object which premise of each L->
-    its branch follows, and whether a spawned sequent is provable.
+    The table, the budget and the goal's root saturator outlive `run`:
+    after a failed search the countermodel builder asks the same object
+    which premise of each L-> its branch follows, and whether a spawned
+    sequent is provable, and extends the same root saturator.
     """
 
     def __init__(self, goal: Formula, limits: Limits | Budget):
@@ -362,6 +363,7 @@ class _ProofSearch:
         self.budget = limits.start()
         self.stats = SearchStats()
         self.tick = self.budget.counter(self.stats, "the proof search")
+        self.saturator = Saturator(goal)  # the goal's, which every branch extends
         self.failed: dict[frozenset[Formula], set[Formula]] = {}  # antecedent -> succedents
         # antecedent -> succedent -> provable; only decided sequents are in it
         self.table: dict[frozenset[Formula], dict[Formula, bool]] = {}
@@ -409,7 +411,7 @@ class _ProofSearch:
         """Search the goal's root sequent; a proof found is certified."""
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
         root = Sequent(frozenset(), self.goal)
-        proof = self.expand(root, frozenset(), Saturator(self.goal))
+        proof = self.expand(root, frozenset(), self.saturator)
         if proof is not None:
             certify(proof, self.goal)
         return proof

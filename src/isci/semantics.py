@@ -31,7 +31,6 @@ from .formulas import (
     complexity,
     extended_subformulas,
     sort_key,
-    sorted_formulas,
     subformulas,
     variables,
 )
@@ -202,6 +201,37 @@ def check_identity_entails_implications(model: KripkeModel | Evaluator, base) ->
     return True
 
 
+def model_failures(model, base, goal=None, designated=None, budget=None, phase=None):
+    """The failures of `model` (or its `Evaluator`) on the formulas `base`,
+    in `isci check-model`'s order and words: the frame check, whose failure
+    stops the rest, admissibility, monotonicity, identity-to-implication
+    and, given a goal, whether the designated world forces it.  Under
+    `budget`, each check first checks the deadline of `phase`."""
+    ev = _evaluator(model)
+
+    def stage(name: str) -> None:
+        if budget is not None:
+            budget.check(phase, name)
+
+    stage("the frame check")
+    if not check_frame(ev):
+        yield "order is not reflexive-transitive"
+        return
+    stage("the admissibility check")
+    if not check_admissible(ev, base):
+        yield "assignment not admissible"
+    stage("the monotonicity check")
+    if not check_monotonicity(ev, base):
+        yield "forcing not monotone"
+    stage("the identity-to-implication check")
+    if not check_identity_entails_implications(ev, base):
+        yield "a true equation fails to force its implications"
+    if goal is not None:
+        stage("the forcing of the formula")
+        if ev.forces(goal) & ev.model.bit[designated]:
+            yield "designated world forces the formula"
+
+
 def valid_in_model(model: KripkeModel, f: Formula) -> bool:
     return Evaluator(model).forces(f) == model.full
 
@@ -256,12 +286,11 @@ def bounded_countermodel_search(
 ):
     """Search for a model over at most `max_worlds` worlds and the base
     {variables of phi} + {equations in extended_subformulas(phi)} in which
-    phi fails at some world; every returned candidate has already passed
-    check_frame, check_admissible, check_monotonicity and
-    check_identity_entails_implications, so a hit is sound by
-    construction.  None means the bounded space was exhausted, which is
-    not a validity proof.  The budget's deadline is checked before each
-    frame and each assignment vector tried.
+    phi fails at some world; every returned candidate has no
+    `model_failures` on that base, so a hit is sound by construction.
+    None means the bounded space was exhausted, which is not a validity
+    proof.  The budget's deadline is checked in the closure, before each
+    frame and before each assignment vector tried.
 
     Enumeration: world counts ascending; frames by pair-set bitmap, one
     representative per isomorphism class; assignments blockwise, blocks in
@@ -275,7 +304,7 @@ def bounded_countermodel_search(
     """
     budget = limits.start()
     base_vars = sorted(variables(phi), key=sort_key)
-    eqs = [f for f in sorted_formulas(extended_subformulas(phi)) if isinstance(f, Id)]
+    eqs = [f for f in extended_subformulas(phi, budget, "the oracle") if isinstance(f, Id)]
     reflexive = [e for e in eqs if e.left == e.right]
     nonreflexive = sorted(
         (e for e in eqs if e.left != e.right), key=lambda e: (complexity(e), sort_key(e))
@@ -328,12 +357,7 @@ def _search_blocks(model, phi, base, blocks, boundary, idx, vectors, budget, at)
         bad = _refutes(ev, phi)
         if bad is None:
             return None
-        if (
-            check_frame(ev)
-            and check_admissible(ev, base)
-            and check_monotonicity(ev, base)
-            and check_identity_entails_implications(ev, base)
-        ):
+        if next(model_failures(ev, base), None) is None:
             return model.copy(), bad
         return None
     f, enumerated = blocks[idx]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -422,7 +423,7 @@ def test_check_proof_rejects_a_swapped_antecedent_formula(capsys, monkeypatch):
 
 def test_oracle_stops_at_the_deadline_decide_started(capsys, monkeypatch):
     # the clock passes the deadline as soon as decide returns, so the oracle
-    # must stop before its first frame instead of running about 12 s
+    # must stop at its closure instead of running about 12 s
     now = [0.0]
     monkeypatch.setattr(time, "monotonic", lambda: now[0])
     decide = isci.cli.decide
@@ -439,20 +440,37 @@ def test_oracle_stops_at_the_deadline_decide_started(capsys, monkeypatch):
     monkeypatch.setattr(isci.semantics, "_search_blocks", no_assignments)
     code, _, err = run(capsys, "decide", "p == q -> (q == p)", "--oracle", "4", "--timeout", "10", "--quiet")
     assert code == 3
-    assert err == "resource limit: timeout 10.0s hit in the oracle, at frames of 1 worlds\n"
+    assert err == "resource limit: timeout 10.0s hit in the oracle, at the closure\n"
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    isci.cli.build_arg_parser.cache_clear()
+    run(capsys, "decide", "p -> p", "--quiet")
+    once = built[0]
+    run(capsys, "decide", "p -> q", "--quiet")
+    assert once > 0
+    assert built[0] == once
 
 
 def test_oracle_stops_inside_a_frame(capsys, monkeypatch):
     # once decide has returned, the clock passes the deadline after the
-    # first frame has started; the oracle would refute p within that frame,
-    # so only a check inside the frame stops it
+    # closure's check and the first frame's; the oracle would refute p
+    # within that frame, so only a check inside the frame stops it
     calls = [None]
 
     def clock():
         if calls[0] is None:
             return 0.0
         calls[0] += 1
-        return 0.0 if calls[0] == 1 else float("inf")
+        return 0.0 if calls[0] <= 2 else float("inf")
 
     decide = isci.cli.decide
 

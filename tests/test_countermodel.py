@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import time
 
@@ -14,7 +15,7 @@ from oracle_utils import (
 )
 
 import isci.countermodel as cm
-from isci import prover
+from isci import prover, serialize
 from isci.calculus import L_IMP, is_axiom, sequent
 from isci.countermodel import (
     VALIDATION_CAP,
@@ -40,7 +41,8 @@ from isci.formulas import (
 from isci.invariants import antecedents_inherited, no_branch_repetition
 from isci.parser import parse_formula
 from isci.prover import Limits, ResourceExhausted, _ProofSearch, prove
-from isci.semantics import Evaluator, forces, value
+from isci.cli import main
+from isci.semantics import Evaluator, KripkeModel, forces, value
 from isci.serialize import model_from_doc
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -377,7 +379,26 @@ def test_validation_stops_at_the_deadline():
     validate_bundle(bundle, Limits(timeout=60))
     with pytest.raises(ResourceExhausted) as exc:
         validate_bundle(bundle, Limits(timeout=0))
-    assert str(exc.value) == "timeout 0s hit in validation, at the frame check"
+    assert str(exc.value) == "timeout 0s hit in validation, at the closure"
+
+
+@pytest.mark.parametrize("world", range(9))
+def test_validation_fails_as_check_model_does(capsys, world):
+    """A bundle whose order lacks one reflexive pair fails validation with
+    the failure that `isci check-model` prints for its model document: both
+    run `model_failures` on the same base."""
+    phi = parse_formula("p == q -> q -> r")
+    bundle = countermodel(phi)
+    assert len(bundle.worlds) == 9
+    order = bundle.order - {(f"w{world}", f"w{world}")}
+    model = KripkeModel(bundle.model.worlds, order, bundle.model.valuation)
+    tampered = dataclasses.replace(bundle, order=order, model=model)
+    with pytest.raises(CounterModelError) as exc:
+        validate_bundle(tampered)
+    doc = serialize.dumps(serialize.verdict_doc(phi, model=tampered.model_document()))
+    assert main(["check-model", doc]) == 1
+    assert capsys.readouterr().out == f"INVALID MODEL: {exc.value}\n"
+    assert str(exc.value) == "order is not reflexive-transitive"
 
 
 def test_equation_sets_match_the_pair_scans(monkeypatch):

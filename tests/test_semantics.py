@@ -213,4 +213,4 @@ def test_evaluator_agrees_with_the_per_world_reference(m, base, formulas):
 def test_oracle_timeout_names_the_oracle():
     with pytest.raises(ResourceExhausted) as exc:
         bounded_countermodel_search(p, 1, Limits(timeout=0))
-    assert str(exc.value) == "timeout 0s hit in the oracle, at frames of 1 worlds"
+    assert str(exc.value) == "timeout 0s hit in the oracle, at the closure"
