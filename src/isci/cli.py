@@ -119,6 +119,22 @@ def _cmd_prove(args) -> int:
     return EXIT_REFUTED
 
 
+def _reads_a_document(command):
+    """`loads` accepts deeper nesting than the interpreter's recursion limit
+    lets Python print or compare, so a document value that recurses past
+    it (a premise list nested 4,000 levels deep, say) is an input error."""
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        try:
+            return command(args)
+        except RecursionError as exc:
+            raise serialize.DocumentError("document nested too deeply") from exc
+
+    return run
+
+
+@_reads_a_document
 def _cmd_check_proof(args) -> int:
     text, budget = _start(args, Limits(timeout=args.timeout))
     doc = serialize.loads(text)
@@ -138,6 +154,7 @@ def _cmd_check_proof(args) -> int:
     return EXIT_REFUTED
 
 
+@_reads_a_document
 def _cmd_check_model(args) -> int:
     text, budget = _start(args, Limits(timeout=args.timeout))
     doc = serialize.loads(text)

@@ -18,12 +18,13 @@ self-contained and re-parse with the package's own parser.
 from __future__ import annotations
 
 import json
+import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-from .calculus import Derivation, RuleInstance, Sequent, is_axiom
-from .formulas import Formula, sort_key
+from .calculus import Derivation, InapplicableRuleError, RuleInstance, Sequent, apply_rule, is_axiom
+from .formulas import Formula, sort_key, subformulas
 from .parser import ParseError, parse_formula, parse_sequent
 from .printer import derivation_order, format_formula, format_sequent
 
@@ -86,11 +87,27 @@ def dumps(doc: dict) -> str:
     return "".join(pieces)
 
 
+# The JSON nesting `loads` reads, counting the Python frames below it: a
+# proof node takes two levels, so a proof about 5,000 nodes deep loads.  The
+# standard library's C scanner takes about 120 bytes of stack per level
+# (CPython 3.11, x86-64 Linux), about 1.2 MB of a main thread's usual 8 MB.
+NESTING = 10_000
+
+
 def loads(text: str) -> dict:
+    """The JSON object `text` holds.  The interpreter's recursion limit,
+    which bounds the nesting the C scanner reads, is `NESTING` for the
+    call, whatever it was before; deeper text is a `DocumentError`."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(NESTING)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"document nested more than about {NESTING} levels deep") from exc
+    finally:
+        sys.setrecursionlimit(saved)
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     return doc
@@ -131,44 +148,122 @@ def formula_from_doc(text, memo: dict[str, Formula] | None = None) -> Formula:
     return f
 
 
-def _parse_sequent(text, memo: dict[str, Formula]) -> Sequent:
-    """`parse_sequent` via the memo.  No formula holds ',' or '|-', so the text
-    splits at them; text whose parts do not parse ('⇒', say) goes to `parse_sequent`."""
+class _FormulaTable(dict):
+    """One document's formula texts and their formulas.  Each entry is what
+    `parse_formula` gives for its text: a parse is entered under the text
+    it read, and `learn` enters formulas under their printed texts, since
+    `parse_formula(format_formula(f))` is `f`."""
+
+    def __init__(self):
+        super().__init__()
+        self.formatted = cache(format_formula)
+
+    def learn(self, formulas) -> None:
+        for f in formulas:
+            self[self.formatted(f)] = f
+
+    def parse(self, text: str) -> Formula:
+        """`parse_formula(text)`, entered with its subformulas."""
+        f = self[text] = parse_formula(text)
+        self.learn(subformulas(f))
+        return f
+
+
+def _parse_sequent(text, table: _FormulaTable) -> Sequent:
+    """`parse_sequent` via the table.  Text the writer printed, `A, B |- C`
+    or `|- C`, splits into table keys; text with a part the table misses
+    goes to `_parse_parts`, and text whose parts do not parse to
+    `parse_sequent`, which gives its errors their positions."""
     if isinstance(text, str):
-        left, _, right = text.partition("|-")
-        try:
-            parts = left.split(",") if left.strip() else []
-            ante = [formula_from_doc(t.strip(), memo) for t in parts]
-            return Sequent(frozenset(ante), formula_from_doc(right.strip(), memo))
-        except ParseError:
-            pass
+        if text.startswith("|- "):
+            parts = [text[3:]]
+        else:
+            left, _, right = text.partition(" |- ")
+            parts = left.split(", ")
+            parts.append(right)
+        found = list(map(table.get, parts))
+        if None in found:
+            found = _parse_parts(text, table)
+        if found is not None:
+            succedent = found.pop()
+            return Sequent(frozenset(found), succedent)
     return parse_sequent(text)
 
 
-def derivation_from_doc(doc: dict, _memo: dict[str, Formula] | None = None) -> Derivation:
-    memo = {} if _memo is None else _memo
+def _parse_parts(text: str, table: _FormulaTable) -> list[Formula] | None:
+    """The formulas of a sequent's text, succedent last, or None if a part
+    does not parse.  No formula holds ',', '|-' or '⇒', so the text splits
+    at them, and each part the table misses is parsed."""
+    left, turnstile, right = text.partition("|-")
+    if not turnstile:
+        left, _, right = text.partition("⇒")
+    parts = left.split(",") if left.strip() else []
+    parts.append(right)
+    found = []
+    for part in parts:
+        part = part.strip()
+        f = table.get(part)
+        if f is None:
+            try:
+                f = table.parse(part)
+            except ParseError:
+                return None
+        found.append(f)
+    return found
+
+
+def _read_node(doc, table: _FormulaTable) -> tuple[Sequent, RuleInstance | None, list]:
+    """One proof node's sequent, rule instance (None at a leaf) and premise documents."""
     try:
-        seq = _parse_sequent(doc["sequent"], memo)
+        seq = _parse_sequent(doc["sequent"], table)
         rule_name = doc["rule"]
         premises = doc.get("premises", [])
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed proof node: {exc}") from exc
     if not isinstance(premises, list):
         raise DocumentError(f"premises must be a list, got {premises!r}")
-    children = tuple(derivation_from_doc(p, memo) for p in premises)
     if rule_name in ("axiom", "open"):
-        if children:
+        if premises:
             raise DocumentError("leaf node with premises")
-        return Derivation(seq)
+        return seq, None, premises
     if rule_name not in ("L->", "R->", "L==1", "L==2", "L==3"):
         raise DocumentError(f"unknown rule {rule_name!r}")
-    principal = formula_from_doc(doc["principal"], memo) if "principal" in doc else None
-    principal2 = formula_from_doc(doc["principal2"], memo) if "principal2" in doc else None
+    principal = formula_from_doc(doc["principal"], table) if "principal" in doc else None
+    principal2 = formula_from_doc(doc["principal2"], table) if "principal2" in doc else None
     op = doc.get("op")
     if op not in (None, "->", "=="):
         raise DocumentError(f"unknown connective {op!r}")
-    rule = RuleInstance(rule_name, principal=principal, principal2=principal2, op=op)
-    return Derivation(seq, rule, children)
+    return seq, RuleInstance(rule_name, principal=principal, principal2=principal2, op=op), premises
+
+
+def derivation_from_doc(doc: dict) -> Derivation:
+    """The derivation a proof document describes, read node by node in
+    document order without recursion, so any proof `loads` accepts is read.
+
+    Each node's rule instance enters the formulas its premises add into the
+    document's table, so a canonical document parses its root sequent and
+    looks every later formula up.  The table only names formulas: whether
+    the stored premises are the rule's is `check_proof`'s to say."""
+    table = _FormulaTable()
+    read: list[tuple[Sequent, RuleInstance | None, int]] = []
+    stack = [doc]
+    while stack:
+        seq, rule, premises = _read_node(stack.pop(), table)
+        read.append((seq, rule, len(premises)))
+        stack.extend(reversed(premises))
+        if rule is not None:
+            try:
+                predicted = apply_rule(seq, rule)
+            except InapplicableRuleError:
+                continue
+            for premise in predicted:
+                table.learn(premise.antecedent - seq.antecedent)
+                table.learn((premise.succedent,))
+    built: list[Derivation] = []  # finished subtrees, a node's first premise on top
+    for seq, rule, n in reversed(read):
+        children = tuple(built.pop() for _ in range(n))
+        built.append(Derivation(seq, rule, children))
+    return built[0]
 
 
 def model_doc(

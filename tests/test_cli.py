@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -484,3 +485,55 @@ def test_oracle_stops_inside_a_frame(capsys, monkeypatch):
     code, _, err = run(capsys, "decide", "p", "--oracle", "1", "--quiet")
     assert code == 3
     assert err == "resource limit: timeout 30.0s hit in the oracle, at frames of 1 worlds\n"
+
+
+def chain_document(depth):
+    """The text of a valid proof document `depth` + 2 nodes deep: L==1 on
+    v0, v1, ... in turn over `|- p -> p`, then R-> and an axiom leaf."""
+
+    def node(antecedent, succedent, rule, **fields):
+        text = (", ".join(antecedent) + " |- " if antecedent else "|- ") + succedent
+        return json.dumps({"sequent": text, "rule": rule, **fields})[:-1] + ', "premises": ['
+
+    opening, antecedent = [], []
+    for i in range(depth):
+        opening.append(node(antecedent, "p -> p", "L==1", principal=f"v{i}"))
+        antecedent.append(f"v{i} == v{i}")
+    opening.append(node(antecedent, "p -> p", "R->"))
+    opening.append(node(antecedent + ["p"], "p", "axiom"))
+    return "".join(opening) + "]}" * len(opening)
+
+
+@contextlib.contextmanager
+def recursion_limit(limit):
+    """Run under `limit`: a fresh `isci` process has the interpreter's
+    default, 1000, and an in-process `decide` leaves 100,000 or more."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_check_proof_reads_a_proof_2000_nodes_deep(capsys):
+    with recursion_limit(1000):
+        code, out, err = run(capsys, "check-proof", chain_document(2000))
+    assert (code, out, err) == (0, "VALID PROOF\n", "")
+
+
+def test_check_proof_rejects_nesting_beyond_the_reader(capsys):
+    with recursion_limit(100_000):
+        code, out, err = run(capsys, "check-proof", "[" * 100_000 + "]" * 100_000)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: document nested")
+
+
+@pytest.mark.parametrize("field", ["premises", "principal"])
+def test_check_proof_reports_a_deeply_nested_value_as_an_input_error(capsys, field):
+    deep = "[" * 4000 + "]" * 4000
+    text = '{"sequent": "|- p", "rule": "L==1", "%s": {"a": %s}}' % (field, deep)
+    with recursion_limit(1000):
+        code, out, err = run(capsys, "check-proof", text)
+    assert (code, out, err) == (2, "", "input error: document nested too deeply\n")

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import isci.parser
 import isci.printer
 import isci.serialize
-from isci.calculus import Sequent, check_proof, sequent
+from isci.calculus import Derivation, RuleInstance, Sequent, check_proof, sequent
+from isci.cli import main
 from isci.countermodel import countermodel, decide
 from isci.formulas import Var
 from isci.parser import ParseError, parse_formula, parse_sequent
@@ -201,3 +202,104 @@ def test_documents_print_and_parse_each_distinct_formula_once(monkeypatch, congr
     assert derivation_from_doc(doc) == congruence_proof
     assert len(tokenized) <= len(texts)
     assert sum(map(len, tokenized)) <= sum(map(len, texts))
+
+
+DEPTH2 = "p == q -> (p -> (p -> r)) == (p -> (q -> r))"
+
+
+@pytest.fixture(scope="module")
+def depth2_proof():
+    return prove(parse_formula(DEPTH2)).proof
+
+
+def depth2_document(proof):
+    return verdict_doc(parse_formula(DEPTH2), proof=proof)
+
+
+def document_nodes(node):
+    nodes, stack = [], [node]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(reversed(nodes[-1]["premises"]))
+    return nodes
+
+
+def split_sequent(text):
+    left, _, succedent = text.partition("|- ")
+    return (left[:-1].split(", ") if left else []), succedent
+
+
+def node_texts(node):
+    antecedent, succedent = split_sequent(node["sequent"])
+    return antecedent + [succedent] + [node[k] for k in ("principal", "principal2") if k in node]
+
+
+def plain_derivation(node):
+    """A document's derivation read with `parse_sequent` and `parse_formula` alone."""
+    rule = None
+    if node["rule"] not in ("axiom", "open"):
+        principals = [parse_formula(node[k]) if k in node else None for k in ("principal", "principal2")]
+        rule = RuleInstance(node["rule"], *principals, node.get("op"))
+    children = tuple(plain_derivation(p) for p in node["premises"])
+    return Derivation(parse_sequent(node["sequent"]), rule, children)
+
+
+def check_proof_output(capsys, doc):
+    code = main(["check-proof", json.dumps(doc)])
+    return code, capsys.readouterr().out
+
+
+def test_seeded_read_tokenizes_only_the_root(monkeypatch, depth2_proof):
+    doc = proof_doc(depth2_proof)
+    root = depth2_proof.sequent
+    root_texts = {isci.printer.format_formula(f) for f in root.antecedent | {root.succedent}}
+    tokenized = []
+    tokenize = isci.parser._tokenize
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(isci.parser, "_tokenize", counting_tokenize)
+    assert derivation_from_doc(doc) == depth2_proof
+    assert len(tokenized) <= len(root_texts)
+
+
+def alias(text):
+    return text.replace(" -> ", " ⊃ ").replace(" == ", " ≡ ")
+
+
+REPRINTS = {
+    "reversed": lambda ante, succ: ", ".join(reversed(ante)) + " |- " + succ,
+    "no space": lambda ante, succ: ",".join(ante) + " |- " + succ,
+    "aliases": lambda ante, succ: ", ".join(map(alias, ante)) + " ⇒ " + alias(succ),
+}
+
+
+@pytest.mark.parametrize("reprint", REPRINTS.values(), ids=REPRINTS.keys())
+def test_documents_from_other_writers_read_as_parse_sequent_reads_them(capsys, depth2_proof, reprint):
+    doc = depth2_document(depth2_proof)
+    nodes = document_nodes(doc["proof"])
+    for node in nodes:
+        node["sequent"] = reprint(*split_sequent(node["sequent"]))
+    read = list(derivation_from_doc(doc["proof"]).walk())
+    assert [d.sequent for d in read] == [parse_sequent(n["sequent"]) for n in nodes]
+    assert check_proof_output(capsys, doc) == (0, "VALID PROOF\n")
+
+
+def test_a_swap_between_seeded_texts_is_reported_as_parse_sequent_reads_it(capsys, depth2_proof):
+    doc = depth2_document(depth2_proof)
+    nodes = document_nodes(doc["proof"])
+    # the first non-root node with an antecedent formula to swap for a
+    # formula of an earlier node, which the reader's table already holds
+    for index in range(1, len(nodes)):
+        antecedent, succedent = split_sequent(nodes[index]["sequent"])
+        earlier = {t for n in nodes[:index] for t in node_texts(n)}
+        others = sorted(earlier - set(antecedent) - {succedent})
+        if antecedent and others:
+            break
+    nodes[index]["sequent"] = ", ".join([others[0]] + antecedent[1:]) + " |- " + succedent
+    claim = sequent((), parse_formula(doc["formula"]))
+    expected = check_proof(plain_derivation(doc["proof"]), claim).error
+    assert expected.startswith("premise mismatch at ")
+    assert check_proof_output(capsys, doc) == (1, f"INVALID PROOF: {expected}\n")
