@@ -79,7 +79,6 @@ class CounterModelBundle:
     worlds: list[World]
     segment_edges: frozenset[tuple[str, str]]  # between consecutive worlds of a branch
     spawn_edges: frozenset[tuple[str, str]]  # from an implication succedent to its witness
-    order: frozenset[tuple[str, str]]  # reflexive-transitive closure
     designated: str
     model: KripkeModel
     branches: list[list[Derivation]]  # each walked branch's nodes, root first
@@ -112,12 +111,10 @@ class CounterModelBundle:
             '  node [shape=box, fontname="monospace"];',
         ]
         atoms = sorted(variables(self.formula), key=sort_key)
-        ev = Evaluator(self.model)
         for w in self.worlds:
             marker = "*" if w.name == self.designated else ""
             parts = [w.name + marker]
-            bit = self.model.bit[w.name]
-            true_atoms = [v.name for v in atoms if ev.value(v) & bit]
+            true_atoms = [v.name for v in atoms if self.model.valuation[(v, w.name)]]
             if true_atoms:
                 parts.append("atoms: " + " ".join(true_atoms))
             for f in sorted_formulas(w.gamma_max):
@@ -130,29 +127,10 @@ class CounterModelBundle:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def model_rows(self) -> list[tuple[Formula, str, int]]:
-        """Valuation rows for export: every variable of the goal at every
-        world, plus the positive equation entries, unordered."""
-        ev, bit = Evaluator(self.model), self.model.bit
-        rows: list[tuple[Formula, str, int]] = []
-        for v in variables(self.formula):
-            for w in self.worlds:
-                rows.append((v, w.name, 1 if ev.value(v) & bit[w.name] else 0))
-        for w in self.worlds:
-            for f in w.gamma_max:
-                if isinstance(f, Id) and f.left != f.right:
-                    rows.append((f, w.name, 1))
-        return rows
-
     def model_document(self) -> dict:
         from .serialize import model_doc
 
-        return model_doc(
-            [w.name for w in self.worlds],
-            sorted(self.order),
-            self.model_rows(),
-            self.designated,
-        )
+        return model_doc(self.model, self.designated)
 
 
 class _Builder:
@@ -203,8 +181,8 @@ class _Builder:
             node = sat.sequent
             ante = node.antecedent
             for f in self.prover.implications(ante):
-                if f.right in ante or f.left in hist:
-                    continue  # saturated with respect to f, or blocked by the loop check
+                if f.left in hist:
+                    continue  # blocked by the loop check
                 left = Sequent(ante, f.left)
                 right = Sequent(self.prover.grow(ante, f.right), node.succedent)
                 inst = RuleInstance(L_IMP, principal=f)
@@ -278,25 +256,34 @@ class _Builder:
         return self.assemble()
 
     def assemble(self) -> CounterModelBundle:
+        """The worlds under the reflexive-transitive closure of the edges,
+        with the one valuation that validation checks and every document
+        prints.  At each world it lists every variable of the goal, 1 where
+        the world's antecedent holds it and 0 elsewhere, and every
+        non-reflexive equation of the antecedent as 1; a reflexive equation
+        is true everywhere by extension."""
         names = [w.name for w in self.worlds]
         order = _reflexive_transitive_closure(names, self.segment_edges | self.spawn_edges)
+        atoms = variables(self.goal)
         rows: dict[tuple[Formula, str], int] = {}
         n = complexity(self.goal)
         for w in self.worlds:
+            for v in atoms:
+                rows[(v, w.name)] = 1 if v in w.gamma_max else 0
             for f in w.gamma_max:
-                if in_form0(f):
-                    if isinstance(f, Id) and complexity(f) > n:
+                if isinstance(f, Id):
+                    if complexity(f) > n:
                         raise CounterModelError(
                             f"antecedent equation above the complexity bound: {format_formula(f)}"
                         )
-                    rows[(f, w.name)] = 1
+                    if f.left != f.right:
+                        rows[(f, w.name)] = 1
         model = KripkeModel(tuple(names), order, rows)
         return CounterModelBundle(
             formula=self.goal,
             worlds=self.worlds,
             segment_edges=frozenset(self.segment_edges),
             spawn_edges=frozenset(self.spawn_edges),
-            order=order,
             designated=names[0],
             model=model,
             branches=self.branches,

@@ -173,15 +173,22 @@ class _Parser:
             raise ParseError(f"unexpected {tok.text!r} after formula", tok.line, tok.col)
 
 
-def parse_formula(text: str) -> Formula:
+def _parse(text: str, read):
+    """Run `read` on a parser of `text`, which must read all of it.  Text
+    nested past the recursion limit is a ParseError at the token reached."""
     p = _Parser(text)
-    f = p.formula()
+    try:
+        result = read(p)
+    except RecursionError:
+        tok = p.peek()
+        raise ParseError("formula nested too deeply", tok.line, tok.col) from None
     p.finish()
-    return f
+    return result
+
+
+def parse_formula(text: str) -> Formula:
+    return _parse(text, _Parser.formula)
 
 
 def parse_sequent(text: str) -> Sequent:
-    p = _Parser(text)
-    s = p.sequent()
-    p.finish()
-    return s
+    return _parse(text, _Parser.sequent)

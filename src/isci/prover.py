@@ -336,8 +336,8 @@ class _ProofSearch:
     among others.  A segment's sequents share their antecedent, so the
     history is the set of their succedents.  For L-> on an implication
     a -> b, the right premise Γ, b ⊢ C repeats a sequent exactly when b is
-    in Γ, and it is then the conclusion itself; it is built only once the
-    left premise Γ ⊢ a is proved.
+    in Γ, and it is then the conclusion itself, so `implications` leaves
+    a -> b out; else the premise is built once the left one, Γ ⊢ a, is proved.
 
     Whether a sequent fails depends on the branch, but whether it is
     provable does not.  The provable succedents of a saturated antecedent
@@ -374,16 +374,14 @@ class _ProofSearch:
 
     def implications(self, antecedent: frozenset[Formula]) -> tuple[Imp, ...]:
         """The L-> candidates of an antecedent in canonical order: its
-        implications other than self-implications, which are tautologies
-        (applying L-> to one is a cut that only widens the search)."""
+        implications whose consequent it lacks (for any other, the right
+        premise repeats the conclusion), other than self-implications, which
+        are tautologies (applying L-> to one is a cut that only widens the
+        search)."""
         imps = self._implications.get(antecedent)
         if imps is None:
-            imps = tuple(
-                sorted(
-                    (f for f in antecedent if isinstance(f, Imp) and f.left is not f.right),
-                    key=sort_key,
-                )
-            )
+            imps = [f for f in antecedent if isinstance(f, Imp) and f.left is not f.right]
+            imps = tuple(sorted((f for f in imps if f.right not in antecedent), key=sort_key))
             self._implications[antecedent] = imps
         return imps
 
@@ -465,8 +463,8 @@ class _ProofSearch:
                     return Derivation(seq, RuleInstance(R_IMP), (child,))
                 self.stats.backtracks += 1
         for f in self.implications(ante):
-            if f.left in hist or f.right in ante:
-                continue  # a premise repeats a sequent of the segment
+            if f.left in hist:
+                continue  # the left premise repeats a sequent of the segment
             lchild = self.expand(Sequent(ante, f.left), hist, sat)
             if lchild is None:
                 self.stats.backtracks += 1
@@ -550,7 +548,7 @@ class _ProofSearch:
             elif proved(goal.right):
                 return True
         for f in self.implications(ante):
-            if f.right not in ante and proved(f.left):
+            if proved(f.left):
                 if self.provable(Sequent(self.grow(ante, f.right), goal), sat):
                     return True
         return False

@@ -27,6 +27,7 @@ from .calculus import Derivation, InapplicableRuleError, RuleInstance, Sequent, 
 from .formulas import Formula, sort_key, subformulas
 from .parser import ParseError, parse_formula, parse_sequent
 from .printer import derivation_order, format_formula, format_sequent
+from .semantics import KripkeModel
 
 
 class DocumentError(ValueError):
@@ -135,17 +136,11 @@ def proof_doc(d: Derivation) -> dict:
     return node_doc(d)
 
 
-def formula_from_doc(text, memo: dict[str, Formula] | None = None) -> Formula:
-    """`parse_formula` on a document's formula field, once per distinct
-    string of the document when the caller keeps `memo`."""
+def formula_from_doc(text) -> Formula:
+    """`parse_formula` on a document's formula field."""
     if not isinstance(text, str):
         raise DocumentError(f"formula must be a string, got {text!r}")
-    if memo is None:
-        return parse_formula(text)
-    f = memo.get(text)
-    if f is None:
-        f = memo[text] = parse_formula(text)
-    return f
+    return parse_formula(text)
 
 
 class _FormulaTable(dict):
@@ -161,6 +156,13 @@ class _FormulaTable(dict):
     def learn(self, formulas) -> None:
         for f in formulas:
             self[self.formatted(f)] = f
+
+    def formula(self, text) -> Formula:
+        """`formula_from_doc(text)`, parsed once per text."""
+        f = self.get(text) if isinstance(text, str) else None
+        if f is None:
+            f = self[text] = formula_from_doc(text)
+        return f
 
     def parse(self, text: str) -> Formula:
         """`parse_formula(text)`, entered with its subformulas."""
@@ -228,8 +230,8 @@ def _read_node(doc, table: _FormulaTable) -> tuple[Sequent, RuleInstance | None,
         return seq, None, premises
     if rule_name not in ("L->", "R->", "L==1", "L==2", "L==3"):
         raise DocumentError(f"unknown rule {rule_name!r}")
-    principal = formula_from_doc(doc["principal"], table) if "principal" in doc else None
-    principal2 = formula_from_doc(doc["principal2"], table) if "principal2" in doc else None
+    principal = table.formula(doc["principal"]) if "principal" in doc else None
+    principal2 = table.formula(doc["principal2"]) if "principal2" in doc else None
     op = doc.get("op")
     if op not in (None, "->", "=="):
         raise DocumentError(f"unknown connective {op!r}")
@@ -266,26 +268,21 @@ def derivation_from_doc(doc: dict) -> Derivation:
     return built[0]
 
 
-def model_doc(
-    worlds: list[str],
-    order_pairs: list[tuple[str, str]],
-    rows: list[tuple[Formula, str, int]],
-    designated: str,
-) -> dict:
-    world_index = {w: i for i, w in enumerate(worlds)}
-    rows_sorted = sorted(rows, key=lambda r: (sort_key(r[0]), world_index[r[1]]))
+def model_doc(model: KripkeModel, designated: str) -> dict:
+    """The document of `model`: its worlds, its order pairs by world and
+    its valuation's rows by formula, then world."""
+    world_index = {w: i for i, w in enumerate(model.worlds)}
+    rows = sorted(model.valuation.items(), key=lambda r: (sort_key(r[0][0]), world_index[r[0][1]]))
     return {
-        "worlds": list(worlds),
-        "order_pairs": [list(p) for p in sorted(order_pairs, key=lambda p: (world_index[p[0]], world_index[p[1]]))],
-        "valuation": [[format_formula(f), w, v] for f, w, v in rows_sorted],
+        "worlds": list(model.worlds),
+        "order_pairs": [list(p) for p in sorted(model.order, key=lambda p: (world_index[p[0]], world_index[p[1]]))],
+        "valuation": [[format_formula(f), w, v] for (f, w), v in rows],
         "designated_world": designated,
     }
 
 
 def model_from_doc(doc: dict):
     """Parse a model document into (KripkeModel, designated world)."""
-    from .semantics import KripkeModel
-
     try:
         worlds = tuple(doc["worlds"])
         pairs = frozenset((a, b) for a, b in doc["order_pairs"])
@@ -298,7 +295,7 @@ def model_from_doc(doc: dict):
     if designated not in worlds:
         raise DocumentError("designated world is not a world")
     valuation: dict[tuple[Formula, str], int] = {}
-    memo: dict[str, Formula] = {}
+    table = _FormulaTable()
     for row in rows:
         try:
             text, world, value = row
@@ -308,7 +305,7 @@ def model_from_doc(doc: dict):
             raise DocumentError(f"valuation row for unknown world {world!r}")
         if value not in (0, 1):
             raise DocumentError(f"valuation value must be 0 or 1, got {value!r}")
-        valuation[(formula_from_doc(text, memo), world)] = value
+        valuation[(table.formula(text), world)] = value
     for a, b in pairs:
         if a not in worlds or b not in worlds:
             raise DocumentError(f"order pair ({a!r}, {b!r}) outside the world set")

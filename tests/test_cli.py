@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -311,6 +312,41 @@ def test_prove_command_stops_without_model(capsys):
     assert out == "NOT PROVED\n"
 
 
+def test_prove_command_prints_the_proof(capsys):
+    code, out, err = run(capsys, "prove", "p -> p")
+    assert (code, err) == (0, "")
+    assert out == (
+        "PROVED\n"
+        "|- p -> p   [L==1 p]\n"
+        "  p == p |- p -> p   [L==2 p == p]\n"
+        "    p -> p, p == p |- p -> p   [axiom]\n"
+    )
+
+
+def test_oracle_exhausted_below_the_refutation(capsys):
+    code, out, err = run(capsys, "decide", "((p -> q) -> p) -> p", "--oracle", "1", "--quiet")
+    assert (code, err) == (1, "")
+    assert out == "REFUTED\noracle: exhausted at 1 worlds (the refutation may need a larger frame)\n"
+
+
+def test_check_proof_rejects_l_imp_without_its_implication(capsys):
+    doc = {
+        "sequent": "|- p -> p",
+        "rule": "L->",
+        "principal": "p -> p",
+        "premises": [
+            {"sequent": "|- p", "rule": "open", "premises": []},
+            {"sequent": "p |- p -> p", "rule": "axiom", "premises": []},
+        ],
+    }
+    code, out, err = run(capsys, "check-proof", json.dumps(doc))
+    assert (code, err) == (1, "")
+    assert out == (
+        "INVALID PROOF: L-> not applicable at |- p -> p: "
+        "L-> needs its implication in the antecedent\n"
+    )
+
+
 def test_exsub_command(capsys):
     code, out, _ = run(capsys, "exsub", "p == q")
     assert code == 0
@@ -537,3 +573,12 @@ def test_check_proof_reports_a_deeply_nested_value_as_an_input_error(capsys, fie
     with recursion_limit(1000):
         code, out, err = run(capsys, "check-proof", text)
     assert (code, out, err) == (2, "", "input error: document nested too deeply\n")
+
+
+@pytest.mark.parametrize("command", ["decide", "prove", "exsub"])
+def test_a_formula_nested_past_the_recursion_limit_is_an_input_error(capsys, command):
+    deep = "(" * 400 + "p" + ")" * 400
+    with recursion_limit(1000):
+        code, out, err = run(capsys, command, deep)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"input error: 1:\d+: formula nested too deeply\n", err)

@@ -300,7 +300,7 @@ def test_branch_worlds_form_a_chain():
     names = [w.name for w in b.worlds]
     for a in names:
         for c in names:
-            assert (a, c) in b.order or (c, a) in b.order
+            assert (a, c) in b.model.order or (c, a) in b.model.order
 
 
 def test_spawned_branches_are_memoized():
@@ -310,7 +310,7 @@ def test_spawned_branches_are_memoized():
     # rebuilding is deterministic
     b2 = countermodel(phi)
     assert [w.name for w in b2.worlds] == [w.name for w in b.worlds]
-    assert b2.order == b.order
+    assert b2.model.order == b.model.order
     assert b2.model.valuation == b.model.valuation
 
 
@@ -390,9 +390,9 @@ def test_validation_fails_as_check_model_does(capsys, world):
     phi = parse_formula("p == q -> q -> r")
     bundle = countermodel(phi)
     assert len(bundle.worlds) == 9
-    order = bundle.order - {(f"w{world}", f"w{world}")}
+    order = bundle.model.order - {(f"w{world}", f"w{world}")}
     model = KripkeModel(bundle.model.worlds, order, bundle.model.valuation)
-    tampered = dataclasses.replace(bundle, order=order, model=model)
+    tampered = dataclasses.replace(bundle, model=model)
     with pytest.raises(CounterModelError) as exc:
         validate_bundle(tampered)
     doc = serialize.dumps(serialize.verdict_doc(phi, model=tampered.model_document()))

@@ -231,6 +231,14 @@ def test_proof_search_hashes_no_sequent(monkeypatch):
     ) == (249, 78, 249)
 
 
+def test_implications_are_the_l_imp_candidates():
+    """`implications` leaves out self-implications and the implications
+    whose consequent the antecedent holds, in canonical order."""
+    search = _ProofSearch(parse_formula("p"), Limits())
+    ante = parse_sequent("r -> s, q, p -> q, s -> s, p -> r |- p").antecedent
+    assert search.implications(ante) == (Imp(p, r), Imp(r, s))
+
+
 TABLE_NODE_CAP = 20_000
 
 

@@ -50,6 +50,28 @@ def test_model_document_round_trip():
         assert value(model, p, w) == value(bundle.model, p, w)
 
 
+# refutations from the benchmark's search workload, and one validated on the fallback base
+REFUTATIONS = [
+    "# == p -> (q -> #) -> q",
+    "p == q -> q -> r",
+    "p == q -> (p -> #) -> q",
+    "(p -> #) == q -> r",
+    "(# == p) == q -> # == (r == #)",
+]
+
+
+@pytest.mark.parametrize("text", NON_THEOREMS + REFUTATIONS)
+def test_the_model_document_is_the_validated_model(text):
+    """The document prints the very valuation `decide` validated: reading
+    it back gives the same worlds, order, valuation and designated world."""
+    bundle = countermodel(parse_formula(text))
+    model, designated = model_from_doc(bundle.model_document())
+    assert model.worlds == bundle.model.worlds
+    assert model.order == bundle.model.order
+    assert model.valuation == bundle.model.valuation
+    assert designated == bundle.designated
+
+
 def test_verdict_document_status():
     phi = parse_formula("p == p")
     assert verdict_doc(phi, proof=prove(phi).proof)["status"] == "proved"
