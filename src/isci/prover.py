@@ -122,7 +122,7 @@ class Budget:
         at = "" if stage is None else f", at {stage}"
         return ResourceExhausted(f"timeout {self.limits.timeout}s hit in {phase}{at}")
 
-    def counter(self, stats: SearchStats, phase: str):
+    def counter(self, stats: SearchStats, phase: str, stage: str | None = None):
         """The `tick` of a phase: it counts one node in the phase's own
         `stats`, then checks the node cap and the deadline.  The hot loops
         call it directly, so it is one call per node."""
@@ -133,7 +133,7 @@ class Budget:
             if stats.nodes > cap:
                 raise ResourceExhausted(f"node cap {cap} hit in {phase}")
             if time.monotonic() >= deadline:
-                raise self._timeout(phase)
+                raise self._timeout(phase, stage)
 
         return tick
 

@@ -12,8 +12,9 @@ An `Evaluator` computes truth sets: for each formula, one int whose bits
 are the worlds where it is true (`value`) or forced (`forces`), computed
 once for the whole model and memoized.  It reads a formula's rows only
 when that formula is first asked for, so it costs nothing to build; the
-oracle changes the valuation between candidates and builds a fresh one
-for each.  Every check below goes through it.
+oracle builds one per node of its block search, since listing a block at
+the value it has while unlisted changes no truth set.  Every check below
+goes through it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .formulas import (
     subformulas,
     variables,
 )
-from .prover import Budget, Limits
+from .prover import Budget, Limits, SearchStats
 
 
 @dataclass(eq=False)
@@ -272,12 +273,14 @@ def _preorders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
 
 
 @lru_cache(maxsize=None)
-def _monotone_vectors(k: int, rel: frozenset) -> tuple[tuple[int, ...], ...]:
+def _monotone_vectors(k: int, rel: frozenset) -> tuple[int, ...]:
+    """The upward-closed truth sets over 0..k-1 (bit i for world i), in
+    the order of their vectors read with world 0 as the high bit."""
     out = []
     for mask in range(2**k):
         vec = tuple(mask >> (k - 1 - i) & 1 for i in range(k))
         if all(vec[a] <= vec[b] for a, b in rel if a != b):
-            out.append(vec)
+            out.append(sum(v << i for i, v in enumerate(vec)))
     return tuple(out)
 
 
@@ -290,7 +293,8 @@ def bounded_countermodel_search(
     `model_failures` on that base, so a hit is sound by construction.
     None means the bounded space was exhausted, which is not a validity
     proof.  The budget's deadline is checked in the closure, before each
-    frame and before each assignment vector tried.
+    frame and before each assignment vector tried, and each vector counts
+    one node of the oracle's own against the node cap.
 
     Enumeration: world counts ascending; frames by pair-set bitmap, one
     representative per isomorphism class; assignments blockwise, blocks in
@@ -300,7 +304,8 @@ def bounded_countermodel_search(
     range over all monotone vectors; once they are set the refutation test
     runs, and each remaining equation is pinned to the least value
     admissibility allows.  Vectors that break a floor or make a true
-    equation fail to force its implications are pruned.
+    equation fail to force its implications are pruned.  The search
+    recurses once per enumerated block.
     """
     budget = limits.start()
     base_vars = sorted(variables(phi), key=sort_key)
@@ -310,14 +315,14 @@ def bounded_countermodel_search(
         (e for e in eqs if e.left != e.right), key=lambda e: (complexity(e), sort_key(e))
     )
     sub = subformulas(phi)
-    blocks: list[tuple[Formula, bool]] = [(v, True) for v in base_vars] + [
-        (e, e in sub) for e in nonreflexive
-    ]
-    boundary = max((i for i, (_, rel) in enumerate(blocks) if rel), default=-1)
+    blocks: list[Formula] = base_vars + nonreflexive
+    enumerated = [i for i, f in enumerate(blocks) if f in sub]
     base = list(base_vars) + eqs
+    stats = SearchStats()
     for k in range(1, max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(k))
         at = f"frames of {k} worlds"
+        tick = budget.counter(stats, "the oracle", at)
         for rel in _preorders(k):
             budget.check("the oracle", at)
             order = frozenset((worlds[a], worlds[b]) for a, b in rel)
@@ -327,7 +332,7 @@ def bounded_countermodel_search(
                     rows[(e, w)] = 1
             model = KripkeModel(worlds, order, rows)
             vectors = _monotone_vectors(k, rel)
-            found = _search_blocks(model, phi, base, blocks, boundary, 0, vectors, budget, at)
+            found = _search_blocks(model, phi, base, blocks, enumerated, 0, vectors, tick)
             if found is not None:
                 return found
     return None
@@ -338,51 +343,40 @@ def _refutes(ev: Evaluator, phi: Formula) -> str | None:
     return next((w for w in ev.model.worlds if not forced & bit[w]), None)
 
 
-def _eq_vector_ok(model, f, vec) -> bool:
-    ev = Evaluator(model)
-    true = sum(v << i for i, v in enumerate(vec))
-    if ev.floor(f) & ~true:
-        return False
-    if not true:
-        return True
-    implied = ev.forces(Imp(f.left, f.right)) & ev.forces(Imp(f.right, f.left))
-    return not true & ~implied
-
-
-def _search_blocks(model, phi, base, blocks, boundary, idx, vectors, budget, at):
-    if idx == boundary + 1 and _refutes(Evaluator(model), phi) is None:
+def _search_blocks(model, phi, base, blocks, enumerated, done, vectors, tick):
+    """Set the blocks past the first `done` enumerated ones, every earlier
+    block set.  A pinned block lists the value it already has while
+    unlisted, its floor, so pinning changes no truth set and one evaluator
+    serves the node: the pinned blocks up to the next enumerated block and
+    that block's floor and implied mask or, past the last, the refutation
+    test and the whole pinned tail."""
+    ev, worlds, tail = Evaluator(model), model.worlds, done == len(enumerated)
+    stop = len(blocks) if tail else enumerated[done]
+    pinned = blocks[enumerated[done - 1] + 1 if done else 0 : stop]
+    bad = _refutes(ev, phi) if tail else None
+    if (tail and bad is None) or not check_identity_entails_implications(ev, pinned):
         return None
-    if idx == len(blocks):
-        ev = Evaluator(model)
-        bad = _refutes(ev, phi)
-        if bad is None:
-            return None
-        if next(model_failures(ev, base), None) is None:
-            return model.copy(), bad
-        return None
-    f, enumerated = blocks[idx]
-    if not enumerated:
-        # invisible to the goal's forcing: pin to the least admissible value
-        floor = Evaluator(model).floor(f)
-        vec = tuple(floor >> i & 1 for i in range(len(model.worlds)))
-        for i, w in enumerate(model.worlds):
-            model.valuation[(f, w)] = vec[i]
-        found = None
-        if _eq_vector_ok(model, f, vec):
-            found = _search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors, budget, at)
-        if found is None:
-            for w in model.worlds:
+    for f in pinned:
+        model.valuation.update(((f, w), ev.value(f) >> i & 1) for i, w in enumerate(worlds))
+    found = None
+    if tail:
+        if next(model_failures(Evaluator(model), base), None) is None:
+            found = model.copy(), bad
+    else:
+        f, floor, implied = blocks[stop], 0, -1
+        if isinstance(f, Id):
+            floor = ev.floor(f)
+            implied = ev.forces(Imp(f.left, f.right)) & ev.forces(Imp(f.right, f.left))
+        pinned.append(f)
+        for true in vectors:
+            tick()
+            model.valuation.update(((f, w), true >> i & 1) for i, w in enumerate(worlds))
+            if not floor & ~true and not true & ~implied:
+                found = _search_blocks(model, phi, base, blocks, enumerated, done + 1, vectors, tick)
+                if found is not None:
+                    break
+    if found is None:
+        for f in pinned:
+            for w in worlds:
                 del model.valuation[(f, w)]
-        return found
-    is_eq = isinstance(f, Id)
-    for vec in vectors:
-        budget.check("the oracle", at)
-        for i, w in enumerate(model.worlds):
-            model.valuation[(f, w)] = vec[i]
-        if not is_eq or _eq_vector_ok(model, f, vec):
-            found = _search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors, budget, at)
-            if found is not None:
-                return found
-    for w in model.worlds:
-        del model.valuation[(f, w)]
-    return None
+    return found

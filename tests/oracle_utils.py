@@ -4,6 +4,8 @@
 scanning a complete universe of candidate formulas and justifying each one
 directly against the defining clauses; it shares nothing with the
 production worklist, so the two can cross-check each other.
+`ref_bounded_countermodel_search` is the block search of the brute-force
+oracle with one fresh evaluator per assignment vector.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ from isci.formulas import (
     Imp,
     Var,
     complexity,
+    extended_subformulas,
     sort_key,
     subformulas,
     variables,
 )
 from isci.prover import Saturator
+from isci.semantics import Evaluator, KripkeModel, _preorders, _refutes, model_failures
 
 try:
     import hypothesis.strategies as st
@@ -298,3 +302,87 @@ def ref_leftmost_open_branch(d: Derivation) -> list[Derivation] | None:
         return False
 
     return path if walk(d) else None
+
+
+# --- reference oracle ---------------------------------------------------------
+# The block search `isci.semantics.bounded_countermodel_search` ran before it
+# built one evaluator per search node: a fresh evaluator for every block and
+# every vector, and one recursion level per block, pinned blocks included.
+# The differential test requires the same countermodel from both.
+
+
+def ref_bounded_countermodel_search(phi: Formula, max_worlds: int = 3):
+    base_vars = sorted(variables(phi), key=sort_key)
+    eqs = [f for f in extended_subformulas(phi) if isinstance(f, Id)]
+    reflexive = [e for e in eqs if e.left == e.right]
+    nonreflexive = sorted(
+        (e for e in eqs if e.left != e.right), key=lambda e: (complexity(e), sort_key(e))
+    )
+    sub = subformulas(phi)
+    blocks = [(v, True) for v in base_vars] + [(e, e in sub) for e in nonreflexive]
+    boundary = max((i for i, (_, rel) in enumerate(blocks) if rel), default=-1)
+    base = list(base_vars) + eqs
+    for k in range(1, max_worlds + 1):
+        worlds = tuple(f"w{i}" for i in range(k))
+        for rel in _preorders(k):
+            order = frozenset((worlds[a], worlds[b]) for a, b in rel)
+            rows = {(e, w): 1 for e in reflexive for w in worlds}
+            model = KripkeModel(worlds, order, rows)
+            vectors = []
+            for mask in range(2**k):
+                vec = tuple(mask >> (k - 1 - i) & 1 for i in range(k))
+                if all(vec[a] <= vec[b] for a, b in rel if a != b):
+                    vectors.append(vec)
+            found = _ref_search_blocks(model, phi, base, blocks, boundary, 0, vectors)
+            if found is not None:
+                return found
+    return None
+
+
+def _ref_eq_vector_ok(model, f, vec) -> bool:
+    ev = Evaluator(model)
+    true = sum(v << i for i, v in enumerate(vec))
+    if ev.floor(f) & ~true:
+        return False
+    if not true:
+        return True
+    implied = ev.forces(Imp(f.left, f.right)) & ev.forces(Imp(f.right, f.left))
+    return not true & ~implied
+
+
+def _ref_search_blocks(model, phi, base, blocks, boundary, idx, vectors):
+    if idx == boundary + 1 and _refutes(Evaluator(model), phi) is None:
+        return None
+    if idx == len(blocks):
+        ev = Evaluator(model)
+        bad = _refutes(ev, phi)
+        if bad is None:
+            return None
+        if next(model_failures(ev, base), None) is None:
+            return model.copy(), bad
+        return None
+    f, enumerated = blocks[idx]
+    if not enumerated:
+        # invisible to the goal's forcing: pin to the least admissible value
+        floor = Evaluator(model).floor(f)
+        vec = tuple(floor >> i & 1 for i in range(len(model.worlds)))
+        for i, w in enumerate(model.worlds):
+            model.valuation[(f, w)] = vec[i]
+        found = None
+        if _ref_eq_vector_ok(model, f, vec):
+            found = _ref_search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors)
+        if found is None:
+            for w in model.worlds:
+                del model.valuation[(f, w)]
+        return found
+    is_eq = isinstance(f, Id)
+    for vec in vectors:
+        for i, w in enumerate(model.worlds):
+            model.valuation[(f, w)] = vec[i]
+        if not is_eq or _ref_eq_vector_ok(model, f, vec):
+            found = _ref_search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors)
+            if found is not None:
+                return found
+    for w in model.worlds:
+        del model.valuation[(f, w)]
+    return None

@@ -15,6 +15,7 @@ import isci.cli
 import isci.prover
 import isci.semantics
 from isci.cli import main
+from isci.parser import parse_formula
 
 
 def run(capsys, *argv):
@@ -523,6 +524,14 @@ def test_oracle_stops_inside_a_frame(capsys, monkeypatch):
     assert err == "resource limit: timeout 30.0s hit in the oracle, at frames of 1 worlds\n"
 
 
+def test_the_oracle_counts_its_vectors_against_the_node_cap(capsys):
+    # the proof search needs fewer than 1,000 nodes; the oracle enumerates
+    # 1,563 vectors before it exhausts three worlds
+    formula = "(p -> q -> r) -> (p -> q) -> p -> r"
+    code, out, err = run(capsys, "decide", formula, "--oracle", "--max-nodes", "1000", "--quiet")
+    assert (code, out, err) == (3, "PROVED\n", "resource limit: node cap 1000 hit in the oracle\n")
+
+
 def chain_document(depth):
     """The text of a valid proof document `depth` + 2 nodes deep: L==1 on
     v0, v1, ... in turn over `|- p -> p`, then R-> and an axiom leaf."""
@@ -582,3 +591,12 @@ def test_a_formula_nested_past_the_recursion_limit_is_an_input_error(capsys, com
         code, out, err = run(capsys, command, deep)
     assert (code, out) == (2, "")
     assert re.fullmatch(r"input error: 1:\d+: formula nested too deeply\n", err)
+
+
+def test_the_oracle_recurses_once_per_enumerated_block():
+    # the closure holds 1,833 equations, but only the goal's three
+    # variables and three subformula equations are enumerated
+    phi = parse_formula("(((p == (r == q)) -> r) -> (# == r))")
+    with recursion_limit(1000):
+        found = isci.semantics.bounded_countermodel_search(phi, 1)
+    assert found is not None and found[1] == "w0"

@@ -1,14 +1,16 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle_utils import (
     formulas_pq,
+    ref_bounded_countermodel_search,
     ref_check_admissible,
     ref_check_frame,
     ref_check_identity_entails_implications,
     ref_check_monotonicity,
     ref_forces,
     ref_value,
+    small_formulas_pq,
 )
 
 from isci.formulas import BOT, Id, Imp, Var, extended_subformulas
@@ -214,3 +216,18 @@ def test_oracle_timeout_names_the_oracle():
     with pytest.raises(ResourceExhausted) as exc:
         bounded_countermodel_search(p, 1, Limits(timeout=0))
     assert str(exc.value) == "timeout 0s hit in the oracle, at the closure"
+
+
+def _found(result):
+    return result and (result[1], result[0].worlds, result[0].order, result[0].valuation)
+
+
+# no formula over p, q, # of complexity 3 or less has a first countermodel
+# with a pinned composed equation true at its floor; these two do
+@example(parse_formula("q -> (r == q) == (q == p) -> r"), 3)
+@example(parse_formula("(r == r) == (p -> r) -> r == #"), 3)
+@given(small_formulas_pq, st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_oracle_finds_the_reference_search_model(phi, max_worlds):
+    found = bounded_countermodel_search(phi, max_worlds)
+    assert _found(found) == _found(ref_bounded_countermodel_search(phi, max_worlds))
