@@ -30,8 +30,11 @@ Identity saturation comes in two modes, chosen per goal:
   side occurs is too loose: the antecedent snowballs, and the congruence
   axioms need 848 nodes instead of 418.
 
-Both modes share one `Saturator` per branch, which composes each new
-equation only against its partners instead of rescanning all pairs.
+Both modes share one `Saturator` per branch, which never rescans all pairs
+of equations.  Full mode composes each new equation against its partners
+within the bound.  Guided mode builds a composition only once its two
+equations and its two sides all occur, and indexes find it when the last
+of the four arrives.
 """
 
 from __future__ import annotations
@@ -159,14 +162,16 @@ class Saturator:
     Holds the branch's current sequent together with every identity
     instance that may still apply to it, keyed by the canonical instance
     order (L==1, then L==2, then L==3, then the principals, then the op).
-    A newly added equation is composed only against partners whose
-    complexity the bound can accept, as in `formulas._exsub_worklist`.  In
-    guided mode a composition with a side outside the antecedent's
-    subformula closure waits under that side until it appears; the ones the
-    succedent's material admits are collected per succedent.  `extend`
-    hands a copy to a premise, and the copy catches up with the premise's
-    new antecedent formulas at its next step, so the instances chosen are
-    exactly those a full rescan of each sequent would choose.
+    In full mode a newly added equation is composed only against partners
+    whose complexity the bound can accept, as in `formulas._exsub_worklist`.
+    In guided mode a composition (a op b) == (c op d) of a == c and b == d
+    is built once its four parts occur, the equations in the antecedent
+    and the sides in the sequent: indexes of both find it when the last
+    part arrives, and a side only the succedent's material supplies serves
+    that succedent alone.  `extend` hands a copy to a premise, and the copy
+    catches up with the premise's new antecedent formulas at its next step,
+    so the instances chosen are exactly those a full rescan of each sequent
+    would choose.
     """
 
     def __init__(self, goal: Formula):
@@ -175,18 +180,25 @@ class Saturator:
         self.bound = complexity(goal)
         self.sequent: Sequent | None = None
         self._ante: frozenset[Formula] = frozenset()  # formulas already taken in
-        self._sub: set[Formula] = set()  # guided: sub_closure(self._ante)
-        self._buckets: dict[int, tuple[Id, ...]] = {}  # c(left) + c(right) -> equations
         # heap entries are (order key, instance, formulas its premise adds);
         # an entry is stale once all of those formulas are in the antecedent
         self._heap: list = []
-        self._waiting: dict[Formula, tuple] = {}  # missing side -> (entry, composition)
-        self._succ: Formula | None = None  # succedent that _succ_heap serves
         self._succ_heap: list = []  # guided: applicable through the succedent only
         if self.plan is not None:
+            self._buckets: dict[int, tuple[Id, ...]] = {}  # c(left) + c(right) -> equations
             for e in self.plan:
                 if isinstance(e, Id) and e.left == e.right:
                     self._push(self._heap, RuleInstance(L_ID1, principal=e.left), (e,))
+            return
+        self._sub: set[Formula] = set()  # sub_closure(self._ante)
+        # sides: compound members of _sub by (connective, left or right part)
+        self._left: dict[tuple, tuple[Formula, ...]] = {}
+        self._right: dict[tuple, tuple[Formula, ...]] = {}
+        # the antecedent's equations by (left, right), by left and by right
+        self._eqs: dict[tuple[Formula, Formula], Id] = {}
+        self._eq_left, self._eq_right = {}, {}
+        self._succ: Formula | None = None  # succedent that the _succ_ fields serve
+        self._succ_left, self._succ_right = {}, {}  # its sides outside _sub
 
     def extend(self, seq: Sequent) -> "Saturator":
         """A copy positioned at `seq`, whose antecedent contains this one's.
@@ -195,13 +207,17 @@ class Saturator:
         child = Saturator.__new__(Saturator)
         child.__dict__ = self.__dict__.copy()
         child.sequent = seq
-        if self.plan is not None and seq.antecedent is self._ante and not self._heap:
-            return child
-        child._sub = set(self._sub)
-        child._buckets = dict(self._buckets)
+        if self.plan is not None:
+            if seq.antecedent is self._ante and not self._heap:
+                return child
+            child._buckets = dict(self._buckets)
+        else:
+            child._sub = set(self._sub)
+            child._left, child._right = dict(self._left), dict(self._right)
+            child._eqs = dict(self._eqs)
+            child._eq_left, child._eq_right = dict(self._eq_left), dict(self._eq_right)
+            child._succ_heap = list(self._succ_heap)
         child._heap = list(self._heap)
-        child._waiting = dict(self._waiting)
-        child._succ_heap = list(self._succ_heap)
         return child
 
     def saturate(self) -> Iterator[tuple[Sequent, RuleInstance]]:
@@ -227,25 +243,30 @@ class Saturator:
         guided = self.plan is None
         if guided and seq.succedent is not self._succ:
             self._succ, self._succ_heap = None, []
+            self._succ_left, self._succ_right = {}, {}
         self._ante = seq.antecedent
         for f in new:
             self._take(f)
         if guided and self._succ is None:
-            self._collect_succedent(seq.succedent)
+            self._succ = seq.succedent
+            for g in subformulas(self._succ):
+                if g not in self._sub:
+                    self._enter(g, self._succ_heap, self._succ_left, self._succ_right)
 
     def _take(self, f: Formula) -> None:
-        if self.plan is None:
+        guided = self.plan is None
+        if guided:
             for g in subformulas(f):
-                if g in self._sub:
-                    continue
-                self._sub.add(g)
-                self._reflexive(self._heap, g)
-                for entry, comp in self._waiting.pop(g, ()):
-                    self._place(entry, comp)
+                if g not in self._sub:
+                    self._sub.add(g)
+                    self._enter(g, self._heap, self._left, self._right)
         if not isinstance(f, Id):
             return
         splits = (Imp(f.left, f.right), Imp(f.right, f.left))
         self._push(self._heap, RuleInstance(L_ID2, principal=f), splits)
+        if guided:
+            self._take_equation(f)
+            return
         cf = complexity(f.left) + complexity(f.right)
         room = self.bound - 3 - cf
         if room < 0:
@@ -267,37 +288,74 @@ class Saturator:
 
     def _compose(self, e1: Id, e2: Id, op: str) -> None:
         comp = compose_equations(e1, e2, op)
-        if comp in self._ante:
-            return
-        inst = RuleInstance(L_ID3, principal=e1, principal2=e2, op=op)
-        if self.plan is not None:
-            if comp in self.plan:
-                self._push(self._heap, inst, (comp,))
-        elif in_extended_subformulas(comp, self.goal):
-            self._place((inst.order_key(), inst, (comp,)), comp)
+        if comp not in self._ante and comp in self.plan:
+            inst = RuleInstance(L_ID3, principal=e1, principal2=e2, op=op)
+            self._push(self._heap, inst, (comp,))
 
-    def _place(self, entry, comp: Id) -> None:
-        """Guided mode: a composition applies once both of its sides occur
-        in the sequent."""
-        missing = [s for s in (comp.left, comp.right) if s not in self._sub]
-        if not missing:
-            heapq.heappush(self._heap, entry)
-            return
-        self._waiting[missing[0]] = self._waiting.get(missing[0], ()) + ((entry, comp),)
-        if self._succ is not None and all(s in subformulas(self._succ) for s in missing):
-            heapq.heappush(self._succ_heap, entry)
+    # -- guided mode: a composition is found once its four parts occur -------
 
-    def _collect_succedent(self, succ: Formula) -> None:
-        material = subformulas(succ)
-        for g in material:
-            if g in self._sub:
-                continue
-            self._reflexive(self._succ_heap, g)
-            for entry, comp in self._waiting.get(g, ()):
-                if all(s in self._sub or s in material for s in (comp.left, comp.right)):
-                    self._succ_heap.append(entry)
-        heapq.heapify(self._succ_heap)
-        self._succ = succ
+    def _enter(self, g: Formula, heap: list, left: dict, right: dict) -> None:
+        """Queue on `heap` what `g`, new to the sequent's material, admits:
+        its reflexive equation and, if `g` can be a side within the bound
+        (the other side is compound too), the compositions it completes.
+        `left` and `right` index it by connective and part."""
+        self._reflexive(heap, g)
+        if not isinstance(g, (Imp, Id)) or complexity(g) + 2 > self.bound:
+            return
+        kind, op = type(g), OP_IMP if isinstance(g, Imp) else OP_ID
+        left[kind, g.left] = left.get((kind, g.left), ()) + (g,)
+        right[kind, g.right] = right.get((kind, g.right), ()) + (g,)
+        # g = a op b on the left: equations a == c and b == d, right side c op d
+        for e1 in self._eq_left.get(g.left, ()):
+            for y in self._by_left((kind, e1.right)):
+                e2 = self._eqs.get((g.right, y.right))
+                if e2 is not None:
+                    self._queue(e1, e2, op, g, y)
+        # g = c op d on the right: left side a op b
+        for e1 in self._eq_right.get(g.left, ()):
+            for x in self._by_left((kind, e1.left)):
+                e2 = self._eqs.get((x.right, g.right))
+                if e2 is not None and x is not g:
+                    self._queue(e1, e2, op, x, g)
+
+    def _take_equation(self, f: Id) -> None:
+        """Index `f`, new to the antecedent; queue the compositions it completes."""
+        self._eqs[f.left, f.right] = f
+        self._eq_left[f.left] = self._eq_left.get(f.left, ()) + (f,)
+        self._eq_right[f.right] = self._eq_right.get(f.right, ()) + (f,)
+        for kind, op in ((Imp, OP_IMP), (Id, OP_ID)):
+            # f = a == c first: sides a op b and c op d, partner b == d
+            ys = self._by_left((kind, f.right))
+            for x in self._by_left((kind, f.left)):
+                for y in ys:
+                    e2 = self._eqs.get((x.right, y.right))
+                    if e2 is not None:
+                        self._queue(f, e2, op, x, y)
+            # f = b == d second: partner a == c
+            ys = self._by_right((kind, f.right))
+            for x in self._by_right((kind, f.left)):
+                for y in ys:
+                    e1 = self._eqs.get((x.left, y.left))
+                    if e1 is not None and e1 is not f:
+                        self._queue(e1, f, op, x, y)
+
+    def _by_left(self, key: tuple) -> tuple[Formula, ...]:
+        """The sides with connective and left part `key`, in `_sub` or the
+        succedent's material; `_by_right` likewise by right part."""
+        return self._left.get(key, ()) + self._succ_left.get(key, ())
+
+    def _by_right(self, key: tuple) -> tuple[Formula, ...]:
+        return self._right.get(key, ()) + self._succ_right.get(key, ())
+
+    def _queue(self, e1: Id, e2: Id, op: str, x: Formula, y: Formula) -> None:
+        """Queue the composition x == y of `e1` and `e2` if the bound and the
+        closure admit it, on the succedent's heap if a side is outside `_sub`."""
+        if complexity(x) + complexity(y) >= self.bound:  # before Id(x, y) interns it
+            return
+        comp = Id(x, y)
+        if comp not in self._ante and in_extended_subformulas(comp, self.goal):
+            heap = self._heap if x in self._sub and y in self._sub else self._succ_heap
+            self._push(heap, RuleInstance(L_ID3, principal=e1, principal2=e2, op=op), (comp,))
 
 
 def identity_instance(sat: Saturator) -> RuleInstance | None:

@@ -1,12 +1,35 @@
 import hashlib
+import subprocess
+import sys
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given, settings
 
 from isci import prover
-from isci.calculus import Sequent, check_proof, is_axiom, sequent
+from isci.calculus import (
+    L_ID1,
+    L_ID2,
+    L_ID3,
+    OP_ID,
+    OP_IMP,
+    RuleInstance,
+    Sequent,
+    check_proof,
+    compose_equations,
+    is_axiom,
+    sequent,
+)
 from isci.countermodel import CounterModelError, decide
-from isci.formulas import Id, Imp, Var, extended_subformulas_within
+from isci.formulas import (
+    Id,
+    Imp,
+    Var,
+    complexity,
+    extended_subformulas_within,
+    in_extended_subformulas,
+    sub_closure,
+)
 from isci.invariants import (
     antecedents_inherited,
     extended_subformula_offenders,
@@ -31,6 +54,54 @@ def saturation_chain(start, goal):
         assert conclusion.antecedent < sat.sequent.antecedent
         chain.append((inst, sat.sequent))
     return chain
+
+
+def rescan_instance(goal, plan, seq):
+    """The canonically least identity instance for `seq`, computed from
+    scratch by the documented rule: None at an axiom or the fixpoint.  In
+    full mode (`plan` is the goal's extended-subformula set) an instance
+    applies when the plan holds the equation it adds.  In guided mode
+    (`plan` is None) reflexive equations are taken over sub(Γ) ∪ sub(C),
+    and compositions of pairs of antecedent equations that stay within the
+    bound and the closure and whose sides both lie in sub(Γ) ∪ sub(C)."""
+    if is_axiom(seq):
+        return None
+    ante, bound = seq.antecedent, complexity(goal)
+    material = sub_closure(ante | {seq.succedent})
+
+    def admitted(e):
+        if e in ante:
+            return False
+        if plan is not None:
+            return e in plan
+        return (
+            complexity(e) <= bound
+            and in_extended_subformulas(e, goal)
+            and e.left in material
+            and e.right in material
+        )
+
+    eqs = [f for f in ante if isinstance(f, Id)]
+    if plan is None:
+        reflexive = material
+    else:
+        reflexive = [e.left for e in plan if isinstance(e, Id) and e.left is e.right]
+    found = [RuleInstance(L_ID1, principal=x) for x in reflexive if admitted(Id(x, x))]
+    found += [
+        RuleInstance(L_ID2, principal=e)
+        for e in eqs
+        if not {Imp(e.left, e.right), Imp(e.right, e.left)} <= ante
+    ]
+    cost = {e: complexity(e.left) + complexity(e.right) for e in eqs}
+    found += [
+        RuleInstance(L_ID3, principal=e1, principal2=e2, op=op)
+        for e1 in eqs
+        for e2 in eqs
+        if cost[e1] + cost[e2] + 3 <= bound  # the composition's complexity
+        for op in (OP_IMP, OP_ID)
+        if admitted(compose_equations(e1, e2, op))
+    ]
+    return min(found, key=RuleInstance.order_key, default=None)
 
 
 def antecedent_after(chain, start):
@@ -84,6 +155,73 @@ def test_guided_composition_needs_both_sides_in_the_sequent():
     steps = [inst for inst, end in chain if composed in end.antecedent]
     assert steps and steps[0].rule == "L==3"
     assert (steps[0].principal, steps[0].principal2, steps[0].op) == (Id(p, q), Id(r, s), "->")
+
+
+DEPTH_2 = "p == q -> (p -> (p -> r)) == (p -> (q -> r))"
+
+
+@pytest.mark.parametrize("guided", [False, True], ids=["full", "guided"])
+@settings(max_examples=40, deadline=None)
+@given(hyps=st.lists(small_formulas_pqr, min_size=1, max_size=2), succ=small_formulas_pqr)
+@example(hyps=[Id(p, q)], succ=parse_formula(DEPTH_2).right)
+def test_saturation_chooses_what_a_rescan_chooses(guided, hyps, succ):
+    # the saturator's incremental state chooses, at every step, the instance
+    # a rescan of the whole sequent chooses, and stops where the rescan does
+    goal = succ
+    for h in reversed(hyps):
+        goal = Imp(h, goal)
+    with pytest.MonkeyPatch.context() as mp:
+        if guided:
+            mp.setattr(prover, "EXSUB_CAP", 0)
+        plan = Saturator(goal).plan
+        assume(guided or plan is not None)
+        start = sequent(hyps, succ)
+        chain = saturation_chain(start, goal)
+    steps = [start] + [end for _, end in chain]
+    assert [inst for inst, _ in chain] + [None] == [rescan_instance(goal, plan, s) for s in steps]
+
+
+@pytest.mark.parametrize("guided", [False, True], ids=["full", "guided"])
+@pytest.mark.parametrize("text", ["p == q -> (p -> #) -> q", "(p -> #) == q -> r", DEPTH_2])
+def test_search_saturates_as_a_rescan_does(monkeypatch, guided, text):
+    # every saturation step of a whole decision, on branches that extend a
+    # parent's saturator and change succedents, is the rescan's choice
+    if guided:
+        monkeypatch.setattr(prover, "EXSUB_CAP", 0)
+    goal = parse_formula(text)
+    plan = Saturator(goal).plan
+    chosen = prover.identity_instance
+
+    def checked(sat):
+        inst = chosen(sat)
+        assert inst == rescan_instance(goal, plan, sat.sequent)
+        return inst
+
+    monkeypatch.setattr(prover, "identity_instance", checked)
+    try:
+        decide(goal)
+    except CounterModelError:  # guided mode may fail validation
+        pass
+
+
+def test_guided_saturation_interns_few_equations():
+    # guided mode builds a composition only once its two sides occur; built
+    # against every partner within the bound and parked until its sides
+    # occurred, the compositions of this proof interned about 1,500 equations
+    script = (
+        "from isci.countermodel import decide\n"
+        "from isci.formulas import Id\n"
+        "from isci.parser import parse_formula\n"
+        f"phi = parse_formula({DEPTH_2!r})\n"
+        "before = len(Id._interned)\n"
+        "proved = decide(phi).proved\n"
+        "print(proved, len(Id._interned) - before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    proved, interned = proc.stdout.split()
+    assert proved == "True"
+    assert int(interned) <= 600
 
 
 THEOREMS = [
