@@ -14,7 +14,8 @@ once for the whole model and memoized.  It reads a formula's rows only
 when that formula is first asked for, so it costs nothing to build; the
 oracle builds one per node of its block search, since listing a block at
 the value it has while unlisted changes no truth set.  Every check below
-goes through it.
+goes through it.  The oracle searches rooted partial orders only: any
+other frame holds a countermodel only if a smaller frame does.
 """
 
 from __future__ import annotations
@@ -273,6 +274,18 @@ def _preorders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
 
 
 @lru_cache(maxsize=None)
+def _rooted_orders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
+    """The antisymmetric members of `_preorders(k)` with a root, a world
+    that sees every world, in its order: the frames the oracle searches."""
+    return tuple(
+        rel
+        for rel in _preorders(k)
+        if not any((b, a) in rel for a, b in rel if a != b)
+        and any(all((r, j) in rel for j in range(k)) for r in range(k))
+    )
+
+
+@lru_cache(maxsize=None)
 def _monotone_vectors(k: int, rel: frozenset) -> tuple[int, ...]:
     """The upward-closed truth sets over 0..k-1 (bit i for world i), in
     the order of their vectors read with world 0 as the high bit."""
@@ -297,7 +310,8 @@ def bounded_countermodel_search(
     one node of the oracle's own against the node cap.
 
     Enumeration: world counts ascending; frames by pair-set bitmap, one
-    representative per isomorphism class; assignments blockwise, blocks in
+    representative per isomorphism class, rooted partial orders only
+    (`_rooted_orders`); assignments blockwise, blocks in
     (complexity, canonical) order so composed equations follow their
     components.  Reflexive equations are pinned to 1.  Only blocks the
     goal's forcing can see (its variables and its subformula equations)
@@ -306,6 +320,14 @@ def bounded_countermodel_search(
     admissibility allows.  Vectors that break a floor or make a true
     equation fail to force its implications are pruned.  The search
     recurses once per enumerated block.
+
+    Why only those: once the search reaches k worlds, no smaller
+    countermodel exists.  A k-world countermodel refuted at w on another
+    frame, restricted to the worlds w sees and with each cluster collapsed
+    to one world (monotone vectors agree across a cluster), would be a
+    smaller one on a rooted partial order, since every check (floors,
+    implied masks, admissibility, monotonicity, identity-to-implication)
+    is pointwise or reads only what a world sees.
     """
     budget = limits.start()
     base_vars = sorted(variables(phi), key=sort_key)
@@ -323,7 +345,7 @@ def bounded_countermodel_search(
         worlds = tuple(f"w{i}" for i in range(k))
         at = f"frames of {k} worlds"
         tick = budget.counter(stats, "the oracle", at)
-        for rel in _preorders(k):
+        for rel in _rooted_orders(k):
             budget.check("the oracle", at)
             order = frozenset((worlds[a], worlds[b]) for a, b in rel)
             rows: dict[tuple[Formula, str], int] = {}

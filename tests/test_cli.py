@@ -525,11 +525,11 @@ def test_oracle_stops_inside_a_frame(capsys, monkeypatch):
 
 
 def test_the_oracle_counts_its_vectors_against_the_node_cap(capsys):
-    # the proof search needs fewer than 1,000 nodes; the oracle enumerates
-    # 1,563 vectors before it exhausts three worlds
+    # the proof search needs 36 nodes; the oracle enumerates 292 vectors
+    # before it exhausts three worlds
     formula = "(p -> q -> r) -> (p -> q) -> p -> r"
-    code, out, err = run(capsys, "decide", formula, "--oracle", "--max-nodes", "1000", "--quiet")
-    assert (code, out, err) == (3, "PROVED\n", "resource limit: node cap 1000 hit in the oracle\n")
+    code, out, err = run(capsys, "decide", formula, "--oracle", "--max-nodes", "200", "--quiet")
+    assert (code, out, err) == (3, "PROVED\n", "resource limit: node cap 200 hit in the oracle\n")
 
 
 def chain_document(depth):

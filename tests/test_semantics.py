@@ -18,6 +18,8 @@ from isci.parser import parse_formula
 from isci.prover import Limits, ResourceExhausted
 from isci.semantics import (
     KripkeModel,
+    _preorders,
+    _rooted_orders,
     bounded_countermodel_search,
     check_admissible,
     check_frame,
@@ -222,10 +224,42 @@ def _found(result):
     return result and (result[1], result[0].worlds, result[0].order, result[0].valuation)
 
 
+def test_rooted_orders_are_the_rooted_partial_orders_among_the_preorders():
+    for k, count in zip(range(1, 5), (1, 1, 2, 5)):
+        frames = _rooted_orders(k)
+        assert len(frames) == count
+        positions = [_preorders(k).index(rel) for rel in frames]
+        assert positions == sorted(positions)
+        for rel in frames:
+            assert all((b, a) not in rel for a, b in rel if a != b)
+            assert any(all((root, j) in rel for j in range(k)) for root in range(k))
+
+
+@pytest.mark.parametrize(
+    "formula, vectors",
+    [
+        ("(p -> q -> r) -> (p -> q) -> p -> r", 292),
+        ("p == q -> q == p", 814),
+        ("r == (q == #) -> # == (q == p)", 20_622),
+    ],
+)
+def test_oracle_vectors_to_exhaust_three_worlds(formula, vectors):
+    phi = parse_formula(formula)
+    assert bounded_countermodel_search(phi, 3, Limits(max_nodes=vectors)) is None
+    with pytest.raises(ResourceExhausted):
+        bounded_countermodel_search(phi, 3, Limits(max_nodes=vectors - 1))
+
+
 # no formula over p, q, # of complexity 3 or less has a first countermodel
 # with a pinned composed equation true at its floor; these two do
 @example(parse_formula("q -> (r == q) == (q == p) -> r"), 3)
 @example(parse_formula("(r == r) == (p -> r) -> r == #"), 3)
+# the reference also searches the unrooted frames and those with a cluster:
+# exhausted at 3 and 4 worlds, and a first countermodel of 2 worlds
+@example(parse_formula("p == q -> q == p"), 3)
+@example(parse_formula("(p == q) -> ((p -> #) == (q -> #))"), 3)
+@example(parse_formula("(p == q) -> ((p -> #) == (q -> #))"), 4)
+@example(parse_formula("((p -> q) -> p) -> p"), 3)
 @given(small_formulas_pq, st.integers(1, 3))
 @settings(max_examples=200, deadline=None)
 def test_oracle_finds_the_reference_search_model(phi, max_worlds):
