@@ -90,22 +90,22 @@ def _cmd_decide(args) -> int:
         code = _report_model(args, phi, verdict.model)
     if args.oracle is not None:
         found = bounded_countermodel_search(phi, args.oracle, budget)  # the same budget
-        if verdict.proved and found is not None:
-            print(
-                f"oracle: DISAGREEMENT, countermodel at {found[1]} despite a proof",
-                file=sys.stderr,
-            )
-            return EXIT_INTERNAL
+        disagreement = None
         if verdict.proved:
-            line = f"oracle: agreement, no countermodel within {args.oracle} worlds"
+            line = f"agreement, no countermodel within {args.oracle} worlds"
+            if found is not None:
+                disagreement = f"countermodel at {found[1]} despite a proof"
         elif found is not None:
-            line = f"oracle: agreement, countermodel found at {found[1]}"
+            line = f"agreement, countermodel found at {found[1]}"
         else:
-            line = (
-                f"oracle: exhausted at {args.oracle} worlds "
-                "(the refutation may need a larger frame)"
-            )
-        _verdict_line(args, line)
+            line = f"exhausted at {args.oracle} worlds (the refutation may need a larger frame)"
+            worlds = len(verdict.model.model.worlds)
+            if worlds <= args.oracle:  # the oracle has ruled out every countermodel this small
+                disagreement = f"no countermodel within {args.oracle} worlds despite a {worlds}-world model"
+        if disagreement:
+            print(f"oracle: DISAGREEMENT, {disagreement}", file=sys.stderr)
+            return EXIT_INTERNAL
+        _verdict_line(args, f"oracle: {line}")
     return code
 
 
@@ -139,8 +139,11 @@ def _cmd_check_proof(args) -> int:
     text, budget = _start(args, Limits(timeout=args.timeout))
     doc = serialize.loads(text)
     budget.check("check-proof", "the parse")
-    proof_node = doc.get("proof", doc)
-    derivation = serialize.derivation_from_doc(proof_node)
+    try:
+        derivation = serialize.derivation_from_doc(doc.get("proof", doc))
+    except serialize.ProofShapeError as exc:
+        print(f"INVALID PROOF: {exc}")
+        return EXIT_REFUTED
     if "formula" in doc:
         claim = Sequent(frozenset(), serialize.formula_from_doc(doc["formula"]))
     else:

@@ -3,13 +3,20 @@
 Stable keys:
 
   verdict   {"status": "proved"|"refuted", "formula": str,
-             "proof": <proof node>?, "model": <model>?}
-  proof     {"sequent": str, "rule": "axiom"|"open"|"L->"|"R->"|"L==1"|
-             "L==2"|"L==3", "principal": str?, "principal2": str?,
-             "op": "->"|"=="?, "premises": [<proof node>...]}
+             "proof": <proof>?, "model": <model>?}
+  proof     {"sequent": str, "steps": [<step>...]}
+  step      {"rule": "axiom"|"open"|"L->"|"R->"|"L==1"|"L==2"|"L==3",
+             "principal": str?, "principal2": str?, "op": "->"|"=="?}
   model     {"worlds": [str...], "order_pairs": [[str, str]...],
              "valuation": [[formula str, world str, 0|1]...],
              "designated_world": str}
+
+A proof holds its root sequent and its rule instances in preorder, a leaf
+as `axiom` or `open`.  A rule's arity (two premises for L->, one for the
+other rules) fixes the tree's shape, and the reader rebuilds each premise
+by replaying the rules from the root.  The reader also takes the nested
+form, in which every node is a step that holds its "sequent" and its
+"premises": [<node>...].
 
 Formulas and sequents are embedded as concrete syntax, so documents are
 self-contained and re-parse with the package's own parser.
@@ -17,6 +24,7 @@ self-contained and re-parse with the package's own parser.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from functools import cache
@@ -26,7 +34,7 @@ from typing import Any
 from .calculus import Derivation, InapplicableRuleError, RuleInstance, Sequent, apply_rule, is_axiom
 from .formulas import Formula, sort_key, subformulas
 from .parser import ParseError, parse_formula, parse_sequent
-from .printer import derivation_order, format_formula, format_sequent
+from .printer import format_formula, format_sequent
 from .semantics import KripkeModel
 
 
@@ -35,63 +43,41 @@ class DocumentError(ValueError):
 
 
 def dumps(doc: dict) -> str:
-    """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, in one pass.
-
-    With `indent` the standard library encodes in pure Python, passing each
-    piece up through one generator per nesting level, so a deep proof costs
-    depth times size; this writer appends every piece to one list.  It takes
-    what documents hold: dicts with string keys, lists, strings, ints,
-    booleans and None."""
+    """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, for dicts, lists,
+    str, int, bool and None.  It is faster: with `indent` the standard library
+    encodes in pure Python, through one generator per nesting level."""
     pieces: list[str] = []
     append = pieces.append
 
     def write(value, newline: str) -> None:
         if isinstance(value, str):
             append(_quote(value))
-        elif isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
-            inner = newline + "  "
-            separator = "{" + inner
-            for k, v in value.items():
-                append(separator)
-                append(_quote(k))
-                append(": ")
-                write(v, inner)
-                separator = "," + inner
-            append(newline + "}")
-        elif isinstance(value, list):
-            if not value:
-                append("[]")
-                return
-            inner = newline + "  "
-            separator = "[" + inner
-            for v in value:
-                append(separator)
-                write(v, inner)
-                separator = "," + inner
-            append(newline + "]")
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
+        elif type(value) is int:
             append(int.__repr__(value))
+        elif isinstance(value, (dict, list)) and value:
+            inner, keyed = newline + "  ", isinstance(value, dict)
+            separator = ("{" if keyed else "[") + inner
+            for item in value.items() if keyed else value:
+                append(separator)
+                if keyed:
+                    append(_quote(item[0]) + ": ")
+                    item = item[1]
+                write(item, inner)
+                separator = "," + inner
+            append(newline + ("}" if keyed else "]"))
         else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            append(json.dumps(value))  # None, booleans and empty containers
 
     write(doc, "\n")
-    append("\n")
-    return "".join(pieces)
+    return "".join(pieces) + "\n"
 
 
-# The JSON nesting `loads` reads, counting the Python frames below it: a
-# proof node takes two levels, so a proof about 5,000 nodes deep loads.  The
-# standard library's C scanner takes about 120 bytes of stack per level
-# (CPython 3.11, x86-64 Linux), about 1.2 MB of a main thread's usual 8 MB.
+# The JSON nesting `loads` reads, counting the Python frames below it.  A
+# proof's steps sit four levels deep in a verdict, however deep the proof;
+# a nested proof takes two levels a node, so one about 5,000 nodes deep
+# loads.  The standard library's C scanner takes about 120 bytes of stack
+# per level (CPython 3.11, x86-64 Linux), about 1.2 MB of a main thread's
+# usual 8 MB.
 NESTING = 10_000
 
 
@@ -115,25 +101,22 @@ def loads(text: str) -> dict:
 
 
 def proof_doc(d: Derivation) -> dict:
+    """`d`'s root sequent and its steps in `Derivation.walk` order."""
     text = cache(format_formula)
-    key = derivation_order(d)
-
-    def node_doc(n: Derivation) -> dict:
-        node: dict[str, Any] = {"sequent": format_sequent(n.sequent, text, key)}
+    steps = []
+    for n in d.walk():
         if n.rule is None:
-            node["rule"] = "axiom" if is_axiom(n.sequent) else "open"
-        else:
-            node["rule"] = n.rule.rule
-            if n.rule.principal is not None:
-                node["principal"] = text(n.rule.principal)
-            if n.rule.principal2 is not None:
-                node["principal2"] = text(n.rule.principal2)
-            if n.rule.op is not None:
-                node["op"] = n.rule.op
-        node["premises"] = [node_doc(c) for c in n.children]
-        return node
-
-    return node_doc(d)
+            steps.append({"rule": "axiom" if is_axiom(n.sequent) else "open"})
+            continue
+        step = {"rule": n.rule.rule}
+        if n.rule.principal is not None:
+            step["principal"] = text(n.rule.principal)
+        if n.rule.principal2 is not None:
+            step["principal2"] = text(n.rule.principal2)
+        if n.rule.op is not None:
+            step["op"] = n.rule.op
+        steps.append(step)
+    return {"sequent": format_sequent(d.sequent, text), "steps": steps}
 
 
 def formula_from_doc(text) -> Formula:
@@ -214,53 +197,81 @@ def _parse_parts(text: str, table: _FormulaTable) -> list[Formula] | None:
     return found
 
 
-def _read_node(doc, table: _FormulaTable) -> tuple[Sequent, RuleInstance | None, list]:
-    """One proof node's sequent, rule instance (None at a leaf) and premise documents."""
+# premises a rule has, whether or not it applies
+_ARITY = {"axiom": 0, "open": 0, "L->": 2, "R->": 1, "L==1": 1, "L==2": 1, "L==3": 1}
+
+
+class ProofShapeError(ValueError):
+    """Steps that prove more or fewer premises than their rules have."""
+
+
+def _field(node, key: str):
     try:
-        seq = _parse_sequent(doc["sequent"], table)
-        rule_name = doc["rule"]
-        premises = doc.get("premises", [])
+        return node[key]
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed proof node: {exc}") from exc
-    if not isinstance(premises, list):
-        raise DocumentError(f"premises must be a list, got {premises!r}")
-    if rule_name in ("axiom", "open"):
-        if premises:
-            raise DocumentError("leaf node with premises")
-        return seq, None, premises
-    if rule_name not in ("L->", "R->", "L==1", "L==2", "L==3"):
+
+
+def _read_step(node, table: _FormulaTable) -> tuple[RuleInstance | None, int]:
+    """A step's rule instance, None at a leaf, and the rule's arity."""
+    rule_name = _field(node, "rule")
+    if not isinstance(rule_name, str) or rule_name not in _ARITY:
         raise DocumentError(f"unknown rule {rule_name!r}")
-    principal = table.formula(doc["principal"]) if "principal" in doc else None
-    principal2 = table.formula(doc["principal2"]) if "principal2" in doc else None
-    op = doc.get("op")
+    if rule_name in ("axiom", "open"):
+        return None, 0
+    principal = table.formula(node["principal"]) if "principal" in node else None
+    principal2 = table.formula(node["principal2"]) if "principal2" in node else None
+    op = node.get("op")
     if op not in (None, "->", "=="):
         raise DocumentError(f"unknown connective {op!r}")
-    return seq, RuleInstance(rule_name, principal=principal, principal2=principal2, op=op), premises
+    return RuleInstance(rule_name, principal=principal, principal2=principal2, op=op), _ARITY[rule_name]
 
 
 def derivation_from_doc(doc: dict) -> Derivation:
-    """The derivation a proof document describes, read node by node in
-    document order without recursion, so any proof `loads` accepts is read.
-
-    Each node's rule instance enters the formulas its premises add into the
-    document's table, so a canonical document parses its root sequent and
-    looks every later formula up.  The table only names formulas: whether
-    the stored premises are the rule's is `check_proof`'s to say."""
+    """The derivation a proof document describes, read in preorder without
+    recursion.  The root sequent is parsed, and the formulas each rule's
+    premises add (by `apply_rule`) enter the table, so later ones are looked
+    up.  A compact document's nodes are those premises, none for a step whose
+    rule does not apply, which `check_proof` reports; a nested document's
+    nodes keep their stored sequents, and `check_proof` compares the two."""
     table = _FormulaTable()
+    root = _parse_sequent(_field(doc, "sequent"), table)
+    steps = doc.get("steps")
+    if steps is not None and not isinstance(steps, list):
+        raise DocumentError(f"steps must be a list, got {steps!r}")
     read: list[tuple[Sequent, RuleInstance | None, int]] = []
-    stack = [doc]
-    while stack:
-        seq, rule, premises = _read_node(stack.pop(), table)
-        read.append((seq, rule, len(premises)))
-        stack.extend(reversed(premises))
-        if rule is not None:
-            try:
-                predicted = apply_rule(seq, rule)
-            except InapplicableRuleError:
-                continue
-            for premise in predicted:
+    # a sequent (None below an inapplicable rule) and its node (None: the next step)
+    slots = [(root, doc if steps is None else None)]
+    taken = 0
+    while slots:
+        seq, node = slots.pop()
+        if steps is not None:
+            if taken == len(steps):
+                raise ProofShapeError("the steps end before the proof does")
+            node, taken = steps[taken], taken + 1
+        elif seq is None:
+            seq = _parse_sequent(_field(node, "sequent"), table)
+        rule, arity = _read_step(node, table)
+        premises = []
+        if rule is not None and seq is not None:
+            with contextlib.suppress(InapplicableRuleError):
+                premises = apply_rule(seq, rule)
+            for premise in premises:
                 table.learn(premise.antecedent - seq.antecedent)
                 table.learn((premise.succedent,))
+        if steps is not None:
+            children = [(p, None) for p in premises] or [(None, None)] * arity
+        elif not isinstance(nested := node.get("premises", []), list):
+            raise DocumentError(f"premises must be a list, got {nested!r}")
+        elif rule is None and nested:
+            raise DocumentError("leaf node with premises")
+        else:
+            children = [(None, p) for p in nested]
+        if seq is not None:
+            read.append((seq, rule, len(premises) if steps is not None else len(children)))
+        slots.extend(reversed(children))
+    if steps is not None and taken < len(steps):
+        raise ProofShapeError("steps after the proof's last leaf")
     built: list[Derivation] = []  # finished subtrees, a node's first premise on top
     for seq, rule, n in reversed(read):
         children = tuple(built.pop() for _ in range(n))

@@ -16,12 +16,20 @@ import isci.prover
 import isci.semantics
 from isci.cli import main
 from isci.parser import parse_formula
+from isci.serialize import derivation_from_doc, dumps, loads, proof_doc
+from test_serialize import nested_document
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def nested(doc):
+    """`doc` with its proof in the nested form, each node with its sequent."""
+    doc["proof"] = nested_document(derivation_from_doc(doc["proof"]))
+    return doc
 
 
 def test_decide_proved(capsys):
@@ -84,7 +92,7 @@ def test_structured_model_revalidates(capsys):
     [
         (
             "p == q -> (p -> (p -> r)) == (p -> (q -> r))",
-            "8122283e71b12189379c31a2c3ef9577d657368ca9240a118b6bdc359b86998c",
+            "00e1c4aabe7937ce47bec03dbb6486212701244b3af9494c38d5c2dd2f5a3519",
         ),
         ("p == q -> q -> r", "06ac1ac27c095373062bae1ba1dc67997a27c41961a6655bd315228f07924eb9"),
     ],
@@ -140,7 +148,7 @@ def test_fallback_validated_models_pass_check_model(capsys):
 
 def test_check_proof_rejects_tampering(capsys):
     _, out, _ = run(capsys, "decide", "p == p", "--format", "structured")
-    doc = json.loads(out)
+    doc = nested(json.loads(out))
     doc["proof"]["premises"][0]["sequent"] = "q == q |- q == q"
     code, out2, _ = run(capsys, "check-proof", json.dumps(doc))
     assert code == 1
@@ -165,11 +173,15 @@ def test_check_model_rejects_tampering(capsys):
         ("p == p", "check-proof", ("formula",)),
         ("p -> q", "check-model", ("model", "valuation", 0, 0)),
         ("p -> q", "check-model", ("formula",)),
+        ("p == p", "check-proof", ("proof", "steps", 0, "principal")),
+        ("p == p", "check-proof", ("proof", "steps")),
     ],
 )
 def test_malformed_document_field_is_an_input_error(capsys, formula, command, field, bad):
     _, out, _ = run(capsys, "decide", formula, "--format", "structured")
     doc = json.loads(out)
+    if command == "check-proof" and "steps" not in field:
+        nested(doc)
     *path, last = field
     node = doc
     for key in path:
@@ -330,6 +342,14 @@ def test_oracle_exhausted_below_the_refutation(capsys):
     assert out == "REFUTED\noracle: exhausted at 1 worlds (the refutation may need a larger frame)\n"
 
 
+def test_oracle_exhausted_above_the_refutation_is_a_disagreement(capsys):
+    # the model has 2 worlds, so the oracle, which rules out every
+    # countermodel of up to 3, contradicts it (check-model rejects it too)
+    code, out, err = run(capsys, "decide", "r == (q == #) -> # == (q == p)", "--oracle", "--quiet")
+    assert (code, out) == (4, "REFUTED\n")
+    assert err.endswith("\noracle: DISAGREEMENT, no countermodel within 3 worlds despite a 2-world model\n")
+
+
 def test_check_proof_rejects_l_imp_without_its_implication(capsys):
     doc = {
         "sequent": "|- p -> p",
@@ -434,7 +454,7 @@ def test_console_entry_point():
 def test_check_proof_rejects_a_swapped_antecedent_formula(capsys, monkeypatch):
     code, out, _ = run(capsys, "decide", "(p == q) -> ((p -> #) == (q -> #))", "--format", "structured")
     assert code == 0
-    doc = json.loads(out)
+    doc = nested(json.loads(out))
     nodes, stack = [], [doc["proof"]]
     while stack:
         nodes.append(stack.pop())
@@ -566,6 +586,14 @@ def test_check_proof_reads_a_proof_2000_nodes_deep(capsys):
     with recursion_limit(1000):
         code, out, err = run(capsys, "check-proof", chain_document(2000))
     assert (code, out, err) == (0, "VALID PROOF\n", "")
+
+
+def test_a_proof_2000_nodes_deep_writes_and_checks(capsys):
+    with recursion_limit(1000):
+        text = dumps(proof_doc(derivation_from_doc(loads(chain_document(2000)))))
+        code, out, err = run(capsys, "check-proof", text)
+    assert (code, out, err) == (0, "VALID PROOF\n", "")
+    assert len(text.encode()) < 300_000
 
 
 def test_check_proof_rejects_nesting_beyond_the_reader(capsys):

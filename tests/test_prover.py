@@ -335,7 +335,7 @@ def test_search_space_is_pinned(text, nodes, backtracks):
             format_derivation_dot(verdict.proof),
         ]
         assert [hashlib.sha256(r.encode()).hexdigest() for r in renderings] == [
-            "9482aae232c40f425d6c39da4fc624dae45065ab63fd2a0a716a280f4dea7aab",
+            "d51579d99b88915a56ac1089b6b4098dfa125d25a16d31e223158b60828a5693",
             "f9fb47962cc78ef73c0c01bdaa1b904b5f5f6e2dd14927a000a7a172ca1623f4",
             "f2c7d27b93b2491d8a7f28aba7da17c1621d01a3a6847203470f11e1a58b0add",
             "58584bdbd4f49d3fc846417c51effa8898d031a22ffdf9c47ffb488e8a4b1218",

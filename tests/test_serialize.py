@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -29,6 +30,17 @@ from test_acceptance import NON_THEOREMS, THEOREMS
 
 p, q = Var("p"), Var("q")
 CONGRUENCE = "(p == q) -> (r == s) -> ((p -> r) == (q -> s))"
+
+
+def nested_document(d):
+    """`d` as a nested proof document, as the reader still takes it: each
+    node holds its sequent, its step's fields and its premises."""
+    steps = iter(proof_doc(d)["steps"])
+
+    def node(n):
+        return {"sequent": format_sequent(n.sequent), **next(steps), "premises": [node(c) for c in n.children]}
+
+    return node(d)
 
 
 def test_proof_document_round_trip():
@@ -207,11 +219,8 @@ def test_documents_print_and_parse_each_distinct_formula_once(monkeypatch, congr
     doc = proof_doc(congruence_proof)
     assert len(printed) <= len(formulas)
     monkeypatch.undo()
-    nodes, stack = [], [doc]
-    while stack:
-        nodes.append(stack.pop())
-        stack.extend(reversed(nodes[-1]["premises"]))
-    assert [n["sequent"] for n in nodes] == [format_sequent(d.sequent) for d in congruence_proof.walk()]
+    assert doc["sequent"] == format_sequent(congruence_proof.sequent)
+    assert len(doc["steps"]) == congruence_proof.size()
 
     tokenized = []
     tokenize = isci.parser._tokenize
@@ -235,7 +244,10 @@ def depth2_proof():
 
 
 def depth2_document(proof):
-    return verdict_doc(parse_formula(DEPTH2), proof=proof)
+    """The verdict on DEPTH2 with its proof in the nested form."""
+    doc = verdict_doc(parse_formula(DEPTH2), proof=proof)
+    doc["proof"] = nested_document(proof)
+    return doc
 
 
 def document_nodes(node):
@@ -325,3 +337,59 @@ def test_a_swap_between_seeded_texts_is_reported_as_parse_sequent_reads_it(capsy
     expected = check_proof(plain_derivation(doc["proof"]), claim).error
     assert expected.startswith("premise mismatch at ")
     assert check_proof_output(capsys, doc) == (1, f"INVALID PROOF: {expected}\n")
+
+
+# the theorems of the benchmark's `identity` and `search` workloads: the
+# congruence instances p == q -> C[p] == C[q] over its contexts C, two
+# further theorems, and the 418-node congruence proof
+INNER = ["(x -> r)", "(r -> x)", "(x == r)", "(r == x)"]
+OUTER = ["(p -> x)", "(q -> x)", "(# == x)", "(r == x)"]
+BENCHMARK_THEOREMS = [
+    f"p == q -> {c.replace('x', 'p')} == {c.replace('x', 'q')}"
+    for c in INNER + [outer.replace("x", inner) for inner in INNER for outer in OUTER]
+] + ["(p -> q -> r) -> (p -> q) -> p -> r", "(p == q) -> ((p -> #) == (q -> #))", CONGRUENCE]
+
+
+@pytest.mark.parametrize("text", BENCHMARK_THEOREMS)
+def test_proofs_read_back_unchanged(text):
+    proof = decide(parse_formula(text)).proof
+    assert derivation_from_doc(loads(dumps(proof_doc(proof)))) == proof
+
+
+def test_the_nested_form_is_the_earlier_documents_byte_for_byte(congruence_proof):
+    # the nested form is what proof documents were before they held steps,
+    # byte for byte, and it reads back as the compact one does
+    doc = nested_document(congruence_proof)
+    assert hashlib.sha256(dumps(doc).encode()).hexdigest() == (
+        "9482aae232c40f425d6c39da4fc624dae45065ab63fd2a0a716a280f4dea7aab"
+    )
+    assert derivation_from_doc(loads(dumps(doc))) == congruence_proof
+
+
+def swap_l_id3_principal(doc):
+    # the goal is an implication, not an antecedent equation
+    step = next(s for s in doc["proof"]["steps"] if s["rule"] == "L==3")
+    step["principal"] = doc["formula"]
+
+
+def close_early(doc):
+    # the step before the last leaf becomes a leaf, and the last leaf goes
+    doc["proof"]["steps"][-2:] = [{"rule": "axiom"}]
+
+
+EDITS = {
+    "principal swapped": (swap_l_id3_principal, "L==3 not applicable at "),
+    "step deleted": (lambda doc: doc["proof"]["steps"].pop(), "the steps end before the proof does"),
+    "step appended": (lambda doc: doc["proof"]["steps"].append({"rule": "axiom"}), "steps after the proof's last leaf"),
+    "axiom on an open leaf": (close_early, "open leaf "),
+}
+
+
+@pytest.mark.parametrize("edit, message", EDITS.values(), ids=EDITS.keys())
+def test_edited_compact_documents_fail(capsys, depth2_proof, edit, message):
+    doc = verdict_doc(parse_formula(DEPTH2), proof=depth2_proof)
+    assert check_proof_output(capsys, doc) == (0, "VALID PROOF\n")
+    edit(doc)
+    code, out = check_proof_output(capsys, doc)
+    assert code == 1
+    assert out.startswith(f"INVALID PROOF: {message}")
