@@ -13,7 +13,7 @@ import sys
 
 from . import serialize
 from .calculus import Sequent, check_proof
-from .countermodel import VALIDATION_CAP, CounterModelError, decide
+from .countermodel import CounterModelError, decide
 from .formulas import complexity, extended_subformulas, sorted_formulas, variables
 from .parser import ParseError, parse_formula
 from .printer import (
@@ -65,12 +65,6 @@ def _report_proof(args, phi, proof) -> int:
 
 def _report_model(args, phi, bundle) -> int:
     _verdict_line(args, "REFUTED")
-    if bundle.fallback_base:
-        print(
-            f"note: the closure exceeds {VALIDATION_CAP} formulas, so the model was "
-            "validated only on the subformulas of what it mentions",
-            file=sys.stderr,
-        )
     if args.format == "structured":
         _emit(args, serialize.dumps(serialize.verdict_doc(phi, model=bundle.model_document())))
     elif args.format == "graph":
@@ -163,11 +157,9 @@ def _cmd_check_model(args) -> int:
     doc = serialize.loads(text)
     budget.check("check-model", "the parse")
     model, designated = serialize.model_from_doc(doc.get("model", doc))
-    base = {f for (f, _w) in model.valuation}
-    phi = None
-    if "formula" in doc:
-        phi = serialize.formula_from_doc(doc["formula"])
-        base |= extended_subformulas(phi, budget, "check-model")
+    # the term graph: the valuation's formulas, the formula and their subformulas
+    phi = serialize.formula_from_doc(doc["formula"]) if "formula" in doc else None
+    base = () if phi is None else (phi,)
     failures = list(model_failures(model, base, phi, designated, budget, "check-model"))
     if failures:
         print("INVALID MODEL: " + "; ".join(failures))

@@ -10,22 +10,25 @@ the branch takes the left premise unless the table proves it, and then
 the right one.  The branch is cut at its R-> applications into worlds;
 branches are then closed under walking a fresh branch for every sequent
 whose succedent is an implication, giving the extra worlds that refute
-those implications.  The valuation reads a variable or equation as true
-at a world exactly when it occurs in one of the world's antecedents
-(reflexive equations are true everywhere, and truth of equations
-propagates through componentwise composition).
+those implications.  The valuation lists a variable as true at a world
+exactly when it occurs in the world's antecedent, and lists the
+antecedent's equations as true; any other equation is read by the least
+congruence, true where its sides are congruent modulo the equations
+listed at the world or below it (`semantics`).
 
 Self-implications (x -> x) in antecedents are exempt from the saturation
 requirement: they are forced at every world of every model, and treating
 them would spawn branches above provable sequents, which the construction
 cannot use.
 
-The resulting bundle is validated before it is returned: frame laws,
-admissibility, monotonicity, identity-to-implication forcing, the
-designated world's failure to force the goal, plus the structural
-properties the construction promises (succedents never occur in their
-world's antecedents, antecedent formulas are forced, succedents are not,
-true small equations occur in antecedents, antecedents grow along the
+The resulting bundle is validated before it is returned, on its term
+graph (the goal, the model's formulas and their subformulas) and without
+the extended-subformula closure: frame laws, admissibility, monotonicity,
+uniform forcing of congruence classes, the designated world's failure to
+force the goal, plus the structural properties the construction promises
+(succedents never occur in their world's antecedents, antecedent formulas
+are forced, succedents are not, true small equations over a world's
+antecedent material occur in its antecedent, antecedents grow along the
 order).  A validation failure means a bug, not a property of the input.
 """
 
@@ -40,7 +43,6 @@ from .formulas import (
     Id,
     Imp,
     complexity,
-    extended_subformulas_within,
     in_extended_subformulas,
     in_form0,
     sort_key,
@@ -51,9 +53,7 @@ from .formulas import (
 from .invariants import assert_restricted_derivation
 from .printer import format_formula, format_sequent
 from .prover import Budget, Limits, SearchStats, Verdict, _ProofSearch
-from .semantics import Evaluator, KripkeModel, check_identity_entails_implications, model_failures
-
-VALIDATION_CAP = 4096
+from .semantics import Evaluator, KripkeModel, model_failures
 
 
 class CounterModelError(RuntimeError):
@@ -83,8 +83,6 @@ class CounterModelBundle:
     model: KripkeModel
     branches: list[list[Derivation]]  # each walked branch's nodes, root first
     stats: SearchStats
-    # validation checked only `_degraded_material`: the closure exceeds VALIDATION_CAP
-    fallback_base: bool = False
     _by_name: dict[str, World] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -316,7 +314,7 @@ def decide(phi: Formula, limits: Limits | Budget | None = None) -> Verdict:
     if proof is not None:
         return Verdict(True, proof, search.stats)
     bundle = _Builder(search).run()
-    bundle.fallback_base = validate_bundle(bundle, search.budget)
+    validate_bundle(bundle, search.budget)
     return Verdict(False, None, search.stats, bundle)
 
 
@@ -329,85 +327,23 @@ def countermodel(phi: Formula, limits: Limits | Budget | None = None) -> Counter
     return verdict.model
 
 
-def _degraded_material(phi: Formula, bundle: CounterModelBundle) -> frozenset[Formula]:
-    """Validation base for goals whose closure exceeds VALIDATION_CAP:
-    everything the model mentions."""
-    seen: set[Formula] = {phi}
-    for w in bundle.worlds:
-        seen |= w.gamma_max
-        for occ in w.occurrences:
-            seen.add(occ.sequent.succedent)
-    return sub_closure(seen)
-
-
-def wide_eqs(n: int, material: frozenset[Formula], model: KripkeModel) -> list[Id]:
-    """The equations `a == b` over `material`, with c(a) + c(b) <= 2n,
-    that may be true somewhere.  An equation is true only where the
-    valuation lists it, where it is reflexive, or where its sides share a
-    connective whose component equations are true; so each formula's
-    partners (the sides it may be equal to) follow from its components'
-    partners.  They are built bottom-up over the subformulas of
-    `material`, since the components of its members need not lie in it,
-    and no equation that cannot be true is built (and so interned)."""
-    listed: dict[Formula, set[Formula]] = {}
-    for (f, _w), v in model.valuation.items():
-        if v and isinstance(f, Id):
-            listed.setdefault(f.left, set()).add(f.right)
-    closed = sorted(sub_closure(material), key=complexity)
-    by_left: dict[tuple[type, Formula], list[Formula]] = {}
-    for f in closed:
-        if isinstance(f, (Imp, Id)):
-            by_left.setdefault((type(f), f.left), []).append(f)
-    partners: dict[Formula, set[Formula]] = {}
-    for a in closed:  # components come first
-        found = {a} | listed.get(a, set())
-        if isinstance(a, (Imp, Id)):
-            right = partners[a.right]
-            for left in partners[a.left]:
-                found.update(b for b in by_left.get((type(a), left), ()) if b.right in right)
-        partners[a] = found
-    return [
-        Id(a, b)
-        for a in material
-        for b in partners[a]
-        if b in material and complexity(a) + complexity(b) <= 2 * n
-    ]
-
-
-def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits()) -> bool:
+def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits()) -> None:
     """Raise CounterModelError on the first of the model's `model_failures`
-    on the base `isci check-model` reads (the valuation's formulas and the
-    closure), then on a broken promise of the construction or a true
-    equation that fails to force its implications.  The budget's deadline
-    is checked between the checks and inside their loops.  Returns whether
-    the closure exceeds VALIDATION_CAP, so that the checks read only the
-    weaker base `_degraded_material` in its place."""
+    on its term graph, the base `isci check-model` reads together with the
+    model's formulas, then on a broken promise of the construction.  The
+    budget's deadline is checked between the checks and inside their loops.
+
+    The small-equation promise reads each world's antecedent material,
+    sub(Γ_w): every equation `small_equations` covers there is in Γ_w."""
     phi = bundle.formula
     model = bundle.model
     ev = Evaluator(model)
-    n = complexity(phi)
     budget = limits.start()
-    budget.check("validation", "the closure")
-    closure = extended_subformulas_within(phi, VALIDATION_CAP)
-    material = closure if closure is not None else _degraded_material(phi, bundle)
-    # Equations outside the closure can become true by decomposition when
-    # splitting a composed equation injects one of its sides' components
-    # into an antecedent, but the subformula bound forbids the rules from
-    # ever placing them on the left.
-    budget.check("validation", "the equations that may be true")
-    eqs = wide_eqs(n, material, model)
-    # the small equations, non-reflexive closure members (whose complexity
-    # never exceeds c(phi)): the check reads only the true ones, all in `eqs`
-    small = sorted_formulas(
-        [
-            e
-            for e in eqs
-            if e.left != e.right
-            and (e in material if closure is not None else in_extended_subformulas(e, phi))
-        ]
-    )
-    base = {f for (f, _w) in model.valuation} | material
-    for failure in model_failures(ev, base, phi, bundle.designated, budget, "validation"):
+    material = {phi}
+    for w in bundle.worlds:
+        material |= w.gamma_max
+        material.update(occ.sequent.succedent for occ in w.occurrences)
+    for failure in model_failures(ev, material, phi, bundle.designated, budget, "validation"):
         raise CounterModelError(failure)
     for src, dst in bundle.base_edges:
         if not bundle.world_named(src).gamma_max <= bundle.world_named(dst).gamma_max:
@@ -430,17 +366,26 @@ def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits
                 raise CounterModelError(
                     f"{w.name} does not force its antecedent formula {format_formula(f)}"
                 )
-    for e in small:
+    for w in bundle.worlds:
         budget.check("validation", "the small equations")
-        true = ev.value(e)
-        if not true:
-            continue
-        for w in bundle.worlds:
-            if true & model.bit[w.name] and e not in w.gamma_max:
+        for e in small_equations(ev, w.name, phi, sub_closure(w.gamma_max)):
+            if e not in w.gamma_max:
                 raise CounterModelError(
                     f"true small equation {format_formula(e)} missing from {w.name}'s antecedents"
                 )
-    budget.check("validation", "the identity-to-implication check")
-    if not check_identity_entails_implications(ev, eqs):
-        raise CounterModelError("a true equation fails to force its implications")
-    return closure is None
+
+
+def small_equations(ev: Evaluator, world: str, phi: Formula, material) -> list[Id]:
+    """The equations the small-equation promise covers at `world`, in
+    canonical order: between two distinct formulas of `material` in one
+    class of the world's congruence, so true there, within the complexity
+    bound and in the extended-subformula closure."""
+    n = complexity(phi)
+    found = [
+        Id(a, b)
+        for members in ev.congruence_at(world).classes(material)
+        for a in members
+        for b in members
+        if a is not b and complexity(a) + complexity(b) < n
+    ]
+    return sorted_formulas(e for e in found if in_extended_subformulas(e, phi))

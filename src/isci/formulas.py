@@ -130,11 +130,14 @@ def variables(f: Formula) -> frozenset[Var]:
     return variables(f.left) | variables(f.right)
 
 
-def _exsub_worklist(phi: Formula, cap: int | None, check=None) -> frozenset[Formula] | None:
+def extended_subformulas(phi: Formula, budget=None, phase: str | None = None) -> frozenset[Formula]:
     """Closure of sub(phi) under reflexive equations, equation splitting and
-    bounded composition of equations.  Returns None once the set would
-    exceed `cap`; calls `check` before every 4,096th formula it takes from
-    the worklist, the first included.
+    bounded composition of equations, computed afresh: always finite, but
+    it can be large for complex formulas, so only `isci exsub` materializes
+    it, and everything else asks `in_extended_subformulas`.  Under `budget`
+    (a `prover.Budget`) it checks the budget on entry and every 4,096
+    formulas it takes from the worklist, so that a large closure stops at
+    the deadline of `phase`, "at the closure".
 
     Closure rules, with n = complexity(phi):
       * chi in set and c(chi == chi) <= n         adds chi == chi
@@ -143,66 +146,47 @@ def _exsub_worklist(phi: Formula, cap: int | None, check=None) -> frozenset[Form
     """
     n = complexity(phi)
     out: set[Formula] = set()
-    eqs: list[Id] = []
     queue: list[Formula] = []
 
-    def push(f: Formula) -> bool:
-        if f in out:
-            return True
-        if cap is not None and len(out) >= cap:
-            return False
-        out.add(f)
-        queue.append(f)
-        return True
+    def push(f: Formula) -> None:
+        if f not in out:
+            out.add(f)
+            queue.append(f)
 
     for f in subformulas(phi):
-        if not push(f):
-            return None
+        push(f)
     # equations bucketed by complexity(left) + complexity(right), so each new
     # equation is composed only against partners the bound can accept
     buckets: dict[int, list[Id]] = {}
     taken = 0
     while queue:
-        if check is not None and not taken & 4095:
-            check()
+        if budget is not None and not taken & 4095:
+            budget.check(phase, "the closure")
         taken += 1
         f = queue.pop()
-        if 2 * complexity(f) + 1 <= n and not push(Id(f, f)):
-            return None
+        if 2 * complexity(f) + 1 <= n:
+            push(Id(f, f))
         if isinstance(f, Id):
-            if not push(Imp(f.left, f.right)):
-                return None
-            if not push(Imp(f.right, f.left)):
-                return None
+            push(Imp(f.left, f.right))
+            push(Imp(f.right, f.left))
             cf = complexity(f.left) + complexity(f.right)
             for cg in range(n - 3 - cf + 1):
                 for g in buckets.get(cg, ()):
                     for e1, e2 in ((f, g), (g, f)):
                         for op in (Imp, Id):
-                            if not push(Id(op(e1.left, e2.left), op(e1.right, e2.right))):
-                                return None
+                            push(Id(op(e1.left, e2.left), op(e1.right, e2.right)))
             if 2 * cf + 3 <= n:
                 for op in (Imp, Id):
-                    if not push(Id(op(f.left, f.left), op(f.right, f.right))):
-                        return None
+                    push(Id(op(f.left, f.left), op(f.right, f.right)))
             buckets.setdefault(cf, []).append(f)
     return frozenset(out)
 
 
-def extended_subformulas(phi: Formula, budget=None, phase: str | None = None) -> frozenset[Formula]:
-    """The extended-subformula set of phi, computed afresh (always finite,
-    but it can be large for complex formulas; see
-    `extended_subformulas_within`).  Under `budget` (a `prover.Budget`) it
-    checks the budget on entry and every 4,096 formulas, so that a large
-    closure stops at the deadline of `phase`, "at the closure"."""
-    check = None if budget is None else lambda: budget.check(phase, "the closure")
-    return _exsub_worklist(phi, None, check)
-
-
-@lru_cache(maxsize=None)
 def extended_subformulas_within(phi: Formula, cap: int) -> frozenset[Formula] | None:
-    """Materialize the extended subformulas unless more than `cap` exist."""
-    return _exsub_worklist(phi, cap)
+    """The extended subformulas, or None if more than `cap` exist.  Nothing
+    in `isci` calls it; `certbench/spans.py` still wraps it by name."""
+    closure = extended_subformulas(phi)
+    return closure if len(closure) <= cap else None
 
 
 @lru_cache(maxsize=None)

@@ -8,33 +8,28 @@ whenever one of its premises would repeat a sequent already on the branch;
 together with the extended-subformula bound on identity rules this makes
 the search space finite.
 
-Identity saturation comes in two modes, chosen per goal:
+Identity saturation is guided by the sequent: reflexive equations are
+introduced only for formulas that occur inside the sequent, and a
+composition of two antecedent equations is kept only when both sides of
+the composed equation occur inside the sequent.  Saturation then touches
+just the identities that can interact with the goal.  It does not take
+in the whole extended-subformula set, so a failed search alone proves
+nothing: `countermodel.decide` reads a countermodel off it and validates
+that model before it reports a refutation.
 
-* full: every reflexive equation in the extended-subformula set is
-  introduced and every pair of antecedent equations is composed.  Used
-  whenever the extended-subformula set materializes within EXSUB_CAP
-  formulas; this is the exhaustive reading of saturation.
-* guided: for goals whose extended-subformula set is too large to
-  enumerate, reflexive equations are introduced only for formulas that
-  occur inside the sequent, and compositions are kept only when both
-  sides of the composed equation occur inside the sequent.  Saturation
-  then touches just the identities that can interact with the goal, which
-  keeps large instances tractable.
+Requiring the composed equation itself to occur inside the sequent is
+too strict: it still proves the congruence axioms
+(p == q) -> (r == s) -> ((p -> r) == (q -> s)) and its == twin, but
+leaves every depth-2 congruence instance p == q -> C[p] == C[q], such
+as p == q -> (p -> (p -> r)) == (p -> (q -> r)), unproved, although
+these are theorems by construction.  Keeping a composition when either
+side occurs is too loose: the antecedent snowballs, and the congruence
+axioms need 848 nodes instead of 418.
 
-  Requiring the composed equation itself to occur inside the sequent is
-  too strict: it still proves the congruence axioms
-  (p == q) -> (r == s) -> ((p -> r) == (q -> s)) and its == twin, but
-  leaves every depth-2 congruence instance p == q -> C[p] == C[q], such
-  as p == q -> (p -> (p -> r)) == (p -> (q -> r)), unproved, although
-  these are theorems by construction.  Keeping a composition when either
-  side occurs is too loose: the antecedent snowballs, and the congruence
-  axioms need 848 nodes instead of 418.
-
-Both modes share one `Saturator` per branch, which never rescans all pairs
-of equations.  Full mode composes each new equation against its partners
-within the bound.  Guided mode builds a composition only once its two
-equations and its two sides all occur, and indexes find it when the last
-of the four arrives.
+Each branch keeps one `Saturator`, which never rescans all pairs of
+equations: it builds a composition only once its two equations and its
+two sides all occur, and indexes find it when the last of the four
+arrives.
 """
 
 from __future__ import annotations
@@ -58,7 +53,6 @@ from .calculus import (
     Sequent,
     apply_rule,
     check_proof,
-    compose_equations,
     is_axiom,
 )
 from .formulas import (
@@ -66,7 +60,6 @@ from .formulas import (
     Id,
     Imp,
     complexity,
-    extended_subformulas_within,
     in_extended_subformulas,
     sort_key,
     subformulas,
@@ -75,8 +68,6 @@ from .invariants import assert_restricted_derivation
 
 if TYPE_CHECKING:
     from .countermodel import CounterModelBundle
-
-EXSUB_CAP = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,13 +153,11 @@ class Saturator:
     Holds the branch's current sequent together with every identity
     instance that may still apply to it, keyed by the canonical instance
     order (L==1, then L==2, then L==3, then the principals, then the op).
-    In full mode a newly added equation is composed only against partners
-    whose complexity the bound can accept, as in `formulas._exsub_worklist`.
-    In guided mode a composition (a op b) == (c op d) of a == c and b == d
-    is built once its four parts occur, the equations in the antecedent
-    and the sides in the sequent: indexes of both find it when the last
-    part arrives, and a side only the succedent's material supplies serves
-    that succedent alone.  `extend` hands a copy to a premise, and the copy
+    A composition (a op b) == (c op d) of a == c and b == d is built once
+    its four parts occur, the equations in the antecedent and the sides in
+    the sequent: indexes of both find it when the last part arrives, and a
+    side only the succedent's material supplies serves that succedent
+    alone.  `extend` hands a copy to a premise, and the copy
     catches up with the premise's new antecedent formulas at its next step,
     so the instances chosen are exactly those a full rescan of each sequent
     would choose.
@@ -176,20 +165,13 @@ class Saturator:
 
     def __init__(self, goal: Formula):
         self.goal = goal
-        self.plan = extended_subformulas_within(goal, EXSUB_CAP)  # None: guided
         self.bound = complexity(goal)
         self.sequent: Sequent | None = None
         self._ante: frozenset[Formula] = frozenset()  # formulas already taken in
         # heap entries are (order key, instance, formulas its premise adds);
         # an entry is stale once all of those formulas are in the antecedent
         self._heap: list = []
-        self._succ_heap: list = []  # guided: applicable through the succedent only
-        if self.plan is not None:
-            self._buckets: dict[int, tuple[Id, ...]] = {}  # c(left) + c(right) -> equations
-            for e in self.plan:
-                if isinstance(e, Id) and e.left == e.right:
-                    self._push(self._heap, RuleInstance(L_ID1, principal=e.left), (e,))
-            return
+        self._succ_heap: list = []  # applicable through the succedent only
         self._sub: set[Formula] = set()  # sub_closure(self._ante)
         # sides: compound members of _sub by (connective, left or right part)
         self._left: dict[tuple, tuple[Formula, ...]] = {}
@@ -201,30 +183,21 @@ class Saturator:
         self._succ_left, self._succ_right = {}, {}  # its sides outside _sub
 
     def extend(self, seq: Sequent) -> "Saturator":
-        """A copy positioned at `seq`, whose antecedent contains this one's.
-        In full mode a premise with this saturator's antecedent at its
-        fixpoint (an empty heap) shares the state, which it cannot change."""
+        """A copy positioned at `seq`, whose antecedent contains this one's."""
         child = Saturator.__new__(Saturator)
         child.__dict__ = self.__dict__.copy()
         child.sequent = seq
-        if self.plan is not None:
-            if seq.antecedent is self._ante and not self._heap:
-                return child
-            child._buckets = dict(self._buckets)
-        else:
-            child._sub = set(self._sub)
-            child._left, child._right = dict(self._left), dict(self._right)
-            child._eqs = dict(self._eqs)
-            child._eq_left, child._eq_right = dict(self._eq_left), dict(self._eq_right)
-            child._succ_heap = list(self._succ_heap)
+        child._sub = set(self._sub)
+        child._left, child._right = dict(self._left), dict(self._right)
+        child._eqs = dict(self._eqs)
+        child._eq_left, child._eq_right = dict(self._eq_left), dict(self._eq_right)
+        child._succ_heap = list(self._succ_heap)
         child._heap = list(self._heap)
         return child
 
     def saturate(self) -> Iterator[tuple[Sequent, RuleInstance]]:
         """Apply identity instances until the fixpoint or an axiom, yielding
         each conclusion with the instance applied to it."""
-        if self.plan is not None and self.sequent.antecedent is self._ante and not self._heap:
-            return  # shared by `extend` at its fixpoint
         while not is_axiom(self.sequent):
             inst = identity_instance(self)
             if inst is None:
@@ -240,59 +213,34 @@ class Saturator:
     def _sync(self) -> None:
         seq = self.sequent
         new = seq.antecedent - self._ante
-        guided = self.plan is None
-        if guided and seq.succedent is not self._succ:
+        if seq.succedent is not self._succ:
             self._succ, self._succ_heap = None, []
             self._succ_left, self._succ_right = {}, {}
         self._ante = seq.antecedent
         for f in new:
             self._take(f)
-        if guided and self._succ is None:
+        if self._succ is None:
             self._succ = seq.succedent
             for g in subformulas(self._succ):
                 if g not in self._sub:
                     self._enter(g, self._succ_heap, self._succ_left, self._succ_right)
 
     def _take(self, f: Formula) -> None:
-        guided = self.plan is None
-        if guided:
-            for g in subformulas(f):
-                if g not in self._sub:
-                    self._sub.add(g)
-                    self._enter(g, self._heap, self._left, self._right)
-        if not isinstance(f, Id):
-            return
-        splits = (Imp(f.left, f.right), Imp(f.right, f.left))
-        self._push(self._heap, RuleInstance(L_ID2, principal=f), splits)
-        if guided:
+        for g in subformulas(f):
+            if g not in self._sub:
+                self._sub.add(g)
+                self._enter(g, self._heap, self._left, self._right)
+        if isinstance(f, Id):
+            splits = (Imp(f.left, f.right), Imp(f.right, f.left))
+            self._push(self._heap, RuleInstance(L_ID2, principal=f), splits)
             self._take_equation(f)
-            return
-        cf = complexity(f.left) + complexity(f.right)
-        room = self.bound - 3 - cf
-        if room < 0:
-            return
-        for cg in range(room + 1):
-            for g in self._buckets.get(cg, ()):
-                for op in (OP_IMP, OP_ID):
-                    self._compose(f, g, op)
-                    self._compose(g, f, op)
-        if cf <= room:
-            for op in (OP_IMP, OP_ID):
-                self._compose(f, f, op)
-        self._buckets[cf] = self._buckets.get(cf, ()) + (f,)
 
     def _reflexive(self, heap: list, x: Formula) -> None:
         e = Id(x, x)
         if e not in self._ante and in_extended_subformulas(e, self.goal):
             self._push(heap, RuleInstance(L_ID1, principal=x), (e,))
 
-    def _compose(self, e1: Id, e2: Id, op: str) -> None:
-        comp = compose_equations(e1, e2, op)
-        if comp not in self._ante and comp in self.plan:
-            inst = RuleInstance(L_ID3, principal=e1, principal2=e2, op=op)
-            self._push(self._heap, inst, (comp,))
-
-    # -- guided mode: a composition is found once its four parts occur -------
+    # -- a composition is found once its four parts occur --------------------
 
     def _enter(self, g: Formula, heap: list, left: dict, right: dict) -> None:
         """Queue on `heap` what `g`, new to the sequent's material, admits:
@@ -360,10 +308,9 @@ class Saturator:
 
 def identity_instance(sat: Saturator) -> RuleInstance | None:
     """Canonically least identity-rule instance applicable to the
-    saturator's sequent under the goal's saturation mode, or None at the
-    saturation fixpoint.
+    saturator's sequent, or None at the saturation fixpoint.
 
-    In guided mode a composition is kept when both of its sides occur
+    A composition is kept when both of its sides occur
     inside the sequent: an identity between mentioned formulas can feed an
     axiom or an implication split, one reaching outside them only feeds
     further compositions."""
@@ -559,9 +506,9 @@ class _ProofSearch:
         the least fixpoint over `ante`'s goals until `goal` is proved or
         none is left to evaluate, when every goal not proved is unprovable.
         A later query resumes it.  A goal is re-evaluated when a goal it
-        waits on is proved.  In guided mode too, `ante` is saturated for
-        every goal: each is a succedent `ante` was saturated for, or a
-        subformula of one or of `ante`, which admits no new instance."""
+        waits on is proved.  `ante` is saturated for every goal: each is a
+        succedent `ante` was saturated for, or a subformula of one or of
+        `ante`, which admits no new instance."""
         answers = self.table[ante]
         queue, waiting = self._open.setdefault(ante, ([], {}))
         if goal not in waiting:

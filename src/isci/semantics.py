@@ -2,27 +2,26 @@
 bounded brute-force countermodel search.
 
 An assignment is a finite table of authoritative rows over (formula,
-world) pairs; outside the table, equations evaluate by extension: a
-syntactically reflexive equation is true, an equation whose sides share
-their outer connective takes the conjunction of its component equations,
-and everything else (including unlisted variables) is false.  This makes
-every finite table a total assignment on variables and equations.
+world) pairs.  Identity is Suszko's (Bloom & Suszko, "Investigations into
+the sentential calculus with identity", 1972): outside the table an
+equation is true at a world exactly when its two sides are congruent
+there, in the least congruence under both connectives that relates the
+sides of every equation listed 1 at that world or at a world below it.
+Every other unlisted formula (a variable) is false.  A row that lists as
+0 an equation whose sides are congruent is inadmissible, so in an
+admissible model every equation is true exactly where its sides are
+congruent, and truth of equations persists upward.
 
-An `Evaluator` computes truth sets: for each formula, one int whose bits
-are the worlds where it is true (`value`) or forced (`forces`), computed
-once for the whole model and memoized.  It reads a formula's rows only
-when that formula is first asked for, so it costs nothing to build; the
-oracle builds one per node of its block search, since listing a block at
-the value it has while unlisted changes no truth set.  Every check below
-goes through it.  The oracle searches rooted partial orders only: any
-other frame holds a countermodel only if a smaller frame does.
+An `Evaluator` computes truth sets, one int per formula whose bits are
+the worlds where it is true or forced, and every check below goes through
+it.  The oracle searches rooted partial orders only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 
 from .formulas import (
     Bottom,
@@ -31,8 +30,8 @@ from .formulas import (
     Imp,
     Var,
     complexity,
-    extended_subformulas,
     sort_key,
+    sub_closure,
     subformulas,
     variables,
 )
@@ -66,34 +65,179 @@ class KripkeModel:
         return KripkeModel(self.worlds, self.order, dict(self.valuation))
 
 
+class Congruence:
+    """The least congruence under both connectives that relates the sides
+    of every equation merged into it, kept incrementally as in Downey,
+    Sethi & Tarjan (JACM 1980) and Nelson & Oppen (JACM 1980): a union-find
+    over the terms added so far, a signature table from (connective, root
+    of the left part, root of the right part) to a compound term, and per
+    root the compound terms with a part in its class.  A term is added on
+    first use, with its parts, and joins the class of the term that has its
+    signature, so a term added after a merge reads the merged class.  Use
+    lists are tuples, so `copy` shares them."""
+
+    __slots__ = ("_parent", "_size", "_table", "_uses")
+
+    def __init__(self):
+        self._parent: dict[Formula, Formula] = {}
+        self._size: dict[Formula, int] = {}  # per root
+        self._table: dict[tuple, Formula] = {}
+        self._uses: dict[Formula, tuple[Formula, ...]] = {}  # per root
+
+    def copy(self) -> "Congruence":
+        c = Congruence.__new__(Congruence)
+        c._parent, c._size = dict(self._parent), dict(self._size)
+        c._table, c._uses = dict(self._table), dict(self._uses)
+        return c
+
+    def find(self, t: Formula) -> Formula:
+        """The root of `t`'s class; `t` is added first if it is new."""
+        parent = self._parent
+        if t not in parent:
+            self._add(t)
+        root = parent[t]
+        while parent[root] is not root:
+            root = parent[root]
+        while parent[t] is not root:
+            parent[t], t = root, parent[t]
+        return root
+
+    def _add(self, t: Formula) -> None:
+        if isinstance(t, (Imp, Id)):
+            left, right = self.find(t.left), self.find(t.right)
+            sig = (type(t), left, right)
+            other = self._table.get(sig)
+            if other is not None:
+                root = self.find(other)
+                self._parent[t] = root
+                self._size[root] += 1
+                return
+            self._table[sig] = t
+            self._uses[left] = self._uses.get(left, ()) + (t,)
+            if right is not left:
+                self._uses[right] = self._uses.get(right, ()) + (t,)
+        self._parent[t] = t
+        self._size[t] = 1
+
+    def _signature(self, u: Formula) -> tuple:
+        return (type(u), self.find(u.left), self.find(u.right))
+
+    def merge(self, a: Formula, b: Formula) -> None:
+        """Relate `a` and `b`, and every pair of terms whose parts that
+        makes congruent."""
+        pending = [(a, b)]
+        while pending:
+            a, b = pending.pop()
+            small, large = self.find(a), self.find(b)
+            if small is large:
+                continue
+            if self._size[small] > self._size[large]:
+                small, large = large, small
+            moved = self._uses.pop(small, ())
+            for u in moved:
+                sig = self._signature(u)
+                if self._table.get(sig) is u:
+                    del self._table[sig]
+            self._parent[small] = large
+            self._size[large] += self._size.pop(small)
+            kept = self._uses.get(large, ())
+            for u in moved:
+                sig = self._signature(u)
+                other = self._table.get(sig)
+                if other is None:
+                    self._table[sig] = u
+                    kept += (u,)
+                elif other is not u:
+                    pending.append((u, other))
+            self._uses[large] = kept
+
+    def classes(self, terms) -> list[list[Formula]]:
+        """The classes with two or more of `terms`, members in `terms`' order."""
+        by_root: dict[Formula, list[Formula]] = {}
+        for t in terms:
+            by_root.setdefault(self.find(t), []).append(t)
+        return [c for c in by_root.values() if len(c) > 1]
+
+
+def _congruences(model: KripkeModel) -> list[tuple[int, Congruence]]:
+    """One congruence per distinct set of generating equations, with the
+    worlds it serves: a world's generators are the non-reflexive equations
+    listed 1 at it or at a world below it."""
+    reach = {b: up | b for b, up in model.up}
+    generators: dict[int, set[Id]] = {b: set() for b in reach}
+    for (f, w), v in model.valuation.items():
+        if v and isinstance(f, Id) and f.left is not f.right and w in model.bit:
+            for b in generators:
+                if b & reach[model.bit[w]]:
+                    generators[b].add(f)
+    masks: dict[frozenset, int] = {}
+    for b, eqs in generators.items():
+        masks[frozenset(eqs)] = masks.get(frozenset(eqs), 0) | b
+    out = []
+    for eqs, mask in masks.items():
+        out.append((mask, Congruence()))
+        for e in eqs:
+            out[-1][1].merge(e.left, e.right)
+    return out
+
+
 class Evaluator:
     """Truth sets of one model under its valuation as it stands: each
     formula maps to an int whose bit `model.bit[w]` is set at the worlds
     where it is true (`value`) or forced (`forces`), memoized per formula.
-    Rows are read per formula, lazily, so building an evaluator costs
-    O(1); whoever changes the valuation builds a fresh one."""
+    `congruences` pairs each world mask with the congruence its worlds read
+    unlisted equations by, built from the rows unless given; rows are read
+    per formula, lazily.  Whoever changes the valuation builds a fresh
+    evaluator, or asks `listing` for one."""
 
-    __slots__ = ("model", "_value", "_forces")
+    __slots__ = ("model", "congruences", "_value", "_forces")
 
-    def __init__(self, model: KripkeModel):
+    def __init__(self, model: KripkeModel, congruences=None):
         self.model = model
+        self.congruences: list[tuple[int, Congruence]] = (
+            _congruences(model) if congruences is None else congruences
+        )
         self._value: dict[Formula, int] = {}
         self._forces: dict[Formula, int] = {}
 
+    def listing(self, f: Formula, true: int) -> "Evaluator":
+        """The evaluator of the model once `f`'s rows list it as 1 at the
+        worlds of `true`, and nowhere else: this one's congruences, those of
+        the worlds at or above a world of `true` copied and extended by the
+        sides of an equation `f`, the others shared."""
+        reach = 0
+        if isinstance(f, Id) and f.left is not f.right:
+            for b, up in self.model.up:
+                if b & true:
+                    reach |= up | b
+        out = []
+        for mask, cong in self.congruences:
+            if mask & reach:
+                extended = cong.copy()
+                extended.merge(f.left, f.right)
+                out.append((mask & reach, extended))
+            if mask & ~reach:
+                out.append((mask & ~reach, cong))
+        return Evaluator(self.model, out)
+
     def floor(self, f: Formula) -> int:
-        """The extension clauses alone: where `f` is true if no row lists
-        it, which is the least value admissibility allows."""
-        if isinstance(f, Id):
-            l, r = f.left, f.right
-            if l == r:
-                return self.model.full
-            if type(l) is type(r) and isinstance(l, (Imp, Id)):
-                return self.value(Id(l.left, r.left)) & self.value(Id(l.right, r.right))
-        return 0
+        """Where `f` is true if no row lists it, which is the least value
+        admissibility allows: an equation where its sides are congruent,
+        anything else nowhere."""
+        if not isinstance(f, Id):
+            return 0
+        left, right = f.left, f.right
+        if left is right:
+            return self.model.full
+        mask = 0
+        for worlds, cong in self.congruences:
+            if cong.find(left) is cong.find(right):
+                mask |= worlds
+        return mask
 
     def value(self, f: Formula) -> int:
         """Assignment value of a variable or equation: its rows where the
-        valuation lists it, the extension clauses elsewhere."""
+        valuation lists it, its floor elsewhere."""
         mask = self._value.get(f)
         if mask is None:
             mask = self.floor(f)
@@ -128,6 +272,10 @@ class Evaluator:
                 out |= b
         return out
 
+    def congruence_at(self, w: str) -> Congruence:
+        """The congruence world `w` reads equations by."""
+        return next(cong for mask, cong in self.congruences if mask & self.model.bit[w])
+
 
 def _evaluator(model: KripkeModel | Evaluator) -> Evaluator:
     return model if isinstance(model, Evaluator) else Evaluator(model)
@@ -154,29 +302,16 @@ def check_frame(model: KripkeModel | Evaluator) -> bool:
     return True
 
 
-def check_admissible(model: KripkeModel | Evaluator, base) -> bool:
-    """Reflexivity of identity over the base material and closure of true
-    equations under composition by either connective.
-
-    By the extension clauses an equation no row lists is true wherever it
-    is reflexive, and a composition no row lists is true wherever both of
-    its component equations are; so only rows listed 0 can break either
-    law, and those are the rows checked."""
+def check_admissible(model: KripkeModel | Evaluator, base=()) -> bool:
+    """No row lists as 0 an equation whose sides are congruent at its
+    world.  An equation no row lists takes its congruence value, so only
+    those rows can break reflexivity or composition, and the rows alone
+    decide: `base`, the material a caller checks, adds nothing."""
     ev = _evaluator(model)
     m = ev.model
-    eqs = {(e.left, e.right): e for e in base if isinstance(e, Id)}
-    material = {s for l, r in eqs for s in (l, r)} | set(eqs.values())
     for (f, w), v in m.valuation.items():
-        if v or w not in m.bit or not isinstance(f, Id):
-            continue
-        l, r = f.left, f.right
-        if l == r and l in material:
+        if not v and isinstance(f, Id) and w in m.bit and ev.floor(f) & m.bit[w]:
             return False
-        if type(l) is type(r) and isinstance(l, (Imp, Id)):
-            e1 = eqs.get((l.left, r.left))
-            e2 = eqs.get((l.right, r.right))
-            if e1 is not None and e2 is not None and ev.value(e1) & ev.value(e2) & m.bit[w]:
-                return False
     return True
 
 
@@ -191,24 +326,37 @@ def check_monotonicity(model: KripkeModel | Evaluator, formulas) -> bool:
     return True
 
 
+def term_graph(model: KripkeModel | Evaluator, base) -> frozenset[Formula]:
+    """The formulas of `base` and of the valuation's rows, with their
+    subformulas: the terms the identity-to-implication check reads."""
+    rows = _evaluator(model).model.valuation
+    return sub_closure(chain(base, (f for f, _w in rows)))
+
+
 def check_identity_entails_implications(model: KripkeModel | Evaluator, base) -> bool:
-    """Every true equation must force both of its implications."""
+    """Every true equation forces both of its implications: every class of
+    the term graph of `base` is forced uniformly at the worlds of its
+    congruence.  That suffices for every formula, by induction: a term
+    outside the graph is congruent to another only through its parts, and
+    congruence grows along the order, so two congruent formulas are forced
+    alike at every world above."""
     ev = _evaluator(model)
-    for e in base:
-        if not isinstance(e, Id) or e.left == e.right:
-            continue  # x -> x is forced at every world of every model
-        true = ev.value(e)
-        if true and true & ~(ev.forces(Imp(e.left, e.right)) & ev.forces(Imp(e.right, e.left))):
-            return False
+    terms = term_graph(ev, base)
+    for mask, cong in ev.congruences:
+        for members in cong.classes(terms):
+            forced = ev.forces(members[0]) & mask
+            if any(ev.forces(x) & mask != forced for x in members[1:]):
+                return False
     return True
 
 
 def model_failures(model, base, goal=None, designated=None, budget=None, phase=None):
-    """The failures of `model` (or its `Evaluator`) on the formulas `base`,
-    in `isci check-model`'s order and words: the frame check, whose failure
-    stops the rest, admissibility, monotonicity, identity-to-implication
-    and, given a goal, whether the designated world forces it.  Under
-    `budget`, each check first checks the deadline of `phase`."""
+    """The failures of `model` (or its `Evaluator`) on the term graph of
+    `base`, in `isci check-model`'s order and words: the frame check, whose
+    failure stops the rest, admissibility, monotonicity,
+    identity-to-implication and, given a goal, whether the designated world
+    forces it.  Under `budget`, each check first checks the deadline of
+    `phase`."""
     ev = _evaluator(model)
 
     def stage(name: str) -> None:
@@ -220,13 +368,14 @@ def model_failures(model, base, goal=None, designated=None, budget=None, phase=N
         yield "order is not reflexive-transitive"
         return
     stage("the admissibility check")
-    if not check_admissible(ev, base):
+    if not check_admissible(ev):
         yield "assignment not admissible"
+    terms = term_graph(ev, base)
     stage("the monotonicity check")
-    if not check_monotonicity(ev, base):
+    if not check_monotonicity(ev, terms):
         yield "forcing not monotone"
     stage("the identity-to-implication check")
-    if not check_identity_entails_implications(ev, base):
+    if not check_identity_entails_implications(ev, terms):
         yield "a true equation fails to force its implications"
     if goal is not None:
         stage("the forcing of the formula")
@@ -300,46 +449,37 @@ def _monotone_vectors(k: int, rel: frozenset) -> tuple[int, ...]:
 def bounded_countermodel_search(
     phi: Formula, max_worlds: int = 3, limits: Limits | Budget = Limits()
 ):
-    """Search for a model over at most `max_worlds` worlds and the base
-    {variables of phi} + {equations in extended_subformulas(phi)} in which
-    phi fails at some world; every returned candidate has no
-    `model_failures` on that base, so a hit is sound by construction.
-    None means the bounded space was exhausted, which is not a validity
-    proof.  The budget's deadline is checked in the closure, before each
-    frame and before each assignment vector tried, and each vector counts
-    one node of the oracle's own against the node cap.
+    """Search for a model over at most `max_worlds` worlds in which phi
+    fails at some world; every returned candidate has no `model_failures`
+    on sub(phi), so a hit is sound by construction.  None means the
+    bounded space was exhausted, which is not a validity proof.  The
+    deadline is checked before each frame and each assignment vector, and
+    each vector counts one node of the oracle's own against the node cap.
 
     Enumeration: world counts ascending; frames by pair-set bitmap, one
-    representative per isomorphism class, rooted partial orders only
-    (`_rooted_orders`); assignments blockwise, blocks in
-    (complexity, canonical) order so composed equations follow their
-    components.  Reflexive equations are pinned to 1.  Only blocks the
-    goal's forcing can see (its variables and its subformula equations)
-    range over all monotone vectors; once they are set the refutation test
-    runs, and each remaining equation is pinned to the least value
-    admissibility allows.  Vectors that break a floor or make a true
-    equation fail to force its implications are pruned.  The search
-    recurses once per enumerated block.
+    representative per isomorphism class, rooted partial orders only;
+    then one block per variable of phi and per non-reflexive equation of
+    sub(phi), in (complexity, canonical) order, each over the monotone
+    vectors.  Every other equation reads its congruence value.  A vector
+    listing 0 where the block's sides are congruent, or 1 where they fail
+    to force each other, is pruned: a block's sides hold only earlier
+    blocks, and congruence only grows as later ones are listed.
 
     Why only those: once the search reaches k worlds, no smaller
     countermodel exists.  A k-world countermodel refuted at w on another
     frame, restricted to the worlds w sees and with each cluster collapsed
-    to one world (monotone vectors agree across a cluster), would be a
-    smaller one on a rooted partial order, since every check (floors,
-    implied masks, admissibility, monotonicity, identity-to-implication)
-    is pointwise or reads only what a world sees.
+    to one world, would be a smaller one on a rooted partial order.  And a
+    countermodel's rows for the blocks alone are a countermodel too: its
+    congruences lie within the original's true equations, each block is
+    true where it was, and by induction on formulas congruent formulas
+    are forced alike and sub(phi) as before.
     """
     budget = limits.start()
-    base_vars = sorted(variables(phi), key=sort_key)
-    eqs = [f for f in extended_subformulas(phi, budget, "the oracle") if isinstance(f, Id)]
-    reflexive = [e for e in eqs if e.left == e.right]
-    nonreflexive = sorted(
-        (e for e in eqs if e.left != e.right), key=lambda e: (complexity(e), sort_key(e))
-    )
     sub = subformulas(phi)
-    blocks: list[Formula] = base_vars + nonreflexive
-    enumerated = [i for i, f in enumerate(blocks) if f in sub]
-    base = list(base_vars) + eqs
+    blocks: list[Formula] = sorted(variables(phi), key=sort_key) + sorted(
+        (f for f in sub if isinstance(f, Id) and f.left is not f.right),
+        key=lambda e: (complexity(e), sort_key(e)),
+    )
     stats = SearchStats()
     for k in range(1, max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(k))
@@ -348,13 +488,8 @@ def bounded_countermodel_search(
         for rel in _rooted_orders(k):
             budget.check("the oracle", at)
             order = frozenset((worlds[a], worlds[b]) for a, b in rel)
-            rows: dict[tuple[Formula, str], int] = {}
-            for e in reflexive:
-                for w in worlds:
-                    rows[(e, w)] = 1
-            model = KripkeModel(worlds, order, rows)
-            vectors = _monotone_vectors(k, rel)
-            found = _search_blocks(model, phi, base, blocks, enumerated, 0, vectors, tick)
+            ev = Evaluator(KripkeModel(worlds, order, {}))
+            found = _search_blocks(ev, phi, sub, blocks, 0, _monotone_vectors(k, rel), tick)
             if found is not None:
                 return found
     return None
@@ -365,40 +500,31 @@ def _refutes(ev: Evaluator, phi: Formula) -> str | None:
     return next((w for w in ev.model.worlds if not forced & bit[w]), None)
 
 
-def _search_blocks(model, phi, base, blocks, enumerated, done, vectors, tick):
-    """Set the blocks past the first `done` enumerated ones, every earlier
-    block set.  A pinned block lists the value it already has while
-    unlisted, its floor, so pinning changes no truth set and one evaluator
-    serves the node: the pinned blocks up to the next enumerated block and
-    that block's floor and implied mask or, past the last, the refutation
-    test and the whole pinned tail."""
-    ev, worlds, tail = Evaluator(model), model.worlds, done == len(enumerated)
-    stop = len(blocks) if tail else enumerated[done]
-    pinned = blocks[enumerated[done - 1] + 1 if done else 0 : stop]
-    bad = _refutes(ev, phi) if tail else None
-    if (tail and bad is None) or not check_identity_entails_implications(ev, pinned):
+def _search_blocks(ev, phi, sub, blocks, done, vectors, tick):
+    """Set the blocks past the first `done`, each of which `ev`'s model
+    lists: past the last, the refutation test and the candidate's checks.  The
+    floor and the implied mask of the next block are final, as its sides
+    hold only earlier blocks; each vector's evaluator extends `ev`'s
+    congruences by that block."""
+    model = ev.model
+    if done == len(blocks):
+        bad = _refutes(ev, phi)
+        if bad is not None and next(model_failures(ev, sub), None) is None:
+            return model.copy(), bad
         return None
-    for f in pinned:
-        model.valuation.update(((f, w), ev.value(f) >> i & 1) for i, w in enumerate(worlds))
-    found = None
-    if tail:
-        if next(model_failures(Evaluator(model), base), None) is None:
-            found = model.copy(), bad
-    else:
-        f, floor, implied = blocks[stop], 0, -1
-        if isinstance(f, Id):
-            floor = ev.floor(f)
-            implied = ev.forces(Imp(f.left, f.right)) & ev.forces(Imp(f.right, f.left))
-        pinned.append(f)
-        for true in vectors:
-            tick()
-            model.valuation.update(((f, w), true >> i & 1) for i, w in enumerate(worlds))
-            if not floor & ~true and not true & ~implied:
-                found = _search_blocks(model, phi, base, blocks, enumerated, done + 1, vectors, tick)
-                if found is not None:
-                    break
-    if found is None:
-        for f in pinned:
-            for w in worlds:
-                del model.valuation[(f, w)]
-    return found
+    f, floor, implied = blocks[done], 0, -1
+    if isinstance(f, Id):
+        floor = ev.floor(f)
+        implied = ev.forces(Imp(f.left, f.right)) & ev.forces(Imp(f.right, f.left))
+    rows = model.valuation
+    for true in vectors:
+        tick()
+        if floor & ~true or true & ~implied:
+            continue
+        rows.update(((f, w), true >> i & 1) for i, w in enumerate(model.worlds))
+        found = _search_blocks(ev.listing(f, true), phi, sub, blocks, done + 1, vectors, tick)
+        if found is not None:
+            return found
+    for w in model.worlds:
+        rows.pop((f, w), None)  # absent if every vector was pruned
+    return None

@@ -18,6 +18,11 @@ by replaying the rules from the root.  The reader also takes the nested
 form, in which every node is a step that holds its "sequent" and its
 "premises": [<node>...].
 
+A model's rows are authoritative.  An equation no row lists is true at a
+world exactly when its sides are congruent modulo the equations listed 1
+at that world or below it (the least congruence, `semantics`); any other
+unlisted formula is false.
+
 Formulas and sequents are embedded as concrete syntax, so documents are
 self-contained and re-parse with the package's own parser.
 """

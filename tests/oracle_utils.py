@@ -4,13 +4,28 @@
 scanning a complete universe of candidate formulas and justifying each one
 directly against the defining clauses; it shares nothing with the
 production worklist, so the two can cross-check each other.
-`ref_bounded_countermodel_search` is the block search of the brute-force
-oracle with one fresh evaluator per assignment vector.
+`ref_labels` computes a world's congruence naively, relabelling classes
+until no pair of compound terms is left to merge, for the reference
+forcing and checks.  `ref_bounded_countermodel_search` is the block search
+of the brute-force oracle with one fresh evaluator per assignment vector.
 """
 
 from __future__ import annotations
 
-from isci.calculus import L_IMP, R_IMP, Derivation, RuleInstance, Sequent, is_axiom
+from isci.calculus import (
+    L_ID1,
+    L_ID2,
+    L_ID3,
+    L_IMP,
+    OP_ID,
+    OP_IMP,
+    R_IMP,
+    Derivation,
+    RuleInstance,
+    Sequent,
+    compose_equations,
+    is_axiom,
+)
 from isci.formulas import (
     BOT,
     Formula,
@@ -18,12 +33,13 @@ from isci.formulas import (
     Imp,
     Var,
     complexity,
-    extended_subformulas,
+    in_extended_subformulas,
     sort_key,
+    sub_closure,
     subformulas,
     variables,
 )
-from isci.prover import Saturator
+from isci.prover import Saturator, identity_instance
 from isci.semantics import Evaluator, KripkeModel, _preorders, _refutes, model_failures
 
 try:
@@ -100,13 +116,55 @@ if st is not None:
 
 
 # --- reference semantics ----------------------------------------------------
-# The per-world recursive evaluation and the pair scans that `isci.semantics`
-# and `isci.countermodel` replaced with truth-set bitmasks and constructive
-# equation sets; the differential tests compare the two.
+# Per-world recursive evaluation with a naive congruence rebuilt for every
+# world and query, and pair scans, where `isci.semantics` and
+# `isci.countermodel` keep truth-set bitmasks and incremental congruences;
+# the differential tests compare the two.
 
 
 def ref_successors(model, w: str) -> list[str]:
     return [v for v in model.worlds if (w, v) in model.order]
+
+
+def ref_labels(model, w: str, extra) -> dict[Formula, int]:
+    """A class label per term of the subformulas of `extra` and of the
+    generators at `w` (the equations listed 1 at `w` or at a world below
+    it), under the least congruence relating each generator's sides:
+    merged pair by pair, relabelling every member, and re-scanned for
+    congruent pairs of compound terms until nothing changes."""
+    generators = [
+        f
+        for (f, u), v in model.valuation.items()
+        if v and isinstance(f, Id) and (u == w or (u, w) in model.order)
+    ]
+    terms = sorted(sub_closure(generators + list(extra)), key=sort_key)
+    label = {t: i for i, t in enumerate(terms)}
+
+    def join(x, y) -> bool:
+        old, new = label[x], label[y]
+        if old == new:
+            return False
+        for t in terms:
+            if label[t] == old:
+                label[t] = new
+        return True
+
+    for e in generators:
+        join(e.left, e.right)
+    compounds = [t for t in terms if isinstance(t, (Imp, Id))]
+    changed = True
+    while changed:
+        changed = False
+        for x in compounds:
+            for y in compounds:
+                if (
+                    type(x) is type(y)
+                    and label[x.left] == label[y.left]
+                    and label[x.right] == label[y.right]
+                    and join(x, y)
+                ):
+                    changed = True
+    return label
 
 
 def ref_value(model, f: Formula, w: str) -> int:
@@ -114,13 +172,8 @@ def ref_value(model, f: Formula, w: str) -> int:
     if stored is not None:
         return stored
     if isinstance(f, Id):
-        l, r = f.left, f.right
-        if l == r:
-            return 1
-        if type(l) is type(r) and isinstance(l, (Imp, Id)):
-            if ref_value(model, Id(l.left, r.left), w) and ref_value(model, Id(l.right, r.right), w):
-                return 1
-        return 0
+        label = ref_labels(model, w, [f])
+        return 1 if label[f.left] == label[f.right] else 0
     return 0
 
 
@@ -148,24 +201,11 @@ def ref_check_frame(model) -> bool:
 
 
 def ref_check_admissible(model, base) -> bool:
-    eqs = [e for e in sorted(base, key=sort_key) if isinstance(e, Id)]
-    material = {s for e in eqs for s in (e.left, e.right)} | set(eqs)
-    for chi in sorted(material, key=sort_key):
-        for w in model.worlds:
-            if ref_value(model, Id(chi, chi), w) != 1:
+    for (f, w), v in sorted(model.valuation.items(), key=lambda r: (sort_key(r[0][0]), r[0][1])):
+        if not v and isinstance(f, Id) and w in model.worlds:
+            label = ref_labels(model, w, [f])
+            if label[f.left] == label[f.right]:
                 return False
-    true_at = {e: frozenset(w for w in model.worlds if ref_value(model, e, w)) for e in eqs}
-    for e1 in eqs:
-        if not true_at[e1]:
-            continue
-        for e2 in eqs:
-            both = true_at[e1] & true_at[e2]
-            if not both:
-                continue
-            for op in (Imp, Id):
-                comp = Id(op(e1.left, e2.left), op(e1.right, e2.right))
-                if not all(ref_value(model, comp, w) for w in both):
-                    return False
     return True
 
 
@@ -180,14 +220,13 @@ def ref_check_monotonicity(model, formulas) -> bool:
 
 
 def ref_check_identity_entails_implications(model, base) -> bool:
-    for e in sorted(base, key=sort_key):
-        if not isinstance(e, Id):
-            continue
-        for w in model.worlds:
-            if ref_value(model, e, w) == 1:
-                if not ref_forces(model, w, Imp(e.left, e.right)):
-                    return False
-                if not ref_forces(model, w, Imp(e.right, e.left)):
+    """Congruent formulas of the term graph are forced alike, pair by pair."""
+    terms = sorted(sub_closure(list(base) + [f for f, _w in model.valuation]), key=sort_key)
+    for w in model.worlds:
+        label = ref_labels(model, w, terms)
+        for x in terms:
+            for y in terms:
+                if label[x] == label[y] and ref_forces(model, w, x) != ref_forces(model, w, y):
                     return False
     return True
 
@@ -208,29 +247,62 @@ def ref_small_eqs(phi: Formula, material) -> list[Id]:
     ]
 
 
-def ref_wide_eqs(n: int, material, model) -> set[Id]:
-    """Every pair of material formulas whose equation may be true: listed
-    true at some world, reflexive, or composed of pairs that may be."""
-    listed = {
-        (f.left, f.right) for (f, _w), v in model.valuation.items() if v and isinstance(f, Id)
-    }
+# --- reference saturation ----------------------------------------------------
+# The identity-rule choice recomputed from the whole sequent at every step,
+# where `isci.prover.Saturator` keeps incremental heaps and indexes.
 
-    def may_be_true(a: Formula, b: Formula) -> bool:
-        if a is b or (a, b) in listed:
-            return True
+
+def rescan_instance(goal, seq):
+    """The canonically least identity instance for `seq`, computed from
+    scratch by the documented rule: None at an axiom or the fixpoint.
+    Reflexive equations are taken over sub(Γ) ∪ sub(C), and compositions
+    of pairs of antecedent equations that stay within the bound and the
+    closure and whose sides both lie in sub(Γ) ∪ sub(C)."""
+    if is_axiom(seq):
+        return None
+    ante, bound = seq.antecedent, complexity(goal)
+    material = sub_closure(ante | {seq.succedent})
+
+    def admitted(e):
         return (
-            type(a) is type(b)
-            and isinstance(a, (Imp, Id))
-            and may_be_true(a.left, b.left)
-            and may_be_true(a.right, b.right)
+            e not in ante
+            and complexity(e) <= bound
+            and in_extended_subformulas(e, goal)
+            and e.left in material
+            and e.right in material
         )
 
-    return {
-        Id(a, b)
-        for a in material
-        for b in material
-        if complexity(a) + complexity(b) + 1 <= 2 * n + 1 and may_be_true(a, b)
-    }
+    eqs = [f for f in ante if isinstance(f, Id)]
+    found = [RuleInstance(L_ID1, principal=x) for x in material if admitted(Id(x, x))]
+    found += [
+        RuleInstance(L_ID2, principal=e)
+        for e in eqs
+        if not {Imp(e.left, e.right), Imp(e.right, e.left)} <= ante
+    ]
+    cost = {e: complexity(e.left) + complexity(e.right) for e in eqs}
+    found += [
+        RuleInstance(L_ID3, principal=e1, principal2=e2, op=op)
+        for e1 in eqs
+        for e2 in eqs
+        if cost[e1] + cost[e2] + 3 <= bound  # the composition's complexity
+        for op in (OP_IMP, OP_ID)
+        if admitted(compose_equations(e1, e2, op))
+    ]
+    return min(found, key=RuleInstance.order_key, default=None)
+
+
+def rescan_choice(sat) -> RuleInstance | None:
+    """The saturation step `identity_instance` takes, chosen instead by
+    `rescan_instance` from the saturator's whole sequent: patched in for
+    `prover.identity_instance`, it runs a search with no incremental
+    saturation state."""
+    return rescan_instance(sat.goal, sat.sequent)
+
+
+# the identity-instance choosers a search can saturate with: "full"
+# rescans the whole sequent at every step, "guided" is the incremental
+# guided `Saturator`
+CHOOSERS = {"full": rescan_choice, "guided": identity_instance}
 
 
 # --- reference countermodel builder -------------------------------------------
@@ -305,84 +377,60 @@ def ref_leftmost_open_branch(d: Derivation) -> list[Derivation] | None:
 
 
 # --- reference oracle ---------------------------------------------------------
-# The block search `isci.semantics.bounded_countermodel_search` ran before it
-# built one evaluator per search node: a fresh evaluator for every block and
-# every vector, and one recursion level per block, pinned blocks included.
-# The differential test requires the same countermodel from both.
+# The block search of `isci.semantics.bounded_countermodel_search` with a
+# fresh evaluator, its congruences rebuilt from the rows, for every vector,
+# over every preorder.  The differential test requires the same
+# countermodel from both.
 
 
 def ref_bounded_countermodel_search(phi: Formula, max_worlds: int = 3):
-    base_vars = sorted(variables(phi), key=sort_key)
-    eqs = [f for f in extended_subformulas(phi) if isinstance(f, Id)]
-    reflexive = [e for e in eqs if e.left == e.right]
-    nonreflexive = sorted(
-        (e for e in eqs if e.left != e.right), key=lambda e: (complexity(e), sort_key(e))
-    )
     sub = subformulas(phi)
-    blocks = [(v, True) for v in base_vars] + [(e, e in sub) for e in nonreflexive]
-    boundary = max((i for i, (_, rel) in enumerate(blocks) if rel), default=-1)
-    base = list(base_vars) + eqs
+    blocks = sorted(variables(phi), key=sort_key) + sorted(
+        (e for e in sub if isinstance(e, Id) and e.left != e.right),
+        key=lambda e: (complexity(e), sort_key(e)),
+    )
     for k in range(1, max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(k))
         for rel in _preorders(k):
             order = frozenset((worlds[a], worlds[b]) for a, b in rel)
-            rows = {(e, w): 1 for e in reflexive for w in worlds}
-            model = KripkeModel(worlds, order, rows)
+            model = KripkeModel(worlds, order, {})
             vectors = []
             for mask in range(2**k):
                 vec = tuple(mask >> (k - 1 - i) & 1 for i in range(k))
                 if all(vec[a] <= vec[b] for a, b in rel if a != b):
                     vectors.append(vec)
-            found = _ref_search_blocks(model, phi, base, blocks, boundary, 0, vectors)
+            found = _ref_search_blocks(model, phi, sub, blocks, 0, vectors)
             if found is not None:
                 return found
     return None
 
 
-def _ref_eq_vector_ok(model, f, vec) -> bool:
+def _ref_vector_ok(model, f, vec) -> bool:
+    if not isinstance(f, Id):
+        return True
     ev = Evaluator(model)
     true = sum(v << i for i, v in enumerate(vec))
     if ev.floor(f) & ~true:
         return False
-    if not true:
-        return True
     implied = ev.forces(Imp(f.left, f.right)) & ev.forces(Imp(f.right, f.left))
     return not true & ~implied
 
 
-def _ref_search_blocks(model, phi, base, blocks, boundary, idx, vectors):
-    if idx == boundary + 1 and _refutes(Evaluator(model), phi) is None:
-        return None
+def _ref_search_blocks(model, phi, sub, blocks, idx, vectors):
     if idx == len(blocks):
         ev = Evaluator(model)
         bad = _refutes(ev, phi)
-        if bad is None:
-            return None
-        if next(model_failures(ev, base), None) is None:
+        if bad is not None and next(model_failures(ev, sub), None) is None:
             return model.copy(), bad
         return None
-    f, enumerated = blocks[idx]
-    if not enumerated:
-        # invisible to the goal's forcing: pin to the least admissible value
-        floor = Evaluator(model).floor(f)
-        vec = tuple(floor >> i & 1 for i in range(len(model.worlds)))
-        for i, w in enumerate(model.worlds):
-            model.valuation[(f, w)] = vec[i]
-        found = None
-        if _ref_eq_vector_ok(model, f, vec):
-            found = _ref_search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors)
-        if found is None:
-            for w in model.worlds:
-                del model.valuation[(f, w)]
-        return found
-    is_eq = isinstance(f, Id)
+    f = blocks[idx]
     for vec in vectors:
-        for i, w in enumerate(model.worlds):
-            model.valuation[(f, w)] = vec[i]
-        if not is_eq or _ref_eq_vector_ok(model, f, vec):
-            found = _ref_search_blocks(model, phi, base, blocks, boundary, idx + 1, vectors)
+        if _ref_vector_ok(model, f, vec):
+            for i, w in enumerate(model.worlds):
+                model.valuation[(f, w)] = vec[i]
+            found = _ref_search_blocks(model, phi, sub, blocks, idx + 1, vectors)
             if found is not None:
                 return found
     for w in model.worlds:
-        del model.valuation[(f, w)]
+        model.valuation.pop((f, w), None)
     return None

@@ -94,11 +94,11 @@ def test_structured_model_revalidates(capsys):
             "p == q -> (p -> (p -> r)) == (p -> (q -> r))",
             "00e1c4aabe7937ce47bec03dbb6486212701244b3af9494c38d5c2dd2f5a3519",
         ),
-        ("p == q -> q -> r", "06ac1ac27c095373062bae1ba1dc67997a27c41961a6655bd315228f07924eb9"),
+        ("p == q -> q -> r", "82c11aa34e2cda5f5ad6a8333a2dbf32095e9e5d614bffd281490a0d938ad236"),
     ],
 )
 def test_structured_documents_are_pinned(capsys, formula, digest):
-    # a depth-2 congruence proof and a nine-world model, byte for byte
+    # a depth-2 congruence proof and a three-world model, byte for byte
     _, out, _ = run(capsys, "decide", formula, "--format", "structured")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -115,35 +115,39 @@ def test_checkers_obey_the_timeout(capsys, formula, command):
     assert err.startswith(f"resource limit: timeout 0.0s hit in {command}, at the parse")
 
 
-# refutable goals whose closure exceeds VALIDATION_CAP
-FALLBACK_GOALS = [
+# refutable goals whose closure is too large to build: validation and
+# check-model read the model's term graph instead
+LARGE_CLOSURE_GOALS = [
     "(# == p) == q -> # == (r == #)",
     "p == q -> (p -> (p -> r)) == (q -> (r -> r))",
 ]
 
+# goals whose models the floor reading (reflexivity and composition only)
+# rejected: validation failed, or check-model rejected what validation
+# accepted on a weaker base
+CONGRUENCE_GOALS = [
+    "r == (q -> q -> r) -> r == q",
+    "(((s == s) -> s) == #) -> (q == r)",
+    "((s == (# -> q)) == (r == r)) -> q",
+    "((r -> r) == q) -> ((s == #) == q)",
+    "p == q -> r -> r -> r -> p",
+    "r == (q == #) -> # == (q == p)",
+]
 
-def test_fallback_validation_is_noted_on_stderr(capsys):
-    code, out, err = run(capsys, "decide", FALLBACK_GOALS[0], "--format", "structured")
-    assert code == 1
-    assert json.loads(out)["status"] == "refuted"
-    assert err == (
-        "REFUTED\nnote: the closure exceeds 4096 formulas, so the model was "
-        "validated only on the subformulas of what it mentions\n"
-    )
-    code, _, err = run(capsys, "decide", "p -> q", "--format", "structured")
-    assert (code, err) == (1, "REFUTED\n")
 
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the fallback validation base misses true equations that check-model reads "
-    "(ROADMAP item 1)",
-)
 def test_fallback_validated_models_pass_check_model(capsys):
-    for formula in FALLBACK_GOALS:
-        code, out, _ = run(capsys, "decide", formula, "--format", "structured")
-        assert code == 1
-        assert run(capsys, "check-model", out)[:2] == (0, "VALID MODEL\n")
+    for formula in LARGE_CLOSURE_GOALS:
+        code, out, err = run(capsys, "decide", formula, "--format", "structured")
+        assert (code, err) == (1, "REFUTED\n")
+        assert run(capsys, "check-model", out, "--timeout", "1")[:2] == (0, "VALID MODEL\n")
+
+
+@pytest.mark.parametrize("formula", CONGRUENCE_GOALS)
+def test_congruence_models_are_refutations_check_model_accepts(capsys, formula):
+    code, out, err = run(capsys, "decide", formula, "--format", "structured")
+    assert (code, err) == (1, "REFUTED\n")
+    assert json.loads(out)["status"] == "refuted"
+    assert run(capsys, "check-model", out, "--timeout", "1")[:2] == (0, "VALID MODEL\n")
 
 
 def test_check_proof_rejects_tampering(capsys):
@@ -278,22 +282,15 @@ def test_decide_graph_of_a_proof(capsys):
 LARGE_CLOSURE = "(p == q) == ((r == p) == (# -> r)) -> q == r"
 
 
-def test_check_model_stops_inside_the_closure(capsys, monkeypatch):
-    # the clock passes the deadline after the budget's start, the parse
-    # check and the closure's first check, so only a check inside the
-    # closure's worklist stops it before the frame check
-    reads = [0]
+def test_check_model_builds_no_closure(capsys, monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("the closure was built")
 
-    def clock():
-        reads[0] += 1
-        return 0.0 if reads[0] <= 3 else float("inf")
-
-    monkeypatch.setattr(isci.prover, "time", types.SimpleNamespace(monotonic=clock))
-    doc = {"formula": LARGE_CLOSURE, "model": ONE_WORLD}
+    monkeypatch.setattr(isci.cli, "extended_subformulas", no_closure)
+    code, out, _ = run(capsys, "decide", LARGE_CLOSURE, "--format", "structured")
+    assert code == 1
     started = time.monotonic()
-    code, out, err = run(capsys, "check-model", json.dumps(doc), "--timeout", "0.2")
-    assert (code, out) == (3, "")
-    assert err == "resource limit: timeout 0.2s hit in check-model, at the closure\n"
+    assert run(capsys, "check-model", out, "--timeout", "1") == (0, "VALID MODEL\n", "")
     assert time.monotonic() - started < 1.0
 
 
@@ -342,12 +339,15 @@ def test_oracle_exhausted_below_the_refutation(capsys):
     assert out == "REFUTED\noracle: exhausted at 1 worlds (the refutation may need a larger frame)\n"
 
 
-def test_oracle_exhausted_above_the_refutation_is_a_disagreement(capsys):
-    # the model has 2 worlds, so the oracle, which rules out every
-    # countermodel of up to 3, contradicts it (check-model rejects it too)
-    code, out, err = run(capsys, "decide", "r == (q == #) -> # == (q == p)", "--oracle", "--quiet")
+def test_oracle_exhausted_above_the_refutation_is_a_disagreement(capsys, monkeypatch):
+    # a broken decide refutes the theorem p == q -> q == p with the 2-world
+    # model of p -> q; the oracle, which rules out every countermodel of up
+    # to 3 worlds, contradicts it
+    wrong = isci.cli.decide(parse_formula("p -> q"))
+    monkeypatch.setattr(isci.cli, "decide", lambda phi, limits: wrong)
+    code, out, err = run(capsys, "decide", "p == q -> q == p", "--oracle", "--quiet")
     assert (code, out) == (4, "REFUTED\n")
-    assert err.endswith("\noracle: DISAGREEMENT, no countermodel within 3 worlds despite a 2-world model\n")
+    assert err == "oracle: DISAGREEMENT, no countermodel within 3 worlds despite a 2-world model\n"
 
 
 def test_check_proof_rejects_l_imp_without_its_implication(capsys):
@@ -481,7 +481,7 @@ def test_check_proof_rejects_a_swapped_antecedent_formula(capsys, monkeypatch):
 
 def test_oracle_stops_at_the_deadline_decide_started(capsys, monkeypatch):
     # the clock passes the deadline as soon as decide returns, so the oracle
-    # must stop at its closure instead of running about 12 s
+    # must stop before its first frame instead of running on
     now = [0.0]
     monkeypatch.setattr(time, "monotonic", lambda: now[0])
     decide = isci.cli.decide
@@ -498,7 +498,7 @@ def test_oracle_stops_at_the_deadline_decide_started(capsys, monkeypatch):
     monkeypatch.setattr(isci.semantics, "_search_blocks", no_assignments)
     code, _, err = run(capsys, "decide", "p == q -> (q == p)", "--oracle", "4", "--timeout", "10", "--quiet")
     assert code == 3
-    assert err == "resource limit: timeout 10.0s hit in the oracle, at the closure\n"
+    assert err == "resource limit: timeout 10.0s hit in the oracle, at frames of 1 worlds\n"
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
@@ -520,15 +520,15 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
 
 def test_oracle_stops_inside_a_frame(capsys, monkeypatch):
     # once decide has returned, the clock passes the deadline after the
-    # closure's check and the first frame's; the oracle would refute p
-    # within that frame, so only a check inside the frame stops it
+    # first frame's check; the oracle would refute p within that frame, so
+    # only a check inside the frame stops it
     calls = [None]
 
     def clock():
         if calls[0] is None:
             return 0.0
         calls[0] += 1
-        return 0.0 if calls[0] <= 2 else float("inf")
+        return 0.0 if calls[0] <= 1 else float("inf")
 
     decide = isci.cli.decide
 
@@ -622,8 +622,8 @@ def test_a_formula_nested_past_the_recursion_limit_is_an_input_error(capsys, com
 
 
 def test_the_oracle_recurses_once_per_enumerated_block():
-    # the closure holds 1,833 equations, but only the goal's three
-    # variables and three subformula equations are enumerated
+    # the closure holds 1,833 equations, but the blocks are only the goal's
+    # three variables and three subformula equations
     phi = parse_formula("(((p == (r == q)) -> r) -> (# == r))")
     with recursion_limit(1000):
         found = isci.semantics.bounded_countermodel_search(phi, 1)

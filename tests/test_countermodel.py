@@ -6,27 +6,25 @@ import pytest
 
 from hypothesis import assume, given, settings
 from oracle_utils import (
+    CHOOSERS,
     all_formulas,
     ref_build,
+    ref_labels,
     ref_leftmost_open_branch,
     ref_small_eqs,
-    ref_wide_eqs,
     small_formulas_pqr,
 )
 
-import isci.countermodel as cm
 from isci import prover, serialize
 from isci.calculus import L_IMP, is_axiom, sequent
 from isci.countermodel import (
-    VALIDATION_CAP,
     CounterModelError,
     NoOpenBranchError,
     _Builder,
-    _degraded_material,
     countermodel,
     decide,
+    small_equations,
     validate_bundle,
-    wide_eqs,
 )
 from isci.formulas import (
     Id,
@@ -34,9 +32,8 @@ from isci.formulas import (
     Var,
     complexity,
     extended_subformulas,
-    extended_subformulas_within,
     in_form0,
-    sorted_formulas,
+    sub_closure,
 )
 from isci.invariants import antecedents_inherited, no_branch_repetition
 from isci.parser import parse_formula
@@ -103,16 +100,16 @@ def test_package_exposes_the_countermodel_module():
 WALK_NODE_CAP = 50_000
 
 
-@pytest.mark.parametrize("guided", [False, True], ids=["full", "guided"])
+@pytest.mark.parametrize("choose", CHOOSERS.values(), ids=CHOOSERS.keys())
 @settings(max_examples=100, deadline=None)
 @given(phi=small_formulas_pqr)
-def test_walk_follows_the_tree_builders_leftmost_open_branch(guided, phi):
+def test_walk_follows_the_tree_builders_leftmost_open_branch(choose, phi):
     # the table's choice of premise at each L-> is the branch the tree
     # builder reached by deriving the whole tree and taking the leftmost
-    # open leaf: the same sequents and rules on every branch
+    # open leaf: the same sequents and rules on every branch, whether
+    # saturation rescans each sequent or keeps the guided saturator's state
     with pytest.MonkeyPatch.context() as mp:
-        if guided:
-            mp.setattr(prover, "EXSUB_CAP", 0)
+        mp.setattr(prover, "identity_instance", choose)
         try:
             search = _ProofSearch(phi, Limits(max_nodes=WALK_NODE_CAP))
             assume(search.run() is None)
@@ -213,9 +210,9 @@ def test_costliest_builder_run_is_pinned():
     # nodes are all the verdict counts
     verdict = decide(parse_formula("p == q -> q -> r"))
     assert not verdict.proved
-    assert len(verdict.model.worlds) == 9
-    assert sum(map(len, verdict.model.branches)) == 159
-    assert (verdict.stats.nodes, verdict.model.stats.nodes) == (3_188, 159)
+    assert len(verdict.model.worlds) == 3
+    assert sum(map(len, verdict.model.branches)) == 49
+    assert (verdict.stats.nodes, verdict.model.stats.nodes) == (53, 49)
 
 
 def refute(text):
@@ -379,15 +376,15 @@ def test_validation_stops_at_the_deadline():
     validate_bundle(bundle, Limits(timeout=60))
     with pytest.raises(ResourceExhausted) as exc:
         validate_bundle(bundle, Limits(timeout=0))
-    assert str(exc.value) == "timeout 0s hit in validation, at the closure"
+    assert str(exc.value) == "timeout 0s hit in validation, at the frame check"
 
 
 @pytest.mark.parametrize("world", range(9))
 def test_validation_fails_as_check_model_does(capsys, world):
     """A bundle whose order lacks one reflexive pair fails validation with
     the failure that `isci check-model` prints for its model document: both
-    run `model_failures` on the same base."""
-    phi = parse_formula("p == q -> q -> r")
+    run `model_failures`."""
+    phi = parse_formula("p == q -> r -> r -> r -> r -> r -> r -> r -> p")
     bundle = countermodel(phi)
     assert len(bundle.worlds) == 9
     order = bundle.model.order - {(f"w{world}", f"w{world}")}
@@ -401,45 +398,25 @@ def test_validation_fails_as_check_model_does(capsys, world):
     assert str(exc.value) == "order is not reflexive-transitive"
 
 
-def test_equation_sets_match_the_pair_scans(monkeypatch):
-    """Validation's equation sets equal the pair scans they replace, on
-    every refuted formula over p and q of complexity at most 3 and on a
-    goal whose closure is not subformula-closed (validation fails on it,
-    ROADMAP item 1), with the closure material and with the fallback
-    material.  The small check reads the one list `validate_bundle` sorts;
-    its equations true somewhere are the scan's true small equations."""
-    read = []
-
-    def spy(fs):
-        out = sorted_formulas(fs)
-        if isinstance(fs, list):
-            read.append(out)
-        return out
-
-    monkeypatch.setattr(cm, "sorted_formulas", spy)
+def test_equation_sets_match_the_pair_scans():
+    """The small equations validation requires at each world are those a
+    scan of the pairs of the world's antecedent material finds true under
+    a naive congruence, on every refuted formula over p and q of
+    complexity at most 3 and on a goal whose closure is not
+    subformula-closed."""
     goals = all_formulas([p, q], 3) + [parse_formula("r == (q -> q -> r) -> r == q")]
     refuted = 0
     for phi in goals:
-        search = _ProofSearch(phi, Limits())
-        if search.run() is not None:
+        verdict = decide(phi)
+        if verdict.proved:
             continue
         refuted += 1
-        bundle = _Builder(search).run()
+        bundle = verdict.model
         ev = Evaluator(bundle.model)
-        n = complexity(phi)
-        closure = extended_subformulas_within(phi, VALIDATION_CAP)
-        for cap, material in ((VALIDATION_CAP, closure), (0, _degraded_material(phi, bundle))):
-            monkeypatch.setattr(cm, "VALIDATION_CAP", cap)
-            read.clear()
-            try:
-                assert validate_bundle(bundle) == (cap == 0)
-            except CounterModelError:
-                pass
-            [small] = read
-            assert [e for e in small if ev.value(e)] == [
-                e for e in ref_small_eqs(phi, material) if ev.value(e)
-            ]
-            found = wide_eqs(n, material, bundle.model)
-            assert len(found) == len(set(found))
-            assert set(found) == ref_wide_eqs(n, material, bundle.model)
+        for w in bundle.worlds:
+            material = sub_closure(w.gamma_max)
+            label = ref_labels(bundle.model, w.name, material)
+            scanned = [e for e in ref_small_eqs(phi, material) if label[e.left] == label[e.right]]
+            assert small_equations(ev, w.name, phi, material) == scanned
+            assert set(scanned) <= w.gamma_max
     assert refuted > 500

@@ -135,6 +135,7 @@ def test_closure_is_idempotent(phi):
 
 
 def test_materialization_cap():
+    # only `certbench/spans.py` still names `extended_subformulas_within`
     big = Imp(Id(p, q), Imp(Id(r, Var("s")), Id(Imp(p, r), Imp(q, Var("s")))))
     assert extended_subformulas_within(big, 64) is None
     assert extended_subformulas_within(Id(p, q), 64) == extended_subformulas(Id(p, q))

@@ -7,29 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from isci import prover
-from isci.calculus import (
-    L_ID1,
-    L_ID2,
-    L_ID3,
-    OP_ID,
-    OP_IMP,
-    RuleInstance,
-    Sequent,
-    check_proof,
-    compose_equations,
-    is_axiom,
-    sequent,
-)
+from isci.calculus import Sequent, check_proof, is_axiom, sequent
 from isci.countermodel import CounterModelError, decide
-from isci.formulas import (
-    Id,
-    Imp,
-    Var,
-    complexity,
-    extended_subformulas_within,
-    in_extended_subformulas,
-    sub_closure,
-)
+from isci.formulas import Id, Imp, Var
 from isci.invariants import (
     antecedents_inherited,
     extended_subformula_offenders,
@@ -37,10 +17,10 @@ from isci.invariants import (
 )
 from isci.parser import parse_formula, parse_sequent
 from isci.printer import format_derivation, format_derivation_dot, format_derivation_latex
-from isci.prover import EXSUB_CAP, Limits, ResourceExhausted, Saturator, _ProofSearch, prove
+from isci.prover import Limits, ResourceExhausted, Saturator, _ProofSearch, prove
 from isci.serialize import dumps, proof_doc
 
-from oracle_utils import small_formulas_pqr
+from oracle_utils import CHOOSERS, rescan_instance, small_formulas_pqr
 
 p, q, r, s = (Var(n) for n in "pqrs")
 
@@ -54,54 +34,6 @@ def saturation_chain(start, goal):
         assert conclusion.antecedent < sat.sequent.antecedent
         chain.append((inst, sat.sequent))
     return chain
-
-
-def rescan_instance(goal, plan, seq):
-    """The canonically least identity instance for `seq`, computed from
-    scratch by the documented rule: None at an axiom or the fixpoint.  In
-    full mode (`plan` is the goal's extended-subformula set) an instance
-    applies when the plan holds the equation it adds.  In guided mode
-    (`plan` is None) reflexive equations are taken over sub(Γ) ∪ sub(C),
-    and compositions of pairs of antecedent equations that stay within the
-    bound and the closure and whose sides both lie in sub(Γ) ∪ sub(C)."""
-    if is_axiom(seq):
-        return None
-    ante, bound = seq.antecedent, complexity(goal)
-    material = sub_closure(ante | {seq.succedent})
-
-    def admitted(e):
-        if e in ante:
-            return False
-        if plan is not None:
-            return e in plan
-        return (
-            complexity(e) <= bound
-            and in_extended_subformulas(e, goal)
-            and e.left in material
-            and e.right in material
-        )
-
-    eqs = [f for f in ante if isinstance(f, Id)]
-    if plan is None:
-        reflexive = material
-    else:
-        reflexive = [e.left for e in plan if isinstance(e, Id) and e.left is e.right]
-    found = [RuleInstance(L_ID1, principal=x) for x in reflexive if admitted(Id(x, x))]
-    found += [
-        RuleInstance(L_ID2, principal=e)
-        for e in eqs
-        if not {Imp(e.left, e.right), Imp(e.right, e.left)} <= ante
-    ]
-    cost = {e: complexity(e.left) + complexity(e.right) for e in eqs}
-    found += [
-        RuleInstance(L_ID3, principal=e1, principal2=e2, op=op)
-        for e1 in eqs
-        for e2 in eqs
-        if cost[e1] + cost[e2] + 3 <= bound  # the composition's complexity
-        for op in (OP_IMP, OP_ID)
-        if admitted(compose_equations(e1, e2, op))
-    ]
-    return min(found, key=RuleInstance.order_key, default=None)
 
 
 def antecedent_after(chain, start):
@@ -143,7 +75,6 @@ def test_saturation_composes_toward_the_succedent():
 
 def test_guided_composition_needs_both_sides_in_the_sequent():
     goal = parse_formula("(p == q) -> (r == s) -> ((p -> r) == (q -> s))")
-    assert extended_subformulas_within(goal, EXSUB_CAP) is None  # guided mode
     composed = Id(Imp(p, r), Imp(q, s))
     # only the left side p -> r occurs: the composition is not applied
     start = sequent({Id(p, q), Id(r, s)}, Imp(p, r))
@@ -159,49 +90,43 @@ def test_guided_composition_needs_both_sides_in_the_sequent():
 
 DEPTH_2 = "p == q -> (p -> (p -> r)) == (p -> (q -> r))"
 
+# the guided saturator checked against the full rescan, whose own choices
+# these tests take as the reference
+GUIDED_ONLY = pytest.mark.parametrize("choose", [CHOOSERS["guided"]], ids=["guided"])
 
-@pytest.mark.parametrize("guided", [False, True], ids=["full", "guided"])
+
+@GUIDED_ONLY
 @settings(max_examples=40, deadline=None)
 @given(hyps=st.lists(small_formulas_pqr, min_size=1, max_size=2), succ=small_formulas_pqr)
 @example(hyps=[Id(p, q)], succ=parse_formula(DEPTH_2).right)
-def test_saturation_chooses_what_a_rescan_chooses(guided, hyps, succ):
+def test_saturation_chooses_what_a_rescan_chooses(choose, hyps, succ):
     # the saturator's incremental state chooses, at every step, the instance
     # a rescan of the whole sequent chooses, and stops where the rescan does
     goal = succ
     for h in reversed(hyps):
         goal = Imp(h, goal)
+    start = sequent(hyps, succ)
     with pytest.MonkeyPatch.context() as mp:
-        if guided:
-            mp.setattr(prover, "EXSUB_CAP", 0)
-        plan = Saturator(goal).plan
-        assume(guided or plan is not None)
-        start = sequent(hyps, succ)
+        mp.setattr(prover, "identity_instance", choose)
         chain = saturation_chain(start, goal)
     steps = [start] + [end for _, end in chain]
-    assert [inst for inst, _ in chain] + [None] == [rescan_instance(goal, plan, s) for s in steps]
+    assert [inst for inst, _ in chain] + [None] == [rescan_instance(goal, s) for s in steps]
 
 
-@pytest.mark.parametrize("guided", [False, True], ids=["full", "guided"])
+@GUIDED_ONLY
 @pytest.mark.parametrize("text", ["p == q -> (p -> #) -> q", "(p -> #) == q -> r", DEPTH_2])
-def test_search_saturates_as_a_rescan_does(monkeypatch, guided, text):
+def test_search_saturates_as_a_rescan_does(monkeypatch, choose, text):
     # every saturation step of a whole decision, on branches that extend a
     # parent's saturator and change succedents, is the rescan's choice
-    if guided:
-        monkeypatch.setattr(prover, "EXSUB_CAP", 0)
     goal = parse_formula(text)
-    plan = Saturator(goal).plan
-    chosen = prover.identity_instance
 
     def checked(sat):
-        inst = chosen(sat)
-        assert inst == rescan_instance(goal, plan, sat.sequent)
+        inst = choose(sat)
+        assert inst == rescan_instance(goal, sat.sequent)
         return inst
 
     monkeypatch.setattr(prover, "identity_instance", checked)
-    try:
-        decide(goal)
-    except CounterModelError:  # guided mode may fail validation
-        pass
+    decide(goal)
 
 
 def test_guided_saturation_interns_few_equations():
@@ -314,10 +239,10 @@ CONGRUENCE = "(p == q) -> (r == s) -> ((p -> r) == (q -> s))"
 @pytest.mark.parametrize(
     "text, nodes, backtracks",
     [
-        ("(p -> #) == q -> r", 87, 8),
-        ("((p -> q) -> p) -> p", 25, 3),
+        ("(p -> #) == q -> r", 41, 8),
+        ("((p -> q) -> p) -> p", 19, 3),
         (CONGRUENCE, 418, 0),
-        ("# == p -> (q -> #) -> q", 3_033, 1_469),
+        ("# == p -> (q -> #) -> q", 57, 8),
     ],
 )
 def test_search_space_is_pinned(text, nodes, backtracks):
@@ -366,7 +291,7 @@ def test_proof_search_hashes_no_sequent(monkeypatch):
         sum(map(len, search.failed.values())),
         answers.count(True),
         answers.count(False),
-    ) == (249, 78, 249)
+    ) == (7, 0, 7)
 
 
 def test_implications_are_the_l_imp_candidates():
@@ -398,24 +323,24 @@ def decided(phi, table=True):
             verdict = decide(phi, Limits(max_nodes=TABLE_NODE_CAP))
         except ResourceExhausted:
             return None
-        except CounterModelError as error:  # guided mode may fail validation
+        except CounterModelError as error:
             return "error", str(error)
     if verdict.proved:
         return True, dumps(proof_doc(verdict.proof))
     return False, dumps(verdict.model.model_document())
 
 
-@pytest.mark.parametrize("guided", [False, True], ids=["full", "guided"])
+@pytest.mark.parametrize("choose", CHOOSERS.values(), ids=CHOOSERS.keys())
 @settings(max_examples=150, deadline=None)
 @given(phi=small_formulas_pqr)
 @example(phi=Imp(p, Imp(Imp(p, q), q)))  # proved only through an L-> clause
-def test_table_keeps_verdicts_and_proofs(guided, phi):
+def test_table_keeps_verdicts_and_proofs(choose, phi):
     # the table only cuts unprovable sequents, so the search finds the same
     # proofs and the builder the same models as with no table at all; and
-    # the table alone, asked about the root, gives the verdict
+    # the table alone, asked about the root, gives the verdict; whether
+    # saturation rescans each sequent or keeps the guided saturator's state
     with pytest.MonkeyPatch.context() as mp:
-        if guided:
-            mp.setattr(prover, "EXSUB_CAP", 0)
+        mp.setattr(prover, "identity_instance", choose)
         with_table, without = decided(phi), decided(phi, table=False)
         assume(with_table is not None and without is not None)
         assert with_table == without

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,10 +15,13 @@ from oracle_utils import (
     small_formulas_pq,
 )
 
+from isci.cli import main
 from isci.formulas import BOT, Id, Imp, Var, extended_subformulas
 from isci.parser import parse_formula
 from isci.prover import Limits, ResourceExhausted
 from isci.semantics import (
+    Congruence,
+    Evaluator,
     KripkeModel,
     _preorders,
     _rooted_orders,
@@ -92,6 +97,69 @@ def test_value_extension_clauses():
     assert value(m, Id(Imp(p, p), Imp(p, p)), "a") == 1  # syntactic identity
     assert value(m, Id(Imp(p, r), Imp(q, r)), "a") == 1  # decomposition
     assert value(m, Id(p, r), "a") == 0  # default
+
+
+def test_a_listed_equation_makes_its_congruence_true():
+    m = model(["a", "b"], reflexive("ab") + [("a", "b")], {(Id(p, q), "a"): 1})
+    for w in "ab":  # at the world that lists it and above
+        assert value(m, Id(q, p), w) == 1
+        assert value(m, Id(Imp(p, r), Imp(q, r)), w) == 1
+        assert value(m, Id(Id(q, r), Id(p, r)), w) == 1
+    below = model(["a", "b"], reflexive("ab") + [("a", "b")], {(Id(p, q), "b"): 1})
+    assert value(below, Id(q, p), "a") == 0
+
+
+def test_listing_a_congruent_equation_as_0_is_inadmissible():
+    rows = {(Id(p, q), "a"): 1, (Id(q, p), "a"): 0}
+    assert not check_admissible(model(["a"], reflexive("a"), rows))
+    rows = {(Id(p, q), "a"): 1, (Id(q, r), "a"): 1, (Id(p, r), "a"): 0}  # transitivity
+    assert not check_admissible(model(["a"], reflexive("a"), rows))
+    assert check_admissible(model(["a"], reflexive("a"), {(Id(p, q), "a"): 1, (Id(p, r), "a"): 0}))
+
+
+def test_check_model_rejects_a_class_that_is_not_forced_uniformly(capsys):
+    # p == q -> q -> p is a theorem: with p == q and q true, p is in q's class
+    doc = {
+        "formula": "p == q -> q -> p",
+        "model": {
+            "worlds": ["w0"],
+            "order_pairs": [["w0", "w0"]],
+            "valuation": [["p", "w0", 0], ["q", "w0", 1], ["p == q", "w0", 1]],
+            "designated_world": "w0",
+        },
+    }
+    assert main(["check-model", json.dumps(doc)]) == 1
+    out = capsys.readouterr().out
+    assert out == "INVALID MODEL: a true equation fails to force its implications\n"
+
+
+def test_a_term_added_after_a_merge_reads_its_merged_class():
+    cong = Congruence()
+    cong.merge(p, q)
+    assert cong.find(Imp(p, r)) is cong.find(Imp(q, r))  # both added after the merge
+    cong.merge(Imp(p, r), s)
+    assert cong.find(Imp(q, r)) is cong.find(s)
+    assert cong.find(Id(s, p)) is cong.find(Id(Imp(q, r), q))
+    assert cong.find(p) is not cong.find(r)
+    assert cong.classes([p, r, q, s, Imp(q, r)]) == [[p, q], [s, Imp(q, r)]]
+
+
+def test_the_oracle_extends_congruences_without_rebuilding_them():
+    # `listing` copies only the congruences of the worlds it lists 1 at and
+    # above; the rest are shared, and the parent's are left as they were
+    m = model(["a", "b"], reflexive("ab") + [("a", "b")], {})
+    parent = Evaluator(m)
+    child = parent.listing(Id(p, q), 0b10)  # world b
+    [(both, equality)] = parent.congruences
+    assert both == 0b11
+    assert [mask for mask, _ in child.congruences] == [0b10, 0b01]
+    assert child.congruences[1][1] is equality
+    assert child.floor(Id(q, p)) == 0b10
+    grandchild = child.listing(Id(q, r), 0b11)
+    assert Evaluator(m).floor(Id(p, r)) == 0
+    assert grandchild.floor(Id(p, r)) == 0b10
+    assert grandchild.floor(Id(q, r)) == 0b11
+    assert child.floor(Id(q, r)) == 0
 
 
 def test_monotonicity_check():
@@ -217,7 +285,7 @@ def test_evaluator_agrees_with_the_per_world_reference(m, base, formulas):
 def test_oracle_timeout_names_the_oracle():
     with pytest.raises(ResourceExhausted) as exc:
         bounded_countermodel_search(p, 1, Limits(timeout=0))
-    assert str(exc.value) == "timeout 0s hit in the oracle, at the closure"
+    assert str(exc.value) == "timeout 0s hit in the oracle, at frames of 1 worlds"
 
 
 def _found(result):
@@ -240,7 +308,7 @@ def test_rooted_orders_are_the_rooted_partial_orders_among_the_preorders():
     [
         ("(p -> q -> r) -> (p -> q) -> p -> r", 292),
         ("p == q -> q == p", 814),
-        ("r == (q == #) -> # == (q == p)", 20_622),
+        ("p == q -> q == r -> p == r", 9_250),
     ],
 )
 def test_oracle_vectors_to_exhaust_three_worlds(formula, vectors):
@@ -250,8 +318,7 @@ def test_oracle_vectors_to_exhaust_three_worlds(formula, vectors):
         bounded_countermodel_search(phi, 3, Limits(max_nodes=vectors - 1))
 
 
-# no formula over p, q, # of complexity 3 or less has a first countermodel
-# with a pinned composed equation true at its floor; these two do
+# two first countermodels with a composed equation of the goal true
 @example(parse_formula("q -> (r == q) == (q == p) -> r"), 3)
 @example(parse_formula("(r == r) == (p -> r) -> r == #"), 3)
 # the reference also searches the unrooted frames and those with a cluster:

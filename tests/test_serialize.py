@@ -62,7 +62,7 @@ def test_model_document_round_trip():
         assert value(model, p, w) == value(bundle.model, p, w)
 
 
-# refutations from the benchmark's search workload, and one validated on the fallback base
+# refutations from the benchmark's search workload, and one whose closure is too large to build
 REFUTATIONS = [
     "# == p -> (q -> #) -> q",
     "p == q -> q -> r",
