@@ -3,8 +3,9 @@
 `decide` runs the proof search once.  When the search fails, the
 construction walks one open branch of the goal under a stricter regime
 than proof search, with the failed search (its provability table and its
-budget) deciding which premise the branch follows.  Before R-> may
-fire, every antecedent implication must be saturated (its consequent
+budget) deciding which premise the branch follows, and reading each
+node's identity saturation from the search's stored chains.  Before R->
+may fire, every antecedent implication must be saturated (its consequent
 present, or its antecedent the succedent) or treated by L->; at an L->
 the branch takes the left premise unless the table proves it, and then
 the right one.  The branch is cut at its R-> applications into worlds;
@@ -27,9 +28,12 @@ the extended-subformula closure: frame laws, admissibility, monotonicity,
 uniform forcing of congruence classes, the designated world's failure to
 force the goal, plus the structural properties the construction promises
 (succedents never occur in their world's antecedents, antecedent formulas
-are forced, succedents are not, true small equations over a world's
-antecedent material occur in its antecedent, antecedents grow along the
-order).  A validation failure means a bug, not a property of the input.
+are forced, succedents are not, no identity rule applies to a world's
+last sequent, antecedents grow along the order).  So Γ_w is closed under
+the identity rules over its own material; an equation true by symmetry,
+as (q == p) == (p == q) is above (p == q) == (q == p), may still be
+missing from it.  A validation failure means a bug, not a property of
+the input.
 """
 
 from __future__ import annotations
@@ -43,16 +47,14 @@ from .formulas import (
     Id,
     Imp,
     complexity,
-    in_extended_subformulas,
     in_form0,
     sort_key,
     sorted_formulas,
-    sub_closure,
     variables,
 )
 from .invariants import assert_restricted_derivation
 from .printer import format_formula, format_sequent
-from .prover import Budget, Limits, SearchStats, Verdict, _ProofSearch
+from .prover import Budget, Limits, Saturator, SearchStats, Verdict, _ProofSearch, identity_instance
 from .semantics import Evaluator, KripkeModel, model_failures
 
 
@@ -144,20 +146,21 @@ class _Builder:
         self.memo: dict[Sequent, str] = {}
         self.pending: deque[tuple[str, Sequent]] = deque()
         # the failed search, whose provability table picks each L-> premise
-        # of a branch and proves no spawned root, and whose saturator each
-        # walk extends
+        # of a branch and proves no spawned root, and whose saturation
+        # chains each walk reads
         self.prover = search
 
     # -- the open branch, under the saturation-before-R-> regime ------------
 
     def walk(self, seq: Sequent) -> list[Derivation]:
         """The open branch above the unprovable `seq`, root first.  Each
-        node is saturated; the branch then takes the first unblocked L->,
-        on to its right premise exactly when the provability table proves
-        the left one, else R->, else it ends at an open leaf.  It is
-        recorded as a derivation whose one node off the branch per L-> is
-        the other premise, as a leaf.  `history` holds the succedents of
-        the ancestors with the current node's antecedent, the only ones a
+        node is saturated by the chain the search stored for it, a walk
+        node per step; the branch then takes the first unblocked L->, on to
+        its right premise exactly when the provability table proves the
+        left one, else R->, else it ends at an open leaf.  It is recorded as
+        a derivation whose one node off the branch per L-> is the other
+        premise, as a leaf.  `history` holds the succedents of the
+        ancestors with the current node's antecedent, the only ones a
         premise can repeat (see `_ProofSearch`)."""
         steps: list[tuple[Sequent, RuleInstance | None, tuple[Sequent | None, ...]]] = []
         history: frozenset[Formula] = frozenset()
@@ -167,8 +170,8 @@ class _Builder:
             if is_axiom(seq):
                 raise CounterModelError(f"open branch reaches an axiom: {format_sequent(seq)}")
             hist = history | {seq.succedent}
-            sat = sat.extend(seq)
-            for conclusion, inst in sat.saturate():
+            chain, sat = self.prover.saturated(seq, sat)
+            for conclusion, inst in chain:
                 steps.append((conclusion, inst, (None,)))
                 hist = frozenset((seq.succedent,))  # each step grows the antecedent
                 self.tick()
@@ -333,8 +336,10 @@ def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits
     model's formulas, then on a broken promise of the construction.  The
     budget's deadline is checked between the checks and inside their loops.
 
-    The small-equation promise reads each world's antecedent material,
-    sub(Γ_w): every equation `small_equations` covers there is in Γ_w."""
+    The saturation promise asks a fresh saturator, sharing no state with
+    the search, for an identity instance at each world's last sequent:
+    there is none, so Γ_w is closed under the identity rules over its own
+    material."""
     phi = bundle.formula
     model = bundle.model
     ev = Evaluator(model)
@@ -349,7 +354,7 @@ def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits
         if not bundle.world_named(src).gamma_max <= bundle.world_named(dst).gamma_max:
             raise CounterModelError(f"antecedents shrink along {src} <= {dst}")
     for w in bundle.worlds:
-        budget.check("validation", "the forcing of antecedents and succedents")
+        budget.check("validation", "the forcing and saturation of the worlds")
         bit = model.bit[w.name]
         for occ in w.occurrences:
             succ = occ.sequent.succedent
@@ -366,26 +371,6 @@ def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits
                 raise CounterModelError(
                     f"{w.name} does not force its antecedent formula {format_formula(f)}"
                 )
-    for w in bundle.worlds:
-        budget.check("validation", "the small equations")
-        for e in small_equations(ev, w.name, phi, sub_closure(w.gamma_max)):
-            if e not in w.gamma_max:
-                raise CounterModelError(
-                    f"true small equation {format_formula(e)} missing from {w.name}'s antecedents"
-                )
-
-
-def small_equations(ev: Evaluator, world: str, phi: Formula, material) -> list[Id]:
-    """The equations the small-equation promise covers at `world`, in
-    canonical order: between two distinct formulas of `material` in one
-    class of the world's congruence, so true there, within the complexity
-    bound and in the extended-subformula closure."""
-    n = complexity(phi)
-    found = [
-        Id(a, b)
-        for members in ev.congruence_at(world).classes(material)
-        for a in members
-        for b in members
-        if a is not b and complexity(a) + complexity(b) < n
-    ]
-    return sorted_formulas(e for e in found if in_extended_subformulas(e, phi))
+        inst = identity_instance(Saturator(phi).extend(w.occurrences[-1].sequent))
+        if inst is not None:
+            raise CounterModelError(f"{inst.rule} still applies to the last sequent of {w.name}")

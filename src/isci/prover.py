@@ -29,7 +29,9 @@ axioms need 848 nodes instead of 418.
 Each branch keeps one `Saturator`, which never rescans all pairs of
 equations: it builds a composition only once its two equations and its
 two sides all occur, and indexes find it when the last of the four
-arrives.
+arrives.  It chooses what a rescan would, so the search saturates each
+sequent once and stores the chain, for the provability table and the
+countermodel walk to read.
 """
 
 from __future__ import annotations
@@ -357,10 +359,11 @@ class _ProofSearch:
     from the sequent alone is complete.  Every expansion, saturation step
     and table evaluation is a node, and the node cap bounds them all.
 
-    The table, the budget and the goal's root saturator outlive `run`:
-    after a failed search the countermodel builder asks the same object
-    which premise of each L-> its branch follows, and whether a spawned
-    sequent is provable, and extends the same root saturator.
+    The tables and the budget outlive `run`: after a failed search the
+    countermodel builder asks the same object which premise of each L->
+    its branch follows, whether a spawned sequent is provable, and each
+    sequent's saturation chain, which `saturated` stored when the search
+    saturated that sequent.
     """
 
     def __init__(self, goal: Formula, limits: Limits | Budget):
@@ -376,6 +379,8 @@ class _ProofSearch:
         self._open: dict[frozenset[Formula], tuple[list[Formula], dict]] = {}
         self._implications: dict[frozenset[Formula], tuple[Imp, ...]] = {}
         self._grown: dict[frozenset[Formula], dict[Formula, frozenset[Formula]]] = {}
+        # antecedent -> succedent -> (saturation chain, saturator at its end)
+        self._saturated: dict[frozenset[Formula], dict[Formula, tuple[list, Saturator]]] = {}
 
     def implications(self, antecedent: frozenset[Formula]) -> tuple[Imp, ...]:
         """The L-> candidates of an antecedent in canonical order: its
@@ -429,7 +434,7 @@ class _ProofSearch:
         ante, succ = seq.antecedent, seq.succedent
         if succ in self.failed.get(ante, ()) and not self.provable(seq, sat):
             return None
-        result = self._expand_inner(seq, history | {succ}, sat.extend(seq))
+        result = self._expand_inner(seq, history | {succ}, sat)
         if result is None:
             self.failed.setdefault(ante, set()).add(succ)
             if not history:
@@ -440,10 +445,7 @@ class _ProofSearch:
 
     def _expand_inner(self, seq, hist, sat) -> Derivation | None:
         # identity saturation first, built iteratively (chains can be long)
-        chain: list[tuple[Sequent, RuleInstance]] = []
-        for conclusion, inst in sat.saturate():
-            chain.append((conclusion, inst))
-            self.tick()
+        chain, sat = self.saturated(seq, sat)
         current = sat.sequent
         if chain:
             hist = frozenset((current.succedent,))  # each step grows the antecedent
@@ -481,6 +483,22 @@ class _ProofSearch:
             return Derivation(seq, RuleInstance(L_IMP, principal=f), (lchild, rchild))
         return None
 
+    def saturated(self, seq: Sequent, sat: Saturator) -> tuple[list, Saturator]:
+        """The saturation chain of `seq`, as (conclusion, instance) pairs,
+        and a saturator at its end; `sat` is at a sequent whose antecedent
+        `seq`'s contains.  A chain depends on its sequent alone, so it is
+        built once per call, a node per step, and stored for later calls."""
+        by_succ = self._saturated.setdefault(seq.antecedent, {})
+        found = by_succ.get(seq.succedent)
+        if found is None:
+            sat = sat.extend(seq)
+            chain = []
+            for step in sat.saturate():
+                chain.append(step)
+                self.tick()
+            found = by_succ[seq.succedent] = (chain, sat)
+        return found
+
     # -- provability table ----------------------------------------------------
 
     def provable(self, seq: Sequent, sat: Saturator) -> bool:
@@ -489,12 +507,10 @@ class _ProofSearch:
         answers = self.table.setdefault(seq.antecedent, {})
         answer = answers.get(seq.succedent)
         if answer is None:
-            sat = sat.extend(seq)
-            for _ in sat.saturate():
-                self.tick()
+            chain, sat = self.saturated(seq, sat)
             if is_axiom(sat.sequent):
                 answer = True
-            elif sat.sequent is not seq:  # saturation grew the antecedent
+            elif chain:  # saturation grew the antecedent
                 answer = self.provable(sat.sequent, sat)
             else:
                 answer = self._fixpoint(seq.antecedent, seq.succedent, sat)

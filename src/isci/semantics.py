@@ -272,10 +272,6 @@ class Evaluator:
                 out |= b
         return out
 
-    def congruence_at(self, w: str) -> Congruence:
-        """The congruence world `w` reads equations by."""
-        return next(cong for mask, cong in self.congruences if mask & self.model.bit[w])
-
 
 def _evaluator(model: KripkeModel | Evaluator) -> Evaluator:
     return model if isinstance(model, Evaluator) else Evaluator(model)

@@ -132,6 +132,9 @@ CONGRUENCE_GOALS = [
     "((r -> r) == q) -> ((s == #) == q)",
     "p == q -> r -> r -> r -> p",
     "r == (q == #) -> # == (q == p)",
+    # a world holds an equation true by symmetry that no identity rule adds
+    "(p == q) == (q == p) -> p",
+    "(p == q) == (r == p) -> r",
 ]
 
 

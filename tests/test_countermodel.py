@@ -16,14 +16,13 @@ from oracle_utils import (
 )
 
 from isci import prover, serialize
-from isci.calculus import L_IMP, is_axiom, sequent
+from isci.calculus import L_IMP, Derivation, Sequent, is_axiom, sequent
 from isci.countermodel import (
     CounterModelError,
     NoOpenBranchError,
     _Builder,
     countermodel,
     decide,
-    small_equations,
     validate_bundle,
 )
 from isci.formulas import (
@@ -39,7 +38,7 @@ from isci.invariants import antecedents_inherited, no_branch_repetition
 from isci.parser import parse_formula
 from isci.prover import Limits, ResourceExhausted, _ProofSearch, prove
 from isci.cli import main
-from isci.semantics import Evaluator, KripkeModel, forces, value
+from isci.semantics import KripkeModel, forces, value
 from isci.serialize import model_from_doc
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -88,6 +87,27 @@ def test_builder_walks_its_branches_without_searching(monkeypatch):
         l_imps = sum(occ.rule is not None and occ.rule.rule == L_IMP for occ in branch)
         assert d.size() == len(branch) + l_imps
         assert sum(node.is_leaf for node in d.walk()) == l_imps + 1
+
+
+@pytest.mark.parametrize("text", ["p == q -> q -> r", "# == p -> (q -> #) -> q"])
+def test_builder_applies_no_saturation_step(monkeypatch, text):
+    # every saturation chain the walk records is the failed search's own:
+    # the builder reads it and applies no identity instance itself
+    search = _ProofSearch(parse_formula(text), Limits())
+    assert search.run() is None
+    choose, applied = prover.identity_instance, []
+
+    def counting(sat):
+        inst = choose(sat)
+        if inst is not None:
+            applied.append(inst)
+        return inst
+
+    monkeypatch.setattr(prover, "identity_instance", counting)
+    bundle = _Builder(search).run()
+    assert applied == []
+    rules = [occ.rule.rule for branch in bundle.branches for occ in branch if occ.rule]
+    assert any(rule.startswith("L==") for rule in rules)
 
 
 def test_package_exposes_the_countermodel_module():
@@ -398,12 +418,28 @@ def test_validation_fails_as_check_model_does(capsys, world):
     assert str(exc.value) == "order is not reflexive-transitive"
 
 
+def test_validation_requires_saturated_worlds():
+    # a world whose last sequent still admits an identity instance breaks
+    # the promise that its antecedent is closed under the identity rules
+    bundle = countermodel(parse_formula("p == q -> q -> r"))
+    w = bundle.worlds[-1]
+    last = w.occurrences[-1].sequent
+    assert Imp(p, q) in last.antecedent
+    w.occurrences = w.occurrences[:-1] + (
+        Derivation(Sequent(last.antecedent - {Imp(p, q)}, last.succedent)),
+    )
+    with pytest.raises(CounterModelError) as exc:
+        validate_bundle(bundle)
+    assert str(exc.value) == f"L==2 still applies to the last sequent of {w.name}"
+
+
 def test_equation_sets_match_the_pair_scans():
-    """The small equations validation requires at each world are those a
-    scan of the pairs of the world's antecedent material finds true under
-    a naive congruence, on every refuted formula over p and q of
+    """The small equations that a scan of the pairs of a world's
+    antecedent material finds true under a naive congruence are in the
+    world's antecedent, on every refuted formula over p and q of
     complexity at most 3 and on a goal whose closure is not
-    subformula-closed."""
+    subformula-closed.  Validation does not require this in general:
+    symmetry can make a small equation true that no identity rule adds."""
     goals = all_formulas([p, q], 3) + [parse_formula("r == (q -> q -> r) -> r == q")]
     refuted = 0
     for phi in goals:
@@ -412,11 +448,9 @@ def test_equation_sets_match_the_pair_scans():
             continue
         refuted += 1
         bundle = verdict.model
-        ev = Evaluator(bundle.model)
         for w in bundle.worlds:
             material = sub_closure(w.gamma_max)
             label = ref_labels(bundle.model, w.name, material)
             scanned = [e for e in ref_small_eqs(phi, material) if label[e.left] == label[e.right]]
-            assert small_equations(ev, w.name, phi, material) == scanned
             assert set(scanned) <= w.gamma_max
     assert refuted > 500

@@ -294,6 +294,17 @@ def test_proof_search_hashes_no_sequent(monkeypatch):
     ) == (7, 0, 7)
 
 
+def test_each_sequent_is_saturated_once():
+    # a second call reads the stored chain and saturator and ticks nothing
+    search = _ProofSearch(parse_formula("p == q -> q -> r"), Limits())
+    seq = parse_sequent("p == q |- q -> r")
+    chain, sat = search.saturated(seq, search.saturator)
+    assert chain and search.stats.nodes == len(chain)
+    again = search.saturated(Sequent(seq.antecedent, seq.succedent), search.saturator)
+    assert again[0] is chain and again[1] is sat
+    assert search.stats.nodes == len(chain)
+
+
 def test_implications_are_the_l_imp_candidates():
     """`implications` leaves out self-implications and the implications
     whose consequent the antecedent holds, in canonical order."""
