@@ -164,36 +164,52 @@ class ProofCheckResult:
 def check_proof(d: Derivation, claim: Sequent) -> ProofCheckResult:
     """Independent proof checker: the root must be `claim`, every inner
     node's children must be exactly the premises `apply_rule` yields, and
-    every leaf must be an axiom.  Shares nothing with the search beyond
-    `apply_rule` and `is_axiom`.
-    """
+    every leaf must be an axiom.  `replay` fed by `d.walk()`: it shares
+    nothing with the search beyond `apply_rule` and `is_axiom`."""
+    steps = ((n.rule, len(n.children), [c.sequent for c in n.children]) for n in d.walk())
+    return replay(claim, d.sequent, steps)
+
+
+def replay(claim: Sequent, root: Sequent, steps, learn=None, budget=None) -> ProofCheckResult:
+    """Check, against `claim`, the proof of `root` whose steps `steps`
+    yields in preorder, with one `apply_rule` per step.  A step is (rule,
+    None at a leaf; number of premise steps; the premises' stored sequents,
+    an iterable, or None).  Below a rejected step steps are only counted.
+    A shape error wins, then a root that is not `claim`, then the last
+    rejected step, the first in `check_proof`'s order (last child first).
+    `learn(sequent, premises)` sees a rule's premises before they are
+    compared or the next step is read; `budget` is checked every 4,096 steps."""
     from .printer import format_sequent
 
-    if d.sequent != claim:
-        return ProofCheckResult(
-            False, f"root is {format_sequent(d.sequent)}, claim is {format_sequent(claim)}"
-        )
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if node.rule is None:
-            if node.children:
-                return ProofCheckResult(
-                    False, f"leaf with children at {format_sequent(node.sequent)}"
-                )
-            if not is_axiom(node.sequent):
-                return ProofCheckResult(False, f"open leaf {format_sequent(node.sequent)}")
-            continue
-        try:
-            premises = apply_rule(node.sequent, node.rule)
-        except InapplicableRuleError as exc:
-            return ProofCheckResult(
-                False, f"{node.rule.rule} not applicable at {format_sequent(node.sequent)}: {exc}"
-            )
-        got = [c.sequent for c in node.children]
-        if got != premises:
-            return ProofCheckResult(
-                False, f"premise mismatch at {format_sequent(node.sequent)} for {node.rule.rule}"
-            )
-        stack.extend(node.children)
-    return ProofCheckResult(True)
+    expected: list[Sequent | None] = [root]
+    error = None
+    for count, (rule, arity, stored) in enumerate(steps):
+        if not expected:
+            return ProofCheckResult(False, "steps after the proof's last leaf")
+        seq = expected.pop()
+        if budget is not None and not count & 4095:
+            budget.check("check-proof", "the proof check")
+        if seq is not None and rule is None:
+            if arity:
+                error = f"leaf with children at {format_sequent(seq)}"
+            elif not is_axiom(seq):
+                error = f"open leaf {format_sequent(seq)}"
+        elif seq is not None:
+            try:
+                premises = apply_rule(seq, rule)
+            except InapplicableRuleError as exc:
+                error = f"{rule.rule} not applicable at {format_sequent(seq)}: {exc}"
+            else:
+                if learn is not None:
+                    learn(seq, premises)
+                if stored is None or list(stored) == premises:
+                    expected.extend(reversed(premises))
+                    continue
+                error = f"premise mismatch at {format_sequent(seq)} for {rule.rule}"
+        if arity:
+            expected.extend([None] * arity)
+    if expected:
+        return ProofCheckResult(False, "the steps end before the proof does")
+    if root != claim:
+        error = f"root is {format_sequent(root)}, claim is {format_sequent(claim)}"
+    return ProofCheckResult(error is None, error)

@@ -12,7 +12,6 @@ import functools
 import sys
 
 from . import serialize
-from .calculus import Sequent, check_proof
 from .countermodel import CounterModelError, decide
 from .formulas import complexity, extended_subformulas, sorted_formulas, variables
 from .parser import ParseError, parse_formula
@@ -133,17 +132,7 @@ def _cmd_check_proof(args) -> int:
     text, budget = _start(args, Limits(timeout=args.timeout))
     doc = serialize.loads(text)
     budget.check("check-proof", "the parse")
-    try:
-        derivation = serialize.derivation_from_doc(doc.get("proof", doc))
-    except serialize.ProofShapeError as exc:
-        print(f"INVALID PROOF: {exc}")
-        return EXIT_REFUTED
-    if "formula" in doc:
-        claim = Sequent(frozenset(), serialize.formula_from_doc(doc["formula"]))
-    else:
-        claim = derivation.sequent
-    budget.check("check-proof", "the proof check")
-    result = check_proof(derivation, claim)
+    result = serialize.check_proof_doc(doc, budget)
     if result.ok:
         print("VALID PROOF")
         return EXIT_PROVED

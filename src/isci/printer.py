@@ -6,13 +6,11 @@ non-associative.  Model renderers work on the plain model document
 produced by `serialize`, so externally supplied models render the same
 way as freshly built ones.  Derivation renderers rank the tree's formulas
 by `sort_key` once per call and order each antecedent by that rank, and
-they format each distinct formula once per call, passing a cached
-formatter on as `text`.
+they format each distinct formula once per call, passing a `formatter` on
+as `text`.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .calculus import Derivation, RuleInstance, Sequent, is_axiom
 from .formulas import Bottom, Formula, Id, Imp, Var, sort_key
@@ -34,6 +32,31 @@ def _fmt(f: Formula, top: bool = False, eq_side: bool = False, imp_left: bool = 
         body = f"{_fmt(f.left, eq_side=True)} == {_fmt(f.right, eq_side=True)}"
         return f"({body})" if eq_side else body
     raise TypeError(f"not a formula: {f!r}")
+
+
+def formatter(atom=format_formula, imp=" -> ", eq=" == "):
+    """A cached formatter for one call: each distinct formula is formatted
+    once, an implication's or an equation's text from its two parts' texts
+    with `format_formula`'s parentheses, the LaTeX renderer's as well."""
+    texts: dict[Formula, str] = {}
+
+    def side(f: Formula) -> str:
+        return f"({text(f)})" if isinstance(f, (Imp, Id)) else text(f)
+
+    def text(f: Formula) -> str:
+        s = texts.get(f)
+        if s is None:
+            if isinstance(f, Imp):
+                left = side(f.left) if isinstance(f.left, Imp) else text(f.left)
+                s = left + imp + text(f.right)
+            elif isinstance(f, Id):
+                s = side(f.left) + eq + side(f.right)
+            else:
+                s = atom(f)
+            texts[f] = s
+        return s
+
+    return text
 
 
 def format_sequent(s: Sequent, text=format_formula, key=sort_key) -> str:
@@ -71,7 +94,7 @@ def rule_label(r: RuleInstance | None, s: Sequent, text=format_formula) -> str:
 def format_derivation(d: Derivation) -> str:
     """Indented tree, conclusion first, one sequent per line."""
     lines: list[str] = []
-    text = cache(format_formula)
+    text = formatter()
     key = derivation_order(d)
 
     def walk(node: Derivation, depth: int):
@@ -84,29 +107,11 @@ def format_derivation(d: Derivation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def latex_formula(f: Formula) -> str:
-    if isinstance(f, Var):
-        return f.name.replace("_", r"\_")
-    if isinstance(f, Bottom):
-        return r"\bot"
-    if isinstance(f, Imp):
-        left = latex_formula(f.left)
-        if isinstance(f.left, Imp):
-            left = f"({left})"
-        right = latex_formula(f.right)
-        return f"{left} \\supset {right}"
-    if isinstance(f, Id):
-        left = latex_formula(f.left)
-        if isinstance(f.left, (Imp, Id)):
-            left = f"({left})"
-        right = latex_formula(f.right)
-        if isinstance(f.right, (Imp, Id)):
-            right = f"({right})"
-        return f"{left} \\equiv {right}"
-    raise TypeError(f"not a formula: {f!r}")
+def _latex_atom(f: Formula) -> str:
+    return r"\bot" if isinstance(f, Bottom) else f.name.replace("_", r"\_")
 
 
-def latex_sequent(s: Sequent, text=latex_formula, key=sort_key) -> str:
+def latex_sequent(s: Sequent, text, key=sort_key) -> str:
     left = ", ".join(map(text, sorted(s.antecedent, key=key)))
     return f"{left} \\Rightarrow {text(s.succedent)}"
 
@@ -122,7 +127,7 @@ _LATEX_RULES = {
 
 def format_derivation_latex(d: Derivation) -> str:
     """Nested \\infer lines (proof.sty style)."""
-    text = cache(latex_formula)
+    text = formatter(_latex_atom, r" \supset ", r" \equiv ")
     key = derivation_order(d)
 
     def walk(node: Derivation) -> str:
@@ -138,7 +143,7 @@ def format_derivation_latex(d: Derivation) -> str:
 def format_derivation_dot(d: Derivation) -> str:
     lines = ["digraph derivation {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
     counter = 0
-    text = cache(format_formula)
+    text = formatter()
     key = derivation_order(d)
 
     def walk(node: Derivation) -> str:

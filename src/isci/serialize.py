@@ -13,10 +13,10 @@ Stable keys:
 
 A proof holds its root sequent and its rule instances in preorder, a leaf
 as `axiom` or `open`.  A rule's arity (two premises for L->, one for the
-other rules) fixes the tree's shape, and the reader rebuilds each premise
-by replaying the rules from the root.  The reader also takes the nested
-form, in which every node is a step that holds its "sequent" and its
-"premises": [<node>...].
+other rules) fixes the tree's shape.  `check_proof_doc` feeds the steps to
+one `calculus.replay` from the root, which applies each rule once and
+builds no tree.  It also takes the nested form, in which every node is a
+step that holds its "sequent" and its "premises": [<node>...].
 
 A model's rows are authoritative.  An equation no row lists is true at a
 world exactly when its sides are congruent modulo the equations listed 1
@@ -29,17 +29,15 @@ self-contained and re-parse with the package's own parser.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import sys
-from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-from .calculus import Derivation, InapplicableRuleError, RuleInstance, Sequent, apply_rule, is_axiom
+from .calculus import Derivation, ProofCheckResult, RuleInstance, Sequent, is_axiom, replay
 from .formulas import Formula, sort_key, subformulas
 from .parser import ParseError, parse_formula, parse_sequent
-from .printer import format_formula, format_sequent
+from .printer import format_formula, format_sequent, formatter
 from .semantics import KripkeModel
 
 
@@ -107,7 +105,7 @@ def loads(text: str) -> dict:
 
 def proof_doc(d: Derivation) -> dict:
     """`d`'s root sequent and its steps in `Derivation.walk` order."""
-    text = cache(format_formula)
+    text = formatter()
     steps = []
     for n in d.walk():
         if n.rule is None:
@@ -139,11 +137,17 @@ class _FormulaTable(dict):
 
     def __init__(self):
         super().__init__()
-        self.formatted = cache(format_formula)
+        self.formatted = formatter()
 
     def learn(self, formulas) -> None:
         for f in formulas:
             self[self.formatted(f)] = f
+
+    def learn_premises(self, seq: Sequent, premises) -> None:
+        """Enter the formulas that `premises` add to `seq`."""
+        for premise in premises:
+            self.learn(premise.antecedent - seq.antecedent)
+            self.learn((premise.succedent,))
 
     def formula(self, text) -> Formula:
         """`formula_from_doc(text)`, parsed once per text."""
@@ -206,10 +210,6 @@ def _parse_parts(text: str, table: _FormulaTable) -> list[Formula] | None:
 _ARITY = {"axiom": 0, "open": 0, "L->": 2, "R->": 1, "L==1": 1, "L==2": 1, "L==3": 1}
 
 
-class ProofShapeError(ValueError):
-    """Steps that prove more or fewer premises than their rules have."""
-
-
 def _field(node, key: str):
     try:
         return node[key]
@@ -217,71 +217,61 @@ def _field(node, key: str):
         raise DocumentError(f"malformed proof node: {exc}") from exc
 
 
-def _read_step(node, table: _FormulaTable) -> tuple[RuleInstance | None, int]:
-    """A step's rule instance, None at a leaf, and the rule's arity."""
+def _read_step(node, table: _FormulaTable) -> tuple[RuleInstance | None, int, None]:
+    """A compact step for `replay`: rule (None at a leaf), arity, no premises."""
     rule_name = _field(node, "rule")
     if not isinstance(rule_name, str) or rule_name not in _ARITY:
         raise DocumentError(f"unknown rule {rule_name!r}")
     if rule_name in ("axiom", "open"):
-        return None, 0
+        return None, 0, None
     principal = table.formula(node["principal"]) if "principal" in node else None
     principal2 = table.formula(node["principal2"]) if "principal2" in node else None
     op = node.get("op")
     if op not in (None, "->", "=="):
         raise DocumentError(f"unknown connective {op!r}")
-    return RuleInstance(rule_name, principal=principal, principal2=principal2, op=op), _ARITY[rule_name]
+    return RuleInstance(rule_name, principal, principal2, op), _ARITY[rule_name], None
 
 
-def derivation_from_doc(doc: dict) -> Derivation:
-    """The derivation a proof document describes, read in preorder without
-    recursion.  The root sequent is parsed, and the formulas each rule's
-    premises add (by `apply_rule`) enter the table, so later ones are looked
-    up.  A compact document's nodes are those premises, none for a step whose
-    rule does not apply, which `check_proof` reports; a nested document's
-    nodes keep their stored sequents, and `check_proof` compares the two."""
-    table = _FormulaTable()
-    root = _parse_sequent(_field(doc, "sequent"), table)
-    steps = doc.get("steps")
-    if steps is not None and not isinstance(steps, list):
-        raise DocumentError(f"steps must be a list, got {steps!r}")
-    read: list[tuple[Sequent, RuleInstance | None, int]] = []
-    # a sequent (None below an inapplicable rule) and its node (None: the next step)
-    slots = [(root, doc if steps is None else None)]
-    taken = 0
-    while slots:
-        seq, node = slots.pop()
-        if steps is not None:
-            if taken == len(steps):
-                raise ProofShapeError("the steps end before the proof does")
-            node, taken = steps[taken], taken + 1
-        elif seq is None:
-            seq = _parse_sequent(_field(node, "sequent"), table)
-        rule, arity = _read_step(node, table)
-        premises = []
-        if rule is not None and seq is not None:
-            with contextlib.suppress(InapplicableRuleError):
-                premises = apply_rule(seq, rule)
-            for premise in premises:
-                table.learn(premise.antecedent - seq.antecedent)
-                table.learn((premise.succedent,))
-        if steps is not None:
-            children = [(p, None) for p in premises] or [(None, None)] * arity
-        elif not isinstance(nested := node.get("premises", []), list):
-            raise DocumentError(f"premises must be a list, got {nested!r}")
-        elif rule is None and nested:
+def _nested_steps(node, table: _FormulaTable):
+    """A nested document's steps in preorder, with their premises' stored
+    sequents: parsed after `replay` learns the premises, or after the step."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        rule = _read_step(node, table)[0]
+        premises = node.get("premises", [])
+        if not isinstance(premises, list):
+            raise DocumentError(f"premises must be a list, got {premises!r}")
+        if rule is None and premises:
             raise DocumentError("leaf node with premises")
-        else:
-            children = [(None, p) for p in nested]
-        if seq is not None:
-            read.append((seq, rule, len(premises) if steps is not None else len(children)))
-        slots.extend(reversed(children))
-    if steps is not None and taken < len(steps):
-        raise ProofShapeError("steps after the proof's last leaf")
-    built: list[Derivation] = []  # finished subtrees, a node's first premise on top
-    for seq, rule, n in reversed(read):
-        children = tuple(built.pop() for _ in range(n))
-        built.append(Derivation(seq, rule, children))
-    return built[0]
+        stored = (_parse_sequent(_field(p, "sequent"), table) for p in premises)
+        yield rule, len(premises), stored
+        list(stored)  # read, and rejected if malformed, even below a rule that does not apply
+        stack.extend(reversed(premises))
+
+
+def check_proof_doc(doc: dict, budget=None) -> ProofCheckResult:
+    """`check_proof` on the proof `doc` holds, a verdict document's or its
+    own, against the verdict's formula (else the proof's root), in one
+    `replay` of its steps: no `Derivation` is built.  The root sequent is
+    parsed, and the formulas each rule's premises add enter the table, so
+    later principals are looked up."""
+    proof = doc.get("proof", doc)
+    table = _FormulaTable()
+    root = _parse_sequent(_field(proof, "sequent"), table)
+    claim = Sequent(frozenset(), formula_from_doc(doc["formula"])) if "formula" in doc else root
+    steps = proof.get("steps")
+    if steps is None:
+        steps = _nested_steps(proof, table)
+    elif isinstance(steps, list):
+        steps = (_read_step(step, table) for step in steps)
+    else:
+        raise DocumentError(f"steps must be a list, got {steps!r}")
+    return replay(claim, root, steps, table.learn_premises, budget)
+
+
+# `certbench/spans.py` traces the proof reader under this name.
+derivation_from_doc = check_proof_doc
 
 
 def model_doc(model: KripkeModel, designated: str) -> dict:

@@ -8,9 +8,15 @@ production worklist, so the two can cross-check each other.
 until no pair of compound terms is left to merge, for the reference
 forcing and checks.  `ref_bounded_countermodel_search` is the block search
 of the brute-force oracle with one fresh evaluator per assignment vector.
+`derivation_from_doc` rebuilds the `Derivation` a proof document
+describes, and `two_pass_check_proof` checks a tree node by node, the last
+child first; `reference_check_proof` runs the two as `isci check-proof`
+once did, for comparison with its one replay.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 from isci.calculus import (
     L_ID1,
@@ -21,8 +27,11 @@ from isci.calculus import (
     OP_IMP,
     R_IMP,
     Derivation,
+    InapplicableRuleError,
+    ProofCheckResult,
     RuleInstance,
     Sequent,
+    apply_rule,
     compose_equations,
     is_axiom,
 )
@@ -39,7 +48,10 @@ from isci.formulas import (
     subformulas,
     variables,
 )
+from isci.parser import ParseError
+from isci.printer import format_sequent
 from isci.prover import Saturator, identity_instance
+from isci.serialize import DocumentError, _field, _FormulaTable, _parse_sequent, _read_step, formula_from_doc
 from isci.semantics import Evaluator, KripkeModel, _preorders, _refutes, model_failures
 
 try:
@@ -434,3 +446,112 @@ def _ref_search_blocks(model, phi, sub, blocks, idx, vectors):
     for w in model.worlds:
         model.valuation.pop((f, w), None)
     return None
+
+
+# --- reference proof reader and checker --------------------------------------
+
+
+class ProofShapeError(ValueError):
+    """Steps that prove more or fewer premises than their rules have."""
+
+
+def derivation_from_doc(doc: dict) -> Derivation:
+    """The derivation a proof document describes, read in preorder without
+    recursion.  The root sequent is parsed, and the formulas each rule's
+    premises add (by `apply_rule`) enter the table, so later ones are looked
+    up.  A compact document's nodes are those premises, none for a step whose
+    rule does not apply, which `two_pass_check_proof` reports; a nested
+    document's nodes keep their stored sequents, and the check compares the
+    two."""
+    table = _FormulaTable()
+    root = _parse_sequent(_field(doc, "sequent"), table)
+    steps = doc.get("steps")
+    if steps is not None and not isinstance(steps, list):
+        raise DocumentError(f"steps must be a list, got {steps!r}")
+    read: list[tuple[Sequent, RuleInstance | None, int]] = []
+    # a sequent (None below an inapplicable rule) and its node (None: the next step)
+    slots = [(root, doc if steps is None else None)]
+    taken = 0
+    while slots:
+        seq, node = slots.pop()
+        if steps is not None:
+            if taken == len(steps):
+                raise ProofShapeError("the steps end before the proof does")
+            node, taken = steps[taken], taken + 1
+        elif seq is None:
+            seq = _parse_sequent(_field(node, "sequent"), table)
+        rule, arity, _ = _read_step(node, table)
+        premises = []
+        if rule is not None and seq is not None:
+            with contextlib.suppress(InapplicableRuleError):
+                premises = apply_rule(seq, rule)
+            for premise in premises:
+                table.learn(premise.antecedent - seq.antecedent)
+                table.learn((premise.succedent,))
+        if steps is not None:
+            children = [(p, None) for p in premises] or [(None, None)] * arity
+        elif not isinstance(nested := node.get("premises", []), list):
+            raise DocumentError(f"premises must be a list, got {nested!r}")
+        elif rule is None and nested:
+            raise DocumentError("leaf node with premises")
+        else:
+            children = [(None, p) for p in nested]
+        if seq is not None:
+            read.append((seq, rule, len(premises) if steps is not None else len(children)))
+        slots.extend(reversed(children))
+    if steps is not None and taken < len(steps):
+        raise ProofShapeError("steps after the proof's last leaf")
+    built: list[Derivation] = []  # finished subtrees, a node's first premise on top
+    for seq, rule, n in reversed(read):
+        children = tuple(built.pop() for _ in range(n))
+        built.append(Derivation(seq, rule, children))
+    return built[0]
+
+
+def two_pass_check_proof(d: Derivation, claim: Sequent) -> ProofCheckResult:
+    """The root must be `claim`, every inner node's children must be
+    exactly the premises `apply_rule` yields, and every leaf must be an
+    axiom; the first failure found, visiting the last child first."""
+    if d.sequent != claim:
+        return ProofCheckResult(
+            False, f"root is {format_sequent(d.sequent)}, claim is {format_sequent(claim)}"
+        )
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if node.rule is None:
+            if node.children:
+                return ProofCheckResult(False, f"leaf with children at {format_sequent(node.sequent)}")
+            if not is_axiom(node.sequent):
+                return ProofCheckResult(False, f"open leaf {format_sequent(node.sequent)}")
+            continue
+        try:
+            premises = apply_rule(node.sequent, node.rule)
+        except InapplicableRuleError as exc:
+            return ProofCheckResult(
+                False, f"{node.rule.rule} not applicable at {format_sequent(node.sequent)}: {exc}"
+            )
+        if [c.sequent for c in node.children] != premises:
+            return ProofCheckResult(False, f"premise mismatch at {format_sequent(node.sequent)} for {node.rule.rule}")
+        stack.extend(node.children)
+    return ProofCheckResult(True)
+
+
+def reference_check_proof(doc: dict) -> tuple[int, str, str]:
+    """The exit code, output and error output of `isci check-proof` on the
+    document `doc`, by `derivation_from_doc` and `two_pass_check_proof`."""
+    try:
+        try:
+            derivation = derivation_from_doc(doc.get("proof", doc))
+        except ProofShapeError as exc:
+            return 1, f"INVALID PROOF: {exc}\n", ""
+        if "formula" in doc:
+            claim = Sequent(frozenset(), formula_from_doc(doc["formula"]))
+        else:
+            claim = derivation.sequent
+    except (ParseError, DocumentError) as exc:
+        return 2, "", f"input error: {exc}\n"
+    result = two_pass_check_proof(derivation, claim)
+    if result.ok:
+        return 0, "VALID PROOF\n", ""
+    return 1, f"INVALID PROOF: {result.error}\n", ""

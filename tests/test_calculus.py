@@ -13,7 +13,9 @@ from isci.calculus import (
     sequent,
 )
 from isci.formulas import Id, Imp, Var, sorted_formulas, subformulas
-from isci.parser import parse_sequent
+from isci.parser import parse_formula, parse_sequent
+from isci.prover import prove
+from oracle_utils import two_pass_check_proof
 
 p, q, r, s, t = (Var(n) for n in "pqrst")
 
@@ -188,3 +190,31 @@ def test_premises_never_shrink_antecedent():
     for inst in rule_instances(seq):
         for premise in apply_rule(seq, inst):
             assert seq.antecedent <= premise.antecedent
+
+
+def test_check_proof_reports_the_failure_the_two_pass_checker_meets_first():
+    # two nodes of a branching proof go wrong at once; the two-pass checker
+    # visits the last child first and stops at its first failure
+    phi = parse_formula("(p -> q -> r) -> (p -> q) -> p -> r")
+    proof = prove(phi).proof
+    claim = sequent((), phi)
+    edits = {
+        "leaf": lambda n: Derivation(n.sequent, None, n.children),
+        "unknown rule": lambda n: Derivation(n.sequent, RuleInstance("cut"), n.children),
+    }
+
+    def edited(node, targets, index):
+        at = index[0]
+        index[0] += 1
+        children = tuple(edited(c, targets, index) for c in node.children)
+        node = Derivation(node.sequent, node.rule, children)
+        return targets[at](node) if at in targets else node
+
+    size = proof.size()
+    assert size > 20 and any(len(n.children) == 2 for n in proof.walk())
+    for i in range(size):
+        for j in range(i + 1, size):
+            for first in edits.values():
+                for second in edits.values():
+                    tree = edited(proof, {i: first, j: second}, [0])
+                    assert check_proof(tree, claim) == two_pass_check_proof(tree, claim), (i, j)

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,13 +12,17 @@ import types
 
 import pytest
 
+import isci.calculus
 import isci.cli
 import isci.prover
 import isci.semantics
 from isci.cli import main
 from isci.parser import parse_formula
-from isci.serialize import derivation_from_doc, dumps, loads, proof_doc
+from isci.serialize import dumps, loads, proof_doc
+from oracle_utils import derivation_from_doc
 from test_serialize import nested_document
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -572,6 +577,12 @@ def chain_document(depth):
     return "".join(opening) + "]}" * len(opening)
 
 
+def compact_chain_document(depth):
+    """`chain_document(depth)` as a compact document: its root and steps."""
+    steps = [{"rule": "L==1", "principal": f"v{i}"} for i in range(depth)]
+    return json.dumps({"sequent": "|- p -> p", "steps": steps + [{"rule": "R->"}, {"rule": "axiom"}]})
+
+
 @contextlib.contextmanager
 def recursion_limit(limit):
     """Run under `limit`: a fresh `isci` process has the interpreter's
@@ -597,6 +608,53 @@ def test_a_proof_2000_nodes_deep_writes_and_checks(capsys):
         code, out, err = run(capsys, "check-proof", text)
     assert (code, out, err) == (0, "VALID PROOF\n", "")
     assert len(text.encode()) < 300_000
+
+
+def test_the_compact_chain_is_the_chain_written_compact():
+    assert loads(compact_chain_document(50)) == proof_doc(derivation_from_doc(loads(chain_document(50))))
+
+
+def test_check_proof_stops_at_the_deadline_inside_the_replay(capsys, monkeypatch):
+    # the clock passes the deadline once the replay has applied its first
+    # rule; 5,002 steps take the replay past its check at step 4,096
+    applied = []
+    apply_rule = isci.calculus.apply_rule
+
+    def counting_apply_rule(seq, rule):
+        applied.append(rule)
+        return apply_rule(seq, rule)
+
+    clock = types.SimpleNamespace(monotonic=lambda: float("inf") if applied else 0.0)
+    monkeypatch.setattr(isci.prover, "time", clock)
+    monkeypatch.setattr(isci.calculus, "apply_rule", counting_apply_rule)
+    code, out, err = run(capsys, "check-proof", compact_chain_document(5000))
+    assert (code, out) == (3, "")
+    assert err == "resource limit: timeout 30.0s hit in check-proof, at the proof check\n"
+    assert len(applied) == 4096
+
+
+def test_check_proof_reads_the_compact_chain_in_bounded_memory():
+    # `ru_maxrss` starts from the size of the process a child is forked
+    # from, so a small interpreter launches the checking one
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    script = (
+        "import resource, sys\n"
+        "from isci.cli import main\n"
+        "code = main(['check-proof', '-'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-c", script],
+        input=compact_chain_document(2000),
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    verdict, max_rss_kib = proc.stdout.splitlines()
+    assert (proc.returncode, verdict, proc.stderr) == (0, "VALID PROOF", "")
+    assert int(max_rss_kib) < 40 * 1024
 
 
 def test_check_proof_rejects_nesting_beyond_the_reader(capsys):

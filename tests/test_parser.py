@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from isci.calculus import Sequent
 from isci.formulas import BOT, Id, Imp, Var
 from isci.parser import ParseError, parse_formula, parse_sequent
-from isci.printer import format_formula, format_sequent
-from oracle_utils import formulas_pq
+from isci.printer import _latex_atom, format_formula, format_sequent, formatter
+from oracle_utils import all_formulas, formulas_pq
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -78,6 +78,23 @@ def test_trailing_garbage_rejected():
         parse_formula("p q")
     with pytest.raises(ParseError):
         parse_sequent("p |- q |- r")
+
+
+def test_the_cached_formatter_prints_as_format_formula():
+    # every formula over p, q and # of complexity at most 4; the formatter
+    # builds each text from its parts' texts
+    formulas = all_formulas([p, q, BOT], 4)
+    text = formatter()
+    assert len(formulas) == 57_909
+    assert [text(f) for f in formulas] == [format_formula(f) for f in formulas]
+    # LaTeX puts its parentheses where the concrete syntax does
+    latex = formatter(_latex_atom, r" \supset ", r" \equiv ")
+    spelled = {" -> ": r" \supset ", " == ": r" \equiv ", "#": r"\bot"}
+    for f in formulas:
+        expected = format_formula(f)
+        for plain, tex in spelled.items():
+            expected = expected.replace(plain, tex)
+        assert latex(f) == expected
 
 
 def test_printing_examples():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import isci.calculus
 import isci.parser
 import isci.printer
 import isci.serialize
@@ -18,14 +19,14 @@ from isci.prover import prove
 from isci.semantics import forces, value
 from isci.serialize import (
     DocumentError,
-    derivation_from_doc,
+    check_proof_doc,
     dumps,
     loads,
     model_from_doc,
     proof_doc,
     verdict_doc,
 )
-from oracle_utils import formulas_pq
+from oracle_utils import derivation_from_doc, formulas_pq, reference_check_proof
 from test_acceptance import NON_THEOREMS, THEOREMS
 
 p, q = Var("p"), Var("q")
@@ -50,6 +51,7 @@ def test_proof_document_round_trip():
     restored = derivation_from_doc(loads(dumps(doc)))
     assert restored == verdict.proof
     assert check_proof(restored, sequent((), phi)).ok
+    assert check_proof_doc(loads(dumps(doc))).ok
 
 
 def test_model_document_round_trip():
@@ -123,9 +125,9 @@ def test_malformed_documents_rejected():
     with pytest.raises(DocumentError):
         loads("[1, 2]")
     with pytest.raises(DocumentError):
-        derivation_from_doc({"sequent": "|- p", "rule": "L??", "premises": []})
+        check_proof_doc({"sequent": "|- p", "rule": "L??", "premises": []})
     with pytest.raises(DocumentError):
-        derivation_from_doc({"sequent": "|- p", "rule": "axiom", "premises": [
+        check_proof_doc({"sequent": "|- p", "rule": "axiom", "premises": [
             {"sequent": "|- p", "rule": "axiom", "premises": []}]})
     with pytest.raises(DocumentError):
         model_from_doc({"worlds": [], "order_pairs": [], "valuation": [],
@@ -230,7 +232,7 @@ def test_documents_print_and_parse_each_distinct_formula_once(monkeypatch, congr
         return tokenize(text)
 
     monkeypatch.setattr(isci.parser, "_tokenize", counting_tokenize)
-    assert derivation_from_doc(doc) == congruence_proof
+    assert check_proof_doc(doc).ok
     assert len(tokenized) <= len(texts)
     assert sum(map(len, tokenized)) <= sum(map(len, texts))
 
@@ -295,7 +297,7 @@ def test_seeded_read_tokenizes_only_the_root(monkeypatch, depth2_proof):
         return tokenize(text)
 
     monkeypatch.setattr(isci.parser, "_tokenize", counting_tokenize)
-    assert derivation_from_doc(doc) == depth2_proof
+    assert check_proof_doc(doc).ok
     assert len(tokenized) <= len(root_texts)
 
 
@@ -393,3 +395,96 @@ def test_edited_compact_documents_fail(capsys, depth2_proof, edit, message):
     code, out = check_proof_output(capsys, doc)
     assert code == 1
     assert out.startswith(f"INVALID PROOF: {message}")
+
+
+def test_check_proof_builds_no_derivation(capsys, monkeypatch, depth2_proof):
+    def no_derivation(*args, **kwargs):
+        raise AssertionError("a Derivation was built")
+
+    applied = []
+    apply_rule = isci.calculus.apply_rule
+
+    def counting_apply_rule(seq, rule):
+        applied.append(rule)
+        return apply_rule(seq, rule)
+
+    doc = verdict_doc(parse_formula(DEPTH2), proof=depth2_proof)
+    for module in (isci.calculus, isci.serialize):
+        monkeypatch.setattr(module, "Derivation", no_derivation)
+        monkeypatch.setattr(module, "apply_rule", counting_apply_rule, raising=False)
+    assert check_proof_output(capsys, doc) == (0, "VALID PROOF\n")
+    rule_steps = [s for s in doc["proof"]["steps"] if s["rule"] not in ("axiom", "open")]
+    assert len(applied) == len(rule_steps)
+
+
+def swap_principals(doc, count):
+    # the first `count` principals become the goal: L==1 then adds the wrong
+    # equation, and no antecedent holds the goal for the other rules
+    for step in [s for s in doc["proof"]["steps"] if "principal" in s][:count]:
+        step["principal"] = doc["formula"]
+
+
+def mark_first_leaf_open(doc):
+    next(s for s in doc["proof"]["steps"] if s["rule"] == "axiom")["rule"] = "open"
+
+
+def widened(text):
+    antecedent, succedent = split_sequent(text)
+    return ", ".join(["#"] + antecedent) + " |- " + succedent
+
+
+def widen_root(doc):
+    # every step still applies to the wider root, which is not the claim
+    doc["proof"]["sequent"] = widened(doc["proof"]["sequent"])
+
+
+def nested_nodes(doc):
+    """The nodes of `doc`'s proof, rewritten in the nested form, in preorder."""
+    doc["proof"] = nested_document(derivation_from_doc(doc["proof"]))
+    return document_nodes(doc["proof"])
+
+
+def widen_a_stored_sequent(doc):
+    nodes = nested_nodes(doc)
+    node = nodes[len(nodes) // 2]
+    node["sequent"] = widened(node["sequent"])
+
+
+def break_a_stored_sequent_below_a_rejected_step(doc):
+    nodes = nested_nodes(doc)
+    next(n for n in nodes if "principal" in n)["principal"] = doc["formula"]
+    nodes[-1]["sequent"] = "p |- (("
+
+
+# each edit and the exit codes it gives on the acceptance proofs
+TAMPERINGS = {
+    "none": (lambda doc: None, {0}),
+    "swapped principal": (lambda doc: swap_principals(doc, 1), {1}),
+    "two swapped principals": (lambda doc: swap_principals(doc, 2), {1}),
+    "deleted step": (lambda doc: doc["proof"]["steps"].pop(), {1}),
+    "appended step": (lambda doc: doc["proof"]["steps"].append({"rule": "axiom"}), {1}),
+    # the leaf is still an axiom, whatever the step says
+    "leaf marked open": (mark_first_leaf_open, {0}),
+    "wrong root": (widen_root, {1}),
+    "stored sequent edited": (widen_a_stored_sequent, {1}),
+    "stored sequent malformed": (break_a_stored_sequent_below_a_rejected_step, {2}),
+}
+
+
+@pytest.fixture(scope="module")
+def acceptance_proofs():
+    return [verdict_doc(parse_formula(text), proof=prove(parse_formula(text)).proof) for text in THEOREMS]
+
+
+@pytest.mark.parametrize("tamper, codes", TAMPERINGS.values(), ids=TAMPERINGS.keys())
+def test_check_proof_agrees_with_the_reference_reader(capsys, acceptance_proofs, tamper, codes):
+    # the reference reads the document into a tree, then checks it node by node
+    seen = set()
+    for proof in acceptance_proofs:
+        doc = json.loads(json.dumps(proof))
+        tamper(doc)
+        code = main(["check-proof", json.dumps(doc)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == reference_check_proof(doc), doc["formula"]
+        seen.add(code)
+    assert seen == codes
