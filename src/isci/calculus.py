@@ -130,10 +130,6 @@ class Derivation:
     rule: RuleInstance | None = None
     children: tuple["Derivation", ...] = ()
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.rule is None
-
     def walk(self) -> Iterator["Derivation"]:
         stack = [self]
         while stack:
@@ -141,8 +137,17 @@ class Derivation:
             yield node
             stack.extend(reversed(node.children))
 
-    def size(self) -> int:
-        return sum(1 for _ in self.walk())
+    def tour(self) -> Iterator[tuple["Derivation", int, bool]]:
+        """Each node with its depth, entering (True) in `walk`'s order and
+        leaving (False) once its premises' subtrees are left; no recursion."""
+        stack = [(self, 0, True)]
+        while stack:
+            event = stack.pop()
+            yield event
+            node, depth, entering = event
+            if entering:
+                stack.append((node, depth, False))
+                stack.extend([(c, depth + 1, True) for c in reversed(node.children)])
 
     def formulas(self) -> frozenset[Formula]:
         out: set[Formula] = set()

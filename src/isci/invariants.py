@@ -20,30 +20,23 @@ class InvariantError(AssertionError):
 
 
 def antecedents_inherited(d: Derivation) -> bool:
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        for child in node.children:
-            if not node.sequent.antecedent <= child.sequent.antecedent:
-                return False
-            stack.append(child)
+    for node, _, entering in d.tour():
+        if entering:
+            for child in node.children:
+                if not node.sequent.antecedent <= child.sequent.antecedent:
+                    return False
     return True
 
 
 def no_branch_repetition(d: Derivation) -> bool:
     seen: set = set()
-    stack: list[tuple[str, Derivation]] = [("enter", d)]
-    while stack:
-        op, node = stack.pop()
-        if op == "exit":
+    for node, _, entering in d.tour():
+        if not entering:
             seen.discard(node.sequent)
-            continue
-        if node.sequent in seen:
+        elif node.sequent in seen:
             return False
-        seen.add(node.sequent)
-        stack.append(("exit", node))
-        for c in reversed(node.children):
-            stack.append(("enter", c))
+        else:
+            seen.add(node.sequent)
     return True
 
 

@@ -1,43 +1,30 @@
 """Deterministic text, LaTeX and DOT renderers.
 
-`format_formula` emits minimal parentheses for the grammar in `parser`:
-`==` binds tighter than `->`, `->` is right-associative, `==` is
-non-associative.  Model renderers work on the plain model document
-produced by `serialize`, so externally supplied models render the same
-way as freshly built ones.  Derivation renderers rank the tree's formulas
-by `sort_key` once per call and order each antecedent by that rank, and
-they format each distinct formula once per call, passing a `formatter` on
-as `text`.
+One printer, `formatter`, emits minimal parentheses (`==` binds tighter
+than `->`, `->` is right-associative, `==` non-associative) and prints
+each distinct formula once, from its parts' texts.  `format_formula` is
+one call of a fresh one; a derivation renderer or a document writer uses
+one per call.  Model renderers read the plain model document.  Derivation
+renderers rank the tree's formulas by `sort_key` once per call, order
+each antecedent by that rank, and follow `Derivation.tour`, so they do
+not recurse and any depth renders under any recursion limit.
 """
 
 from __future__ import annotations
 
 from .calculus import Derivation, RuleInstance, Sequent, is_axiom
-from .formulas import Bottom, Formula, Id, Imp, Var, sort_key
+from .formulas import Bottom, Formula, Id, Imp, sort_key
 
 
-def format_formula(f: Formula) -> str:
-    return _fmt(f, top=True)
+def _atom(f: Formula) -> str:
+    return "#" if isinstance(f, Bottom) else f.name
 
 
-def _fmt(f: Formula, top: bool = False, eq_side: bool = False, imp_left: bool = False) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Bottom):
-        return "#"
-    if isinstance(f, Imp):
-        body = f"{_fmt(f.left, imp_left=True)} -> {_fmt(f.right)}"
-        return f"({body})" if eq_side or imp_left else body
-    if isinstance(f, Id):
-        body = f"{_fmt(f.left, eq_side=True)} == {_fmt(f.right, eq_side=True)}"
-        return f"({body})" if eq_side else body
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def formatter(atom=format_formula, imp=" -> ", eq=" == "):
+def formatter(atom=_atom, imp=" -> ", eq=" == "):
     """A cached formatter for one call: each distinct formula is formatted
-    once, an implication's or an equation's text from its two parts' texts
-    with `format_formula`'s parentheses, the LaTeX renderer's as well."""
+    once, an implication's or an equation's text from its two parts' texts.
+    It prints the minimal parentheses, with the LaTeX renderer's `atom`,
+    `imp` and `eq` as well."""
     texts: dict[Formula, str] = {}
 
     def side(f: Formula) -> str:
@@ -57,6 +44,10 @@ def formatter(atom=format_formula, imp=" -> ", eq=" == "):
         return s
 
     return text
+
+
+def format_formula(f: Formula) -> str:
+    return formatter()(f)
 
 
 def format_sequent(s: Sequent, text=format_formula, key=sort_key) -> str:
@@ -93,17 +84,13 @@ def rule_label(r: RuleInstance | None, s: Sequent, text=format_formula) -> str:
 
 def format_derivation(d: Derivation) -> str:
     """Indented tree, conclusion first, one sequent per line."""
-    lines: list[str] = []
     text = formatter()
     key = derivation_order(d)
-
-    def walk(node: Derivation, depth: int):
-        seq = format_sequent(node.sequent, text, key)
-        lines.append(f"{'  ' * depth}{seq}   [{rule_label(node.rule, node.sequent, text)}]")
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(d, 0)
+    lines: list[str] = []
+    for node, depth, entering in d.tour():
+        if entering:
+            seq = format_sequent(node.sequent, text, key)
+            lines.append(f"{'  ' * depth}{seq}   [{rule_label(node.rule, node.sequent, text)}]")
     return "\n".join(lines) + "\n"
 
 
@@ -129,36 +116,37 @@ def format_derivation_latex(d: Derivation) -> str:
     """Nested \\infer lines (proof.sty style)."""
     text = formatter(_latex_atom, r" \supset ", r" \equiv ")
     key = derivation_order(d)
-
-    def walk(node: Derivation) -> str:
-        seq = latex_sequent(node.sequent, text, key)
-        if node.rule is None:
-            return seq
-        premises = " & ".join(walk(c) for c in node.children)
-        return f"\\infer[{_LATEX_RULES[node.rule.rule]}]{{{seq}}}{{{premises}}}"
-
-    return "\\[\n" + walk(d) + "\n\\]\n"
+    pieces = ["\\[\n"]
+    after_leaving = False  # so the node entered next is a later premise
+    for node, _, entering in d.tour():
+        if entering:
+            seq = latex_sequent(node.sequent, text, key)
+            if node.rule is not None:
+                seq = f"\\infer[{_LATEX_RULES[node.rule.rule]}]{{{seq}}}{{"
+            pieces.append(" & " + seq if after_leaving else seq)
+        elif node.rule is not None:
+            pieces.append("}")
+        after_leaving = not entering
+    pieces.append("\n\\]\n")
+    return "".join(pieces)
 
 
 def format_derivation_dot(d: Derivation) -> str:
     lines = ["digraph derivation {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    counter = 0
     text = formatter()
     key = derivation_order(d)
-
-    def walk(node: Derivation) -> str:
-        nonlocal counter
-        name = f"n{counter}"
-        counter += 1
-        label = format_sequent(node.sequent, text, key).replace('"', '\\"')
-        lines.append(f'  {name} [label="{label}"];')
-        for child in node.children:
-            cname = walk(child)
-            elabel = rule_label(node.rule, node.sequent, text).replace('"', '\\"')
-            lines.append(f'  {cname} -> {name} [label="{elabel}"];')
-        return name
-
-    walk(d)
+    count = 0
+    path: list[tuple[str, str]] = []  # name and rule label of the node entered last at each depth
+    for node, depth, entering in d.tour():
+        if entering:
+            del path[depth:]
+            path.append((f"n{count}", rule_label(node.rule, node.sequent, text).replace('"', '\\"')))
+            count += 1
+            label = format_sequent(node.sequent, text, key).replace('"', '\\"')
+            lines.append(f'  {path[depth][0]} [label="{label}"];')
+        elif depth:
+            parent, edge_label = path[depth - 1]
+            lines.append(f'  {path[depth][0]} -> {parent} [label="{edge_label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -162,7 +162,10 @@ class Saturator:
     alone.  `extend` hands a copy to a premise, and the copy
     catches up with the premise's new antecedent formulas at its next step,
     so the instances chosen are exactly those a full rescan of each sequent
-    would choose.
+    would choose.  One heap holds every instance, the succedent's sides'
+    too: the succedent changes only at `extend`, and a saturator extended
+    is fresh or at its fixpoint, where `identity_instance` has popped the
+    heap empty, so only the indexes of the succedent's sides are reset.
     """
 
     def __init__(self, goal: Formula):
@@ -173,7 +176,6 @@ class Saturator:
         # heap entries are (order key, instance, formulas its premise adds);
         # an entry is stale once all of those formulas are in the antecedent
         self._heap: list = []
-        self._succ_heap: list = []  # applicable through the succedent only
         self._sub: set[Formula] = set()  # sub_closure(self._ante)
         # sides: compound members of _sub by (connective, left or right part)
         self._left: dict[tuple, tuple[Formula, ...]] = {}
@@ -193,7 +195,6 @@ class Saturator:
         child._left, child._right = dict(self._left), dict(self._right)
         child._eqs = dict(self._eqs)
         child._eq_left, child._eq_right = dict(self._eq_left), dict(self._eq_right)
-        child._succ_heap = list(self._succ_heap)
         child._heap = list(self._heap)
         return child
 
@@ -208,16 +209,14 @@ class Saturator:
             self.sequent = apply_rule(conclusion, inst)[0]
             yield conclusion, inst
 
-    @staticmethod
-    def _push(heap: list, inst: RuleInstance, adds: tuple[Formula, ...]) -> None:
-        heapq.heappush(heap, (inst.order_key(), inst, adds))
+    def _push(self, inst: RuleInstance, adds: tuple[Formula, ...]) -> None:
+        heapq.heappush(self._heap, (inst.order_key(), inst, adds))
 
     def _sync(self) -> None:
         seq = self.sequent
         new = seq.antecedent - self._ante
         if seq.succedent is not self._succ:
-            self._succ, self._succ_heap = None, []
-            self._succ_left, self._succ_right = {}, {}
+            self._succ, self._succ_left, self._succ_right = None, {}, {}
         self._ante = seq.antecedent
         for f in new:
             self._take(f)
@@ -225,31 +224,31 @@ class Saturator:
             self._succ = seq.succedent
             for g in subformulas(self._succ):
                 if g not in self._sub:
-                    self._enter(g, self._succ_heap, self._succ_left, self._succ_right)
+                    self._enter(g, self._succ_left, self._succ_right)
 
     def _take(self, f: Formula) -> None:
         for g in subformulas(f):
             if g not in self._sub:
                 self._sub.add(g)
-                self._enter(g, self._heap, self._left, self._right)
+                self._enter(g, self._left, self._right)
         if isinstance(f, Id):
             splits = (Imp(f.left, f.right), Imp(f.right, f.left))
-            self._push(self._heap, RuleInstance(L_ID2, principal=f), splits)
+            self._push(RuleInstance(L_ID2, principal=f), splits)
             self._take_equation(f)
 
-    def _reflexive(self, heap: list, x: Formula) -> None:
+    def _reflexive(self, x: Formula) -> None:
         e = Id(x, x)
         if e not in self._ante and in_extended_subformulas(e, self.goal):
-            self._push(heap, RuleInstance(L_ID1, principal=x), (e,))
+            self._push(RuleInstance(L_ID1, principal=x), (e,))
 
     # -- a composition is found once its four parts occur --------------------
 
-    def _enter(self, g: Formula, heap: list, left: dict, right: dict) -> None:
-        """Queue on `heap` what `g`, new to the sequent's material, admits:
+    def _enter(self, g: Formula, left: dict, right: dict) -> None:
+        """Queue what `g`, new to the sequent's material, admits:
         its reflexive equation and, if `g` can be a side within the bound
         (the other side is compound too), the compositions it completes.
         `left` and `right` index it by connective and part."""
-        self._reflexive(heap, g)
+        self._reflexive(g)
         if not isinstance(g, (Imp, Id)) or complexity(g) + 2 > self.bound:
             return
         kind, op = type(g), OP_IMP if isinstance(g, Imp) else OP_ID
@@ -299,13 +298,12 @@ class Saturator:
 
     def _queue(self, e1: Id, e2: Id, op: str, x: Formula, y: Formula) -> None:
         """Queue the composition x == y of `e1` and `e2` if the bound and the
-        closure admit it, on the succedent's heap if a side is outside `_sub`."""
+        closure admit it."""
         if complexity(x) + complexity(y) >= self.bound:  # before Id(x, y) interns it
             return
         comp = Id(x, y)
         if comp not in self._ante and in_extended_subformulas(comp, self.goal):
-            heap = self._heap if x in self._sub and y in self._sub else self._succ_heap
-            self._push(heap, RuleInstance(L_ID3, principal=e1, principal2=e2, op=op), (comp,))
+            self._push(RuleInstance(L_ID3, principal=e1, principal2=e2, op=op), (comp,))
 
 
 def identity_instance(sat: Saturator) -> RuleInstance | None:
@@ -317,14 +315,10 @@ def identity_instance(sat: Saturator) -> RuleInstance | None:
     axiom or an implication split, one reaching outside them only feeds
     further compositions."""
     sat._sync()
-    ante = sat.sequent.antecedent
-    best = None
-    for heap in (sat._heap, sat._succ_heap):
-        while heap and all(f in ante for f in heap[0][2]):
-            heapq.heappop(heap)
-        if heap and (best is None or heap[0] < best):
-            best = heap[0]
-    return None if best is None else best[1]
+    ante, heap = sat.sequent.antecedent, sat._heap
+    while heap and all(f in ante for f in heap[0][2]):
+        heapq.heappop(heap)
+    return heap[0][1] if heap else None
 
 
 class _ProofSearch:

@@ -168,19 +168,20 @@ def _parse_sequent(text, table: _FormulaTable) -> Sequent:
     or `|- C`, splits into table keys; text with a part the table misses
     goes to `_parse_parts`, and text whose parts do not parse to
     `parse_sequent`, which gives its errors their positions."""
-    if isinstance(text, str):
-        if text.startswith("|- "):
-            parts = [text[3:]]
-        else:
-            left, _, right = text.partition(" |- ")
-            parts = left.split(", ")
-            parts.append(right)
-        found = list(map(table.get, parts))
-        if None in found:
-            found = _parse_parts(text, table)
-        if found is not None:
-            succedent = found.pop()
-            return Sequent(frozenset(found), succedent)
+    if not isinstance(text, str):
+        raise DocumentError(f"sequent must be a string, got {text!r}")
+    if text.startswith("|- "):
+        parts = [text[3:]]
+    else:
+        left, _, right = text.partition(" |- ")
+        parts = left.split(", ")
+        parts.append(right)
+    found = list(map(table.get, parts))
+    if None in found:
+        found = _parse_parts(text, table)
+    if found is not None:
+        succedent = found.pop()
+        return Sequent(frozenset(found), succedent)
     return parse_sequent(text)
 
 
@@ -279,10 +280,11 @@ def model_doc(model: KripkeModel, designated: str) -> dict:
     its valuation's rows by formula, then world."""
     world_index = {w: i for i, w in enumerate(model.worlds)}
     rows = sorted(model.valuation.items(), key=lambda r: (sort_key(r[0][0]), world_index[r[0][1]]))
+    text = formatter()
     return {
         "worlds": list(model.worlds),
         "order_pairs": [list(p) for p in sorted(model.order, key=lambda p: (world_index[p[0]], world_index[p[1]]))],
-        "valuation": [[format_formula(f), w, v] for (f, w), v in rows],
+        "valuation": [[text(f), w, v] for (f, w), v in rows],
         "designated_world": designated,
     }
 
@@ -290,12 +292,15 @@ def model_doc(model: KripkeModel, designated: str) -> dict:
 def model_from_doc(doc: dict):
     """Parse a model document into (KripkeModel, designated world)."""
     try:
-        worlds = tuple(doc["worlds"])
-        pairs = frozenset((a, b) for a, b in doc["order_pairs"])
-        designated = doc["designated_world"]
-        rows = doc["valuation"]
+        worlds, pairs = doc["worlds"], doc["order_pairs"]
+        designated, rows = doc["designated_world"], doc["valuation"]
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed model document: {exc}") from exc
+    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+        raise DocumentError(f"worlds must be a list of strings, got {worlds!r}")
+    for pair in pairs if isinstance(pairs, list) else [pairs]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise DocumentError(f"malformed order pair {pair!r}")
     if not worlds:
         raise DocumentError("model needs at least one world")
     if designated not in worlds:
@@ -309,13 +314,13 @@ def model_from_doc(doc: dict):
             raise DocumentError(f"malformed valuation row {row!r}") from exc
         if world not in worlds:
             raise DocumentError(f"valuation row for unknown world {world!r}")
-        if value not in (0, 1):
+        if type(value) is not int or value not in (0, 1):
             raise DocumentError(f"valuation value must be 0 or 1, got {value!r}")
         valuation[(table.formula(text), world)] = value
     for a, b in pairs:
         if a not in worlds or b not in worlds:
             raise DocumentError(f"order pair ({a!r}, {b!r}) outside the world set")
-    return KripkeModel(worlds, pairs, valuation), designated
+    return KripkeModel(tuple(worlds), frozenset(map(tuple, pairs)), valuation), designated
 
 
 def verdict_doc(formula: Formula, proof: Derivation | None = None, model: dict | None = None) -> dict:

@@ -4,10 +4,12 @@
 scanning a complete universe of candidate formulas and justifying each one
 directly against the defining clauses; it shares nothing with the
 production worklist, so the two can cross-check each other.
-`ref_labels` computes a world's congruence naively, relabelling classes
-until no pair of compound terms is left to merge, for the reference
-forcing and checks.  `ref_bounded_countermodel_search` is the block search
-of the brute-force oracle with one fresh evaluator per assignment vector.
+`ref_format_formula` prints a formula by recursion, the reference for the
+program's cached formatter.  `ref_labels` computes a world's congruence
+naively, relabelling classes until no pair of compound terms is left to
+merge, for the reference forcing and checks.
+`ref_bounded_countermodel_search` is the block search of the brute-force
+oracle with one fresh evaluator per assignment vector.
 `derivation_from_doc` rebuilds the `Derivation` a proof document
 describes, and `two_pass_check_proof` checks a tree node by node, the last
 child first; `reference_check_proof` runs the two as `isci check-proof`
@@ -74,6 +76,22 @@ def all_formulas(atoms: list[Formula], max_complexity: int) -> list[Formula]:
                     layer.append(Id(left, right))
         by_c.append(sorted(layer, key=sort_key))
     return [f for layer in by_c for f in layer]
+
+
+def ref_format_formula(f: Formula, eq_side: bool = False, imp_left: bool = False) -> str:
+    """The recursive printer, with the concrete syntax's minimal
+    parentheses: the reference for `printer.formatter`."""
+    if isinstance(f, Var):
+        return f.name
+    if f is BOT:
+        return "#"
+    if isinstance(f, Imp):
+        body = f"{ref_format_formula(f.left, imp_left=True)} -> {ref_format_formula(f.right)}"
+        return f"({body})" if eq_side or imp_left else body
+    if isinstance(f, Id):
+        body = f"{ref_format_formula(f.left, eq_side=True)} == {ref_format_formula(f.right, eq_side=True)}"
+        return f"({body})" if eq_side else body
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def naive_extended_subformulas(phi: Formula) -> frozenset[Formula]:

@@ -210,7 +210,7 @@ def test_check_proof_reports_the_failure_the_two_pass_checker_meets_first():
         node = Derivation(node.sequent, node.rule, children)
         return targets[at](node) if at in targets else node
 
-    size = proof.size()
+    size = sum(1 for _ in proof.walk())
     assert size > 20 and any(len(n.children) == 2 for n in proof.walk())
     for i in range(size):
         for j in range(i + 1, size):

@@ -261,8 +261,22 @@ ONE_WORLD = {"worlds": ["a"], "order_pairs": [["a", "a"]], "valuation": [], "des
         ("check-model", {**ONE_WORLD, "designated_world": "b"}, "designated world is not a world"),
         ("check-model", {**ONE_WORLD, "valuation": [["p", "a"]]}, "malformed valuation row ['p', 'a']"),
         ("check-model", {**ONE_WORLD, "valuation": [["p", "b", 1]]}, "valuation row for unknown world 'b'"),
+        ("check-proof", {"sequent": 5, "steps": [{"rule": "axiom"}]}, "sequent must be a string, got 5"),
+        ("check-model", {**ONE_WORLD, "order_pairs": [["a"]]}, "malformed order pair ['a']"),
+        ("check-model", {**ONE_WORLD, "worlds": "ab"}, "worlds must be a list of strings, got 'ab'"),
+        ("check-model", {**ONE_WORLD, "valuation": [["p", "a", True]]}, "valuation value must be 0 or 1, got True"),
     ],
-    ids=["unknown connective", "missing field", "designated", "short row", "unknown world"],
+    ids=[
+        "unknown connective",
+        "missing field",
+        "designated",
+        "short row",
+        "unknown world",
+        "sequent not a string",
+        "short order pair",
+        "worlds a string",
+        "boolean value",
+    ],
 )
 def test_malformed_document_messages(capsys, command, doc, message):
     code, out, err = run(capsys, command, json.dumps(doc))

@@ -85,8 +85,8 @@ def test_builder_walks_its_branches_without_searching(monkeypatch):
     assert len(bundle.derivations) == len(bundle.branches) > 1
     for d, branch in zip(bundle.derivations, bundle.branches):
         l_imps = sum(occ.rule is not None and occ.rule.rule == L_IMP for occ in branch)
-        assert d.size() == len(branch) + l_imps
-        assert sum(node.is_leaf for node in d.walk()) == l_imps + 1
+        assert sum(1 for _ in d.walk()) == len(branch) + l_imps
+        assert sum(node.rule is None for node in d.walk()) == l_imps + 1
 
 
 @pytest.mark.parametrize("text", ["p == q -> q -> r", "# == p -> (q -> #) -> q"])

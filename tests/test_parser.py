@@ -6,7 +6,7 @@ from isci.calculus import Sequent
 from isci.formulas import BOT, Id, Imp, Var
 from isci.parser import ParseError, parse_formula, parse_sequent
 from isci.printer import _latex_atom, format_formula, format_sequent, formatter
-from oracle_utils import all_formulas, formulas_pq
+from oracle_utils import all_formulas, formulas_pq, ref_format_formula
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -82,16 +82,19 @@ def test_trailing_garbage_rejected():
 
 def test_the_cached_formatter_prints_as_format_formula():
     # every formula over p, q and # of complexity at most 4; the formatter
-    # builds each text from its parts' texts
+    # builds each text from its parts' texts, as the recursive reference
+    # prints it
     formulas = all_formulas([p, q, BOT], 4)
     text = formatter()
     assert len(formulas) == 57_909
-    assert [text(f) for f in formulas] == [format_formula(f) for f in formulas]
+    texts = [ref_format_formula(f) for f in formulas]
+    assert [text(f) for f in formulas] == texts
+    assert [format_formula(f) for f in formulas] == texts
     # LaTeX puts its parentheses where the concrete syntax does
     latex = formatter(_latex_atom, r" \supset ", r" \equiv ")
     spelled = {" -> ": r" \supset ", " == ": r" \equiv ", "#": r"\bot"}
     for f in formulas:
-        expected = format_formula(f)
+        expected = ref_format_formula(f)
         for plain, tex in spelled.items():
             expected = expected.replace(plain, tex)
         assert latex(f) == expected

@@ -113,11 +113,20 @@ def test_saturation_chooses_what_a_rescan_chooses(choose, hyps, succ):
     assert [inst for inst, _ in chain] + [None] == [rescan_instance(goal, s) for s in steps]
 
 
+# L==3 composes ((p -> q) -> s) == ((p -> q) -> (p -> q) -> s), whose right
+# side occurs only in the succedent
+SUCCEDENT_SIDE = "(s == ((p -> q) -> s)) -> ((p -> q) -> ((p -> q) -> s))"
+
+
 @GUIDED_ONLY
-@pytest.mark.parametrize("text", ["p == q -> (p -> #) -> q", "(p -> #) == q -> r", DEPTH_2])
+@pytest.mark.parametrize(
+    "text", ["p == q -> (p -> #) -> q", "(p -> #) == q -> r", DEPTH_2, SUCCEDENT_SIDE]
+)
 def test_search_saturates_as_a_rescan_does(monkeypatch, choose, text):
     # every saturation step of a whole decision, on branches that extend a
-    # parent's saturator and change succedents, is the rescan's choice
+    # parent's saturator and change succedents, is the rescan's choice; a
+    # saturator that drops the compositions of the succedent's sides
+    # departs from it on SUCCEDENT_SIDE
     goal = parse_formula(text)
 
     def checked(sat):
@@ -265,6 +274,34 @@ def test_search_space_is_pinned(text, nodes, backtracks):
             "f2c7d27b93b2491d8a7f28aba7da17c1621d01a3a6847203470f11e1a58b0add",
             "58584bdbd4f49d3fc846417c51effa8898d031a22ffdf9c47ffb488e8a4b1218",
         ]
+
+
+def test_a_derivation_2000_steps_deep_renders_in_a_fresh_process():
+    # L==1 on p 2,000 times over |- p -> p, then R-> and an axiom leaf,
+    # rendered where no `decide` has raised the recursion limit
+    script = (
+        "import sys\n"
+        "from isci.calculus import Derivation, RuleInstance, apply_rule, sequent\n"
+        "from isci.formulas import Imp, Var\n"
+        "from isci.printer import format_derivation, format_derivation_dot, format_derivation_latex\n"
+        "from isci.serialize import check_proof_doc, proof_doc\n"
+        "p = Var('p')\n"
+        "rules = [RuleInstance('L==1', principal=p)] * 2000 + [RuleInstance('R->')]\n"
+        "seqs = [sequent([], Imp(p, p))]\n"
+        "for rule in rules:\n"
+        "    seqs.append(apply_rule(seqs[-1], rule)[0])\n"
+        "d = Derivation(seqs.pop())\n"
+        "for seq, rule in zip(reversed(seqs), reversed(rules)):\n"
+        "    d = Derivation(seq, rule, (d,))\n"
+        "assert sys.getrecursionlimit() < 2000\n"
+        "print(len(format_derivation(d).splitlines()))\n"
+        "print(format_derivation_latex(d).count('\\\\infer'))\n"
+        "print(format_derivation_dot(d).count(' -> n'))\n"
+        "print(check_proof_doc(proof_doc(d)).ok)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2002", "2001", "2001", "True"]
 
 
 def test_proof_search_hashes_no_sequent(monkeypatch):

@@ -207,22 +207,35 @@ def congruence_proof():
 def test_documents_print_and_parse_each_distinct_formula_once(monkeypatch, congruence_proof):
     formulas = formulas_in(congruence_proof)
     texts = {isci.printer.format_formula(f) for f in formulas}
-    assert congruence_proof.size() == 418 and len(texts) == len(formulas)
+    assert sum(1 for _ in congruence_proof.walk()) == 418 and len(texts) == len(formulas)
 
-    printed = []
-    fmt = isci.printer.format_formula
+    # a formatter prints each distinct formula once, so a document is
+    # printed by one formatter and no call of `format_formula`
+    printed, built = [], []
+    fmt, make = isci.printer.format_formula, isci.printer.formatter
 
     def counting_format(f):
         printed.append(f)
         return fmt(f)
 
-    monkeypatch.setattr(isci.printer, "format_formula", counting_format)
-    monkeypatch.setattr(isci.serialize, "format_formula", counting_format)
+    def counting_formatter(*args):
+        built.append(args)
+        return make(*args)
+
+    for module in (isci.printer, isci.serialize):
+        monkeypatch.setattr(module, "format_formula", counting_format)
+        monkeypatch.setattr(module, "formatter", counting_formatter)
     doc = proof_doc(congruence_proof)
-    assert len(printed) <= len(formulas)
+    assert (len(printed), len(built)) == (0, 1)
+    # a model's rows repeat each formula at each world
+    bundle = decide(parse_formula("p == q -> (p -> #) -> q")).model
+    built.clear()
+    rows = bundle.model_document()["valuation"]
+    assert (len(printed), len(built)) == (0, 1)
+    assert (len(rows), len({text for text, _, _ in rows})) == (24, 11)
     monkeypatch.undo()
     assert doc["sequent"] == format_sequent(congruence_proof.sequent)
-    assert len(doc["steps"]) == congruence_proof.size()
+    assert len(doc["steps"]) == sum(1 for _ in congruence_proof.walk())
 
     tokenized = []
     tokenize = isci.parser._tokenize
