@@ -121,10 +121,11 @@ def apply_rule(s: Sequent, r: RuleInstance) -> list[Sequent]:
     raise InapplicableRuleError(f"unknown rule {r.rule!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Derivation:
-    """A derivation tree node.  `rule` is None exactly at leaves; a leaf is
-    an axiom leaf or an open leaf depending on `is_axiom(sequent)`."""
+    """A derivation tree node, compared by identity (generated methods
+    would recurse once per level).  `rule` is None exactly at leaves; a
+    leaf is an axiom leaf or an open leaf depending on `is_axiom(sequent)`."""
 
     sequent: Sequent
     rule: RuleInstance | None = None

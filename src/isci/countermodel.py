@@ -1,9 +1,9 @@
 """Decision: a checked proof, or a validated countermodel.
 
-`decide` runs the proof search once.  When the search fails, the
-construction walks one open branch of the goal under a stricter regime
-than proof search, with the failed search (its provability table and its
-budget) deciding which premise the branch follows, and reading each
+`decide` runs the proof search once; its provability table decides.  When
+the table refutes the goal, the construction walks one open branch of it
+under a stricter regime than proof search, with the search (its table and
+its budget) deciding which premise the branch follows, and reading each
 node's identity saturation from the search's stored chains.  Before R->
 may fire, every antecedent implication must be saturated (its consequent
 present, or its antecedent the succedent) or treated by L->; at an L->
@@ -54,7 +54,8 @@ from .formulas import (
 )
 from .invariants import assert_restricted_derivation
 from .printer import format_formula, format_sequent
-from .prover import Budget, Limits, Saturator, SearchStats, Verdict, _ProofSearch, identity_instance
+from .prover import Budget, Limits, Saturator, SearchStats, Verdict, _ProofSearch
+from .prover import deep_recursion, identity_instance
 from .semantics import Evaluator, KripkeModel, model_failures
 
 
@@ -145,7 +146,7 @@ class _Builder:
         self.spawn_edges: set[tuple[str, str]] = set()
         self.memo: dict[Sequent, str] = {}
         self.pending: deque[tuple[str, Sequent]] = deque()
-        # the failed search, whose provability table picks each L-> premise
+        # the search, whose provability table picks each L-> premise
         # of a branch and proves no spawned root, and whose saturation
         # chains each walk reads
         self.prover = search
@@ -303,15 +304,16 @@ def _reflexive_transitive_closure(names: list[str], edges: set[tuple[str, str]])
     return frozenset((a, b) for a in names for b in reach[a])
 
 
+@deep_recursion()
 def decide(phi: Formula, limits: Limits | Budget | None = None) -> Verdict:
-    """Prove `phi` or refute it.  One proof search runs; a proof is
-    certified, and otherwise its provability table steers the branches of
-    a countermodel, which is validated.  One budget, started here unless
-    `limits` is one already running, bounds every phase with the same
-    deadline.  The verdict's stats count the search's expansions,
-    saturation steps and provability-table evaluations, those the branches
-    ask for included; `max_nodes` bounds them, and the builder's own nodes
-    apart."""
+    """Prove `phi` or refute it.  The search's provability table decides;
+    a proof the search writes is certified, and otherwise the table steers
+    the branches of a countermodel, which is validated.  One budget,
+    started here unless `limits` is one already running, bounds every
+    phase with the same deadline.  The verdict's stats count the search's
+    expansions, saturation steps and provability-table evaluations, those
+    the branches ask for included; `max_nodes` bounds them, and the
+    builder's own nodes apart."""
     search = _ProofSearch(phi, limits or Limits())
     proof = search.run()
     if proof is not None:

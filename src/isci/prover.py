@@ -13,9 +13,9 @@ introduced only for formulas that occur inside the sequent, and a
 composition of two antecedent equations is kept only when both sides of
 the composed equation occur inside the sequent.  Saturation then touches
 just the identities that can interact with the goal.  It does not take
-in the whole extended-subformula set, so a failed search alone proves
-nothing: `countermodel.decide` reads a countermodel off it and validates
-that model before it reports a refutation.
+in the whole extended-subformula set, so an unprovable root alone proves
+nothing: `countermodel.decide` reads a countermodel off the provability
+table and validates that model before it reports a refutation.
 
 Requiring the composed equation itself to occur inside the sequent is
 too strict: it still proves the congruence axioms
@@ -39,6 +39,7 @@ from __future__ import annotations
 import heapq
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -322,7 +323,7 @@ def identity_instance(sat: Saturator) -> RuleInstance | None:
 
 
 class _ProofSearch:
-    """Depth-first backward search with a provability table.
+    """Depth-first backward search, gated by a provability table.
 
     A rule application is blocked exactly when a premise would repeat a
     sequent on the branch.  R-> is tried first, so proofs keep the
@@ -345,19 +346,19 @@ class _ProofSearch:
     Γ form the least fixpoint of Γ's R-> and L-> clauses (Horn clauses,
     as in Dowling and Gallier, 1984), whose other premises have strictly
     larger antecedents.  `provable` computes it lazily, in a table keyed
-    by antecedent and then succedent.  The search asks the table only
-    about a sequent that has failed before: an unprovable one fails again
-    at once, any other is searched again, so the proofs are those of a
-    search with no table.  A success marks its sequent provable; a
-    failure with an empty history marks it unprovable, since a search
-    from the sequent alone is complete.  Every expansion, saturation step
-    and table evaluation is a node, and the node cap bounds them all.
+    by antecedent and then succedent; it alone writes the table, and
+    decides.  The search asks it about each sequent before searching it,
+    so a refuted goal fails at its root.  The table cuts only sequents no
+    search proves, and the alternatives keep their order, so the proofs
+    are those of a search with no table, which backtracks only where the
+    loop check blocks a provable premise.  Every expansion, saturation
+    step and table evaluation is a node, and the node cap bounds them all.
 
-    The tables and the budget outlive `run`: after a failed search the
+    The tables and the budget outlive `run`: after a refuted root the
     countermodel builder asks the same object which premise of each L->
     its branch follows, whether a spawned sequent is provable, and each
-    sequent's saturation chain, which `saturated` stored when the search
-    saturated that sequent.
+    sequent's saturation chain, which `saturated` stored when the table
+    or the search saturated that sequent.
     """
 
     def __init__(self, goal: Formula, limits: Limits | Budget):
@@ -366,7 +367,6 @@ class _ProofSearch:
         self.stats = SearchStats()
         self.tick = self.budget.counter(self.stats, "the proof search")
         self.saturator = Saturator(goal)  # the goal's, which every branch extends
-        self.failed: dict[frozenset[Formula], set[Formula]] = {}  # antecedent -> succedents
         # antecedent -> succedent -> provable; only decided sequents are in it
         self.table: dict[frozenset[Formula], dict[Formula, bool]] = {}
         # saturated antecedent -> (goals to evaluate, goal -> its waiters)
@@ -411,9 +411,7 @@ class _ProofSearch:
 
     def run(self) -> Derivation | None:
         """Search the goal's root sequent; a proof found is certified."""
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-        root = Sequent(frozenset(), self.goal)
-        proof = self.expand(root, frozenset(), self.saturator)
+        proof = self.expand(Sequent(frozenset(), self.goal), frozenset(), self.saturator)
         if proof is not None:
             certify(proof, self.goal)
         return proof
@@ -425,28 +423,13 @@ class _ProofSearch:
         self.tick()
         if is_axiom(seq):
             return Derivation(seq)
-        ante, succ = seq.antecedent, seq.succedent
-        if succ in self.failed.get(ante, ()) and not self.provable(seq, sat):
+        if not self.provable(seq, sat):
             return None
-        result = self._expand_inner(seq, history | {succ}, sat)
-        if result is None:
-            self.failed.setdefault(ante, set()).add(succ)
-            if not history:
-                self.table.setdefault(ante, {})[succ] = False
-        else:
-            self.table.setdefault(ante, {})[succ] = True
-        return result
-
-    def _expand_inner(self, seq, hist, sat) -> Derivation | None:
-        # identity saturation first, built iteratively (chains can be long)
         chain, sat = self.saturated(seq, sat)
         current = sat.sequent
-        if chain:
-            hist = frozenset((current.succedent,))  # each step grows the antecedent
-        if is_axiom(current):
-            result = Derivation(current)
-        else:
-            result = self._tail(current, hist, sat)
+        # each saturation step grows the antecedent and restarts the segment
+        hist = frozenset((current.succedent,)) if chain else history | {seq.succedent}
+        result = Derivation(current) if is_axiom(current) else self._tail(current, hist, sat)
         if result is None:
             return None
         for conclusion, inst in reversed(chain):
@@ -579,11 +562,24 @@ def certify(proof: Derivation, goal: Formula) -> None:
     assert_restricted_derivation(proof, goal)
 
 
+@contextmanager
+def deep_recursion() -> Iterator[None]:
+    """The recursion limit at least 100,000 for the call it decorates, and
+    restored after: the search and the provability table recurse."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved, 100_000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+@deep_recursion()
 def prove(phi: Formula, limits: Limits | Budget | None = None) -> Verdict:
     """Decide provability of the sequent with empty antecedent and
     succedent `phi`.  Proved verdicts carry a derivation that passes the
-    independent checker; NotProved means the whole restricted search space
-    was exhausted.  `countermodel.decide` also builds the refuting model."""
+    independent checker; NotProved means the table found the root
+    unprovable.  `countermodel.decide` also builds the refuting model."""
     search = _ProofSearch(phi, limits or Limits())
     proof = search.run()
     return Verdict(proof is not None, proof, search.stats)

@@ -10,10 +10,13 @@ naively, relabelling classes until no pair of compound terms is left to
 merge, for the reference forcing and checks.
 `ref_bounded_countermodel_search` is the block search of the brute-force
 oracle with one fresh evaluator per assignment vector.
+`ref_expand` is the proof search with no provability table, the
+reference for the proofs the table-gated search writes.
 `derivation_from_doc` rebuilds the `Derivation` a proof document
 describes, and `two_pass_check_proof` checks a tree node by node, the last
 child first; `reference_check_proof` runs the two as `isci check-proof`
-once did, for comparison with its one replay.
+once did, for comparison with its one replay.  `same_derivation` compares
+two trees node by node.
 """
 
 from __future__ import annotations
@@ -335,16 +338,61 @@ def rescan_choice(sat) -> RuleInstance | None:
 CHOOSERS = {"full": rescan_choice, "guided": identity_instance}
 
 
+# --- reference proof search ---------------------------------------------------
+# The depth-first search `_ProofSearch.expand` ran before the provability
+# table decided every sequent: the same loop check and the same order of
+# alternatives, with no table to cut an unprovable sequent and nothing
+# written to one.
+
+
+def ref_expand(search, seq: Sequent, history, sat) -> Derivation | None:
+    """A proof of `seq` by the ungated search, or None; `search` supplies
+    the node count, the saturation chains and the L-> candidates.  It has
+    the signature of `_ProofSearch.expand`, which a test may replace by it."""
+    search.tick()
+    if is_axiom(seq):
+        return Derivation(seq)
+    chain, sat = search.saturated(seq, sat)
+    current = sat.sequent
+    hist = frozenset((current.succedent,)) if chain else history | {seq.succedent}
+    result = Derivation(current) if is_axiom(current) else _ref_search_tail(search, current, hist, sat)
+    if result is None:
+        return None
+    for conclusion, inst in reversed(chain):
+        result = Derivation(conclusion, inst, (result,))
+    return result
+
+
+def _ref_search_tail(search, seq: Sequent, hist, sat) -> Derivation | None:
+    ante, succ = seq.antecedent, seq.succedent
+    if isinstance(succ, Imp):
+        step = search.r_imp_premise(seq, hist)
+        if step is not None:
+            child = ref_expand(search, *step, sat)
+            if child is not None:
+                return Derivation(seq, RuleInstance(R_IMP), (child,))
+    for f in search.implications(ante):
+        if f.left in hist:
+            continue
+        lchild = ref_expand(search, Sequent(ante, f.left), hist, sat)
+        if lchild is None:
+            continue
+        rchild = ref_expand(search, Sequent(search.grow(ante, f.right), succ), frozenset(), sat)
+        if rchild is not None:
+            return Derivation(seq, RuleInstance(L_IMP, principal=f), (lchild, rchild))
+    return None
+
+
 # --- reference countermodel builder -------------------------------------------
 # The tree builder `isci.countermodel._Builder` walked before: it derives
 # the whole tree above a sequent, closing every provable node with a proof
-# the failed search finds for it, and reads the leftmost open branch off
+# the search finds for it, and reads the leftmost open branch off
 # it.  The differential test compares its branches with the walked ones.
 
 
 def ref_build(search, seq: Sequent) -> Derivation:
-    """The whole derivation of `seq`, with the failed `_ProofSearch` as
-    provability gate at every node; its node cap bounds the tree too."""
+    """The whole derivation of `seq`, with the refuted goal's `_ProofSearch`
+    as provability gate at every node; its node cap bounds the tree too."""
     return _ref_expand(search, seq, frozenset(), Saturator(search.goal))
 
 
@@ -573,3 +621,15 @@ def reference_check_proof(doc: dict) -> tuple[int, str, str]:
     if result.ok:
         return 0, "VALID PROOF\n", ""
     return 1, f"INVALID PROOF: {result.error}\n", ""
+
+
+def same_derivation(a: Derivation, b: Derivation) -> bool:
+    """Whether two trees have the same sequent, rule and number of premises
+    at every node; without recursion, at any depth."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x.sequent != y.sequent or x.rule != y.rule or len(x.children) != len(y.children):
+            return False
+        stack.extend(zip(x.children, y.children))
+    return True

@@ -600,7 +600,7 @@ def compact_chain_document(depth):
 @contextlib.contextmanager
 def recursion_limit(limit):
     """Run under `limit`: a fresh `isci` process has the interpreter's
-    default, 1000, and an in-process `decide` leaves 100,000 or more."""
+    default, 1000, and the commands restore whatever limit they find."""
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
@@ -694,6 +694,18 @@ def test_a_formula_nested_past_the_recursion_limit_is_an_input_error(capsys, com
         code, out, err = run(capsys, command, deep)
     assert (code, out) == (2, "")
     assert re.fullmatch(r"input error: 1:\d+: formula nested too deeply\n", err)
+
+
+def test_decide_leaves_the_recursion_limit_as_it_found_it(capsys):
+    # the search raises the limit only while it runs, so a deep formula is
+    # an input error after a `decide` in the same process as before it
+    deep = "(" * 400 + "p" + ")" * 400
+    codes = []
+    with recursion_limit(1000):
+        for text in (deep, "p", deep):
+            codes.append(run(capsys, "decide", text, "--quiet")[0])
+            assert sys.getrecursionlimit() == 1000
+    assert codes == [2, 1, 2]
 
 
 def test_the_oracle_recurses_once_per_enumerated_block():

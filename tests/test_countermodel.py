@@ -91,7 +91,7 @@ def test_builder_walks_its_branches_without_searching(monkeypatch):
 
 @pytest.mark.parametrize("text", ["p == q -> q -> r", "# == p -> (q -> #) -> q"])
 def test_builder_applies_no_saturation_step(monkeypatch, text):
-    # every saturation chain the walk records is the failed search's own:
+    # every saturation chain the walk records is the search's own:
     # the builder reads it and applies no identity instance itself
     search = _ProofSearch(parse_formula(text), Limits())
     assert search.run() is None
@@ -176,18 +176,20 @@ def test_segment_worlds_chain_of_three():
 def test_decide_searches_the_root_once(monkeypatch):
     phi = parse_formula("((p -> q) -> p) -> p")
     root = sequent((), phi)
-    expanded = []
-    inner = _ProofSearch._expand_inner
+    calls = {"expand": [], "_tail": []}
+    for name, seqs in calls.items():
+        method = getattr(_ProofSearch, name)
 
-    def spy(self, seq, *args):
-        expanded.append(seq)
-        return inner(self, seq, *args)
+        def spy(self, seq, *args, method=method, seqs=seqs):
+            seqs.append(seq)
+            return method(self, seq, *args)
 
-    monkeypatch.setattr(_ProofSearch, "_expand_inner", spy)
+        monkeypatch.setattr(_ProofSearch, name, spy)
     verdict = decide(phi)
     assert not verdict.proved and verdict.model is not None
-    # the builder walks the failed root without searching it again
-    assert expanded.count(root) == 1
+    # the table refutes the root before any rule is tried on it, and the
+    # builder walks the refuted root without searching it again
+    assert calls == {"expand": [root], "_tail": []}
 
 
 def test_decide_has_one_deadline(monkeypatch):
@@ -232,7 +234,7 @@ def test_costliest_builder_run_is_pinned():
     assert not verdict.proved
     assert len(verdict.model.worlds) == 3
     assert sum(map(len, verdict.model.branches)) == 49
-    assert (verdict.stats.nodes, verdict.model.stats.nodes) == (53, 49)
+    assert (verdict.stats.nodes, verdict.model.stats.nodes) == (52, 49)
 
 
 def refute(text):

@@ -20,7 +20,8 @@ from isci.printer import format_derivation, format_derivation_dot, format_deriva
 from isci.prover import Limits, ResourceExhausted, Saturator, _ProofSearch, prove
 from isci.serialize import dumps, proof_doc
 
-from oracle_utils import CHOOSERS, rescan_instance, small_formulas_pqr
+from oracle_utils import CHOOSERS, ref_expand, rescan_instance, small_formulas_pqr
+from test_acceptance import THEOREMS as ACCEPTANCE_THEOREMS
 
 p, q, r, s = (Var(n) for n in "pqrs")
 
@@ -237,28 +238,30 @@ def test_budget_start_returns_the_running_budget():
 
 
 def test_search_statistics_are_exposed():
-    verdict = prove(parse_formula("((p -> q) -> p) -> p"))
-    assert verdict.stats.nodes > 0
-    assert verdict.stats.backtracks > 0
+    # the symmetry formulas are the only ones of complexity at most 3 whose
+    # search still backtracks: the loop check blocks a provable premise
+    verdict = prove(parse_formula("p == q -> q == p"))
+    assert (verdict.stats.nodes, verdict.stats.backtracks) == (88, 2)
 
 
 CONGRUENCE = "(p == q) -> (r == s) -> ((p -> r) == (q -> s))"
 
 
-@pytest.mark.parametrize(
-    "text, nodes, backtracks",
-    [
-        ("(p -> #) == q -> r", 41, 8),
-        ("((p -> q) -> p) -> p", 19, 3),
-        (CONGRUENCE, 418, 0),
-        ("# == p -> (q -> #) -> q", 57, 8),
-    ],
-)
+SEARCH_SPACES = [
+    ("(p -> #) == q -> r", 35, 0),
+    ("((p -> q) -> p) -> p", 19, 0),
+    (CONGRUENCE, 420, 0),
+    ("# == p -> (q -> #) -> q", 51, 0),
+]
+
+
+@pytest.mark.parametrize("text, nodes, backtracks", SEARCH_SPACES, ids=[case[0] for case in SEARCH_SPACES])
 def test_search_space_is_pinned(text, nodes, backtracks):
     # the loop check blocking one premise more or less, or the provability
-    # table cutting one sequent more or less, changes these counts (blocking
+    # table evaluating one goal more or less, changes these counts (blocking
     # less can loop until the node cap); they do not depend on the string
-    # hash seed
+    # hash seed.  A refuted goal is decided by the table alone, so its
+    # search never backtracks
     verdict = decide(parse_formula(text), Limits(max_nodes=100_000))
     assert (verdict.stats.nodes, verdict.stats.backtracks) == (nodes, backtracks)
     if text == CONGRUENCE:
@@ -305,9 +308,9 @@ def test_a_derivation_2000_steps_deep_renders_in_a_fresh_process():
 
 
 def test_proof_search_hashes_no_sequent(monkeypatch):
-    # a segment's sequents share their antecedent, so the loop check, the
-    # failures and the provability table are keyed by formulas and never
-    # hash a whole sequent
+    # a segment's sequents share their antecedent, so the loop check and
+    # the provability table are keyed by formulas and never hash a whole
+    # sequent
     hashed = []
     sequent_hash = Sequent.__hash__
 
@@ -319,16 +322,12 @@ def test_proof_search_hashes_no_sequent(monkeypatch):
     search = _ProofSearch(parse_formula("# == p -> (q -> #) -> q"), Limits())
     assert search.run() is None
     assert hashed == []
-    # failures are succedents per antecedent, and the table holds decided
-    # answers per antecedent and succedent, the failed root's among them
-    assert all(isinstance(a, frozenset) for a in (*search.failed, *search.table))
+    # the table holds decided answers per antecedent and succedent, the
+    # refuted root's among them
+    assert all(isinstance(a, frozenset) for a in search.table)
     assert search.table[frozenset()] == {search.goal: False}
     answers = [v for by_succ in search.table.values() for v in by_succ.values()]
-    assert (
-        sum(map(len, search.failed.values())),
-        answers.count(True),
-        answers.count(False),
-    ) == (7, 0, 7)
+    assert (answers.count(True), answers.count(False)) == (0, 9)
 
 
 def test_each_sequent_is_saturated_once():
@@ -354,19 +353,13 @@ TABLE_NODE_CAP = 20_000
 
 
 def decided(phi, table=True):
-    """What `decide` gives with or without the search's table cut (a search
-    that never consults the table cuts nothing; the builder still asks the
+    """What `decide` gives with or without the search's table cut (without
+    it, `ref_expand` searches every sequent; the builder still asks the
     table which premise its branch follows): the verdict and its document,
     or the error it raises; None when the cap is hit."""
     with pytest.MonkeyPatch.context() as mp:
         if not table:
-            expand = _ProofSearch.expand
-
-            def expand_without_cut(self, *args):
-                self.failed.clear()  # no sequent has failed before
-                return expand(self, *args)
-
-            mp.setattr(_ProofSearch, "expand", expand_without_cut)
+            mp.setattr(_ProofSearch, "expand", ref_expand)
         try:
             verdict = decide(phi, Limits(max_nodes=TABLE_NODE_CAP))
         except ResourceExhausted:
@@ -396,3 +389,13 @@ def test_table_keeps_verdicts_and_proofs(choose, phi):
             search = _ProofSearch(phi, Limits())
             root = Sequent(frozenset(), phi)
             assert search.provable(root, Saturator(phi)) == with_table[0]
+
+
+@pytest.mark.parametrize("text", ACCEPTANCE_THEOREMS + ["p == q -> q == p"])
+def test_the_gated_search_writes_the_reference_proofs(text):
+    # the theorems' proofs, and those of the symmetry formulas, whose
+    # search backtracks where the loop check blocks a provable premise
+    phi = parse_formula(text)
+    gated = decided(phi)
+    assert gated is not None and gated[0] is True
+    assert gated == decided(phi, table=False)
