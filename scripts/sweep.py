@@ -61,8 +61,7 @@ def main(argv=None) -> int:
                       f"refutes it at {found[1]}", file=sys.stderr)
                 return 1
             if args.verbose:
-                print(f"PROVED   {format_formula(phi)}  "
-                      f"({verdict.stats.nodes} nodes, {verdict.stats.backtracks} backtracks)")
+                print(f"PROVED   {format_formula(phi)}  ({verdict.stats.nodes} nodes)")
         else:
             refuted += 1
             bundle = verdict.model

@@ -1,8 +1,8 @@
 """Decision: a checked proof, or a validated countermodel.
 
-`decide` runs the proof search once; its provability table decides.  When
-the table refutes the goal, the construction walks one open branch of it
-under a stricter regime than proof search, with the search (its table and
+`decide` asks the search's provability table about the goal once; a proof
+is read off the table.  When the table refutes the goal, the construction
+walks one open branch under a loop check, with the search (its table and
 its budget) deciding which premise the branch follows, and reading each
 node's identity saturation from the search's stored chains.  Before R->
 may fire, every antecedent implication must be saturated (its consequent
@@ -307,13 +307,13 @@ def _reflexive_transitive_closure(names: list[str], edges: set[tuple[str, str]])
 @deep_recursion()
 def decide(phi: Formula, limits: Limits | Budget | None = None) -> Verdict:
     """Prove `phi` or refute it.  The search's provability table decides;
-    a proof the search writes is certified, and otherwise the table steers
+    a proof read off the table is certified, and otherwise the table steers
     the branches of a countermodel, which is validated.  One budget,
     started here unless `limits` is one already running, bounds every
     phase with the same deadline.  The verdict's stats count the search's
-    expansions, saturation steps and provability-table evaluations, those
-    the branches ask for included; `max_nodes` bounds them, and the
-    builder's own nodes apart."""
+    saturation steps and provability-table evaluations, those the branches
+    ask for included; `max_nodes` bounds them, and the builder's own nodes
+    apart."""
     search = _ProofSearch(phi, limits or Limits())
     proof = search.run()
     if proof is not None:

@@ -1,12 +1,12 @@
-"""Backward proof search.
+"""Backward proof search by a provability table.
 
-Priorities at every node: close axioms, saturate with the identity rules,
-then apply R-> when the succedent is an implication (R-> is invertible,
-so it is never backtracked), and only then try the antecedent implications
-with L->, backtracking across the choices.  A rule application is skipped
-whenever one of its premises would repeat a sequent already on the branch;
-together with the extended-subformula bound on identity rules this makes
-the search space finite.
+The table decides each sequent by the rules' priorities: axioms close it,
+the identity rules saturate it, then R-> applies when the succedent is an
+implication and L-> to the antecedent implications.  For each sequent it
+proves, the table keeps the clause that proved it, and the proof is read
+off those clauses, with no second search and no backtracking.  Together
+with the extended-subformula bound on identity rules, antecedents that
+only grow make the space finite.
 
 Identity saturation is guided by the sequent: reflexive equations are
 introduced only for formulas that occur inside the sequent, and a
@@ -85,7 +85,6 @@ class Limits:
 @dataclass
 class SearchStats:
     nodes: int = 0
-    backtracks: int = 0
 
 
 class ResourceExhausted(RuntimeError):
@@ -323,42 +322,35 @@ def identity_instance(sat: Saturator) -> RuleInstance | None:
 
 
 class _ProofSearch:
-    """Depth-first backward search, gated by a provability table.
+    """Backward proof search by a provability table, which decides every
+    sequent and keeps the clause that proved each provable one.
 
-    A rule application is blocked exactly when a premise would repeat a
-    sequent on the branch.  R-> is tried first, so proofs keep the
-    invertible-rule-first shape, and a failed R-> premise falls back to
-    the L-> alternatives instead of committing.
-
-    Antecedents only grow upward, so a premise can repeat only an ancestor
-    with the same antecedent, and those ancestors end the branch (the
-    loop check of Heuerding, Seyfried and Zimmermann, TABLEAUX 1996).  The
-    history handed down is therefore just that segment; it restarts
-    whenever the antecedent grows, after every identity-saturation step
-    among others.  A segment's sequents share their antecedent, so the
-    history is the set of their succedents.  For L-> on an implication
-    a -> b, the right premise Γ, b ⊢ C repeats a sequent exactly when b is
-    in Γ, and it is then the conclusion itself, so `implications` leaves
-    a -> b out; else the premise is built once the left one, Γ ⊢ a, is proved.
-
-    Whether a sequent fails depends on the branch, but whether it is
-    provable does not.  The provable succedents of a saturated antecedent
-    Γ form the least fixpoint of Γ's R-> and L-> clauses (Horn clauses,
-    as in Dowling and Gallier, 1984), whose other premises have strictly
-    larger antecedents.  `provable` computes it lazily, in a table keyed
-    by antecedent and then succedent; it alone writes the table, and
-    decides.  The search asks it about each sequent before searching it,
-    so a refuted goal fails at its root.  The table cuts only sequents no
-    search proves, and the alternatives keep their order, so the proofs
-    are those of a search with no table, which backtracks only where the
-    loop check blocks a provable premise.  Every expansion, saturation
-    step and table evaluation is a node, and the node cap bounds them all.
+    Provability does not depend on the branch.  The provable succedents of
+    a saturated antecedent Γ form the least fixpoint of Γ's R-> and L->
+    clauses (Horn clauses, as in Dowling and Gallier, 1984), whose other
+    premises have larger antecedents.  `provable` computes it lazily, in a
+    table keyed by antecedent and then succedent, so a refuted goal fails
+    at its root.  A sequent the fixpoint proves keeps the clause that
+    fired, rule instance and premises: R-> first, then the L-> alternatives
+    in canonical order, the first whose premises were proved when it was
+    last evaluated.  `write` reads the proof off these clauses and the
+    stored saturation chains; a premise with its conclusion's antecedent
+    was proved before it, so no branch repeats a sequent.  Every saturation
+    step and clause evaluation is a node, and the node cap bounds them all.
 
     The tables and the budget outlive `run`: after a refuted root the
     countermodel builder asks the same object which premise of each L->
     its branch follows, whether a spawned sequent is provable, and each
-    sequent's saturation chain, which `saturated` stored when the table
-    or the search saturated that sequent.
+    sequent's saturation chain, which `saturated` stored.
+
+    The walk blocks a rule application exactly when a premise would repeat
+    a sequent on its branch.  Antecedents only grow upward, so a premise
+    can repeat only an ancestor with the same antecedent (the loop check of
+    Heuerding, Seyfried and Zimmermann, TABLEAUX 1996): the walk's history
+    is the succedents of that segment, which restarts whenever the
+    antecedent grows.  For L-> on a -> b, the right premise Γ, b ⊢ C
+    repeats a sequent exactly when b is in Γ, and then it is the conclusion
+    itself, so `implications` leaves a -> b out.
     """
 
     def __init__(self, goal: Formula, limits: Limits | Budget):
@@ -367,8 +359,10 @@ class _ProofSearch:
         self.stats = SearchStats()
         self.tick = self.budget.counter(self.stats, "the proof search")
         self.saturator = Saturator(goal)  # the goal's, which every branch extends
-        # antecedent -> succedent -> provable; only decided sequents are in it
-        self.table: dict[frozenset[Formula], dict[Formula, bool]] = {}
+        # antecedent -> succedent -> False, or True at an axiom or a chain
+        # that grew the antecedent, else the clause (rule instance,
+        # premises) that proved it; only decided sequents are in it
+        self.table: dict[frozenset[Formula], dict[Formula, bool | tuple]] = {}
         # saturated antecedent -> (goals to evaluate, goal -> its waiters)
         self._open: dict[frozenset[Formula], tuple[list[Formula], dict]] = {}
         self._implications: dict[frozenset[Formula], tuple[Imp, ...]] = {}
@@ -410,55 +404,31 @@ class _ProofSearch:
         return Sequent(ante, succ.right), hist
 
     def run(self) -> Derivation | None:
-        """Search the goal's root sequent; a proof found is certified."""
-        proof = self.expand(Sequent(frozenset(), self.goal), frozenset(), self.saturator)
-        if proof is not None:
-            certify(proof, self.goal)
+        """Decide the goal's root sequent; the proof of a provable one is
+        written from the table and certified."""
+        root = Sequent(frozenset(), self.goal)
+        if not self.provable(root, self.saturator):
+            return None
+        proof = self.write(root)
+        certify(proof, self.goal)
         return proof
 
-    def expand(self, seq: Sequent, history: frozenset[Formula], sat: Saturator):
-        """A proof of `seq`, or None.  `history` holds the succedents of
-        the ancestors with the antecedent of `seq`; `sat` holds the
-        saturation state of the branch below `seq`."""
-        self.tick()
+    def write(self, seq: Sequent) -> Derivation:
+        """The proof of the provable `seq` the tables hold: an axiom leaf,
+        the clause that proved `seq`, or its stored saturation chain above
+        the proof of the chain's end.  It evaluates no clause, counts no
+        node and saturates nothing."""
         if is_axiom(seq):
             return Derivation(seq)
-        if not self.provable(seq, sat):
-            return None
-        chain, sat = self.saturated(seq, sat)
-        current = sat.sequent
-        # each saturation step grows the antecedent and restarts the segment
-        hist = frozenset((current.succedent,)) if chain else history | {seq.succedent}
-        result = Derivation(current) if is_axiom(current) else self._tail(current, hist, sat)
-        if result is None:
-            return None
+        reason = self.table[seq.antecedent][seq.succedent]
+        if reason is not True:
+            inst, premises = reason
+            return Derivation(seq, inst, tuple(self.write(p) for p in premises))
+        chain, sat = self._saturated[seq.antecedent][seq.succedent]  # proved at its end
+        proof = self.write(sat.sequent)
         for conclusion, inst in reversed(chain):
-            result = Derivation(conclusion, inst, (result,))
-        return result
-
-    def _tail(self, seq, hist, sat) -> Derivation | None:
-        """R-> first, then the L-> alternatives; `seq` is saturated."""
-        ante, succ = seq.antecedent, seq.succedent
-        if isinstance(succ, Imp):
-            step = self.r_imp_premise(seq, hist)
-            if step is not None:
-                child = self.expand(*step, sat)
-                if child is not None:
-                    return Derivation(seq, RuleInstance(R_IMP), (child,))
-                self.stats.backtracks += 1
-        for f in self.implications(ante):
-            if f.left in hist:
-                continue  # the left premise repeats a sequent of the segment
-            lchild = self.expand(Sequent(ante, f.left), hist, sat)
-            if lchild is None:
-                self.stats.backtracks += 1
-                continue
-            rchild = self.expand(Sequent(self.grow(ante, f.right), succ), frozenset(), sat)
-            if rchild is None:
-                self.stats.backtracks += 1
-                continue
-            return Derivation(seq, RuleInstance(L_IMP, principal=f), (lchild, rchild))
-        return None
+            proof = Derivation(conclusion, inst, (proof,))
+        return proof
 
     def saturated(self, seq: Sequent, sat: Saturator) -> tuple[list, Saturator]:
         """The saturation chain of `seq`, as (conclusion, instance) pairs,
@@ -492,16 +462,18 @@ class _ProofSearch:
             else:
                 answer = self._fixpoint(seq.antecedent, seq.succedent, sat)
             answers[seq.succedent] = answer
-        return answer
+        return answer is not False
 
-    def _fixpoint(self, ante: frozenset[Formula], goal: Formula, sat: Saturator) -> bool:
+    def _fixpoint(self, ante: frozenset[Formula], goal: Formula, sat: Saturator) -> tuple | bool:
         """Decide `ante ⊢ goal` for a saturated, non-axiomatic `ante`: run
         the least fixpoint over `ante`'s goals until `goal` is proved or
         none is left to evaluate, when every goal not proved is unprovable.
-        A later query resumes it.  A goal is re-evaluated when a goal it
-        waits on is proved.  `ante` is saturated for every goal: each is a
-        succedent `ante` was saturated for, or a subformula of one or of
-        `ante`, which admits no new instance."""
+        Each goal proved gets the clause that proved it, and `goal`'s is
+        returned; False means unprovable.  A later query resumes it.  A
+        goal is re-evaluated when a goal it waits on is proved.  `ante` is
+        saturated for every goal: each is a succedent `ante` was saturated
+        for, or a subformula of one or of `ante`, which admits no new
+        instance."""
         answers = self.table[ante]
         queue, waiting = self._open.setdefault(ante, ([], {}))
         if goal not in waiting:
@@ -509,22 +481,25 @@ class _ProofSearch:
             queue.append(goal)
         while queue:
             d = queue.pop()
-            if answers.get(d) is None and not self._clauses(ante, d, sat, queue, waiting):
+            reason = answers.get(d) or self._clauses(ante, d, sat, queue, waiting)
+            if not reason:
                 continue
-            answers[d] = True
+            answers[d] = reason
             queue.extend(waiting[d])
             waiting[d] = []
             if d == goal:
-                return True
+                return reason
         del self._open[ante]
         for d in waiting:
             answers.setdefault(d, False)
         return False
 
-    def _clauses(self, ante, goal, sat, queue, waiting) -> bool:
-        """One evaluation of `goal`'s clauses in `ante`'s fixpoint.  A goal
-        of `ante` still undecided is queued, and `goal` waits on it; every
-        other premise has a larger antecedent and is asked of `provable`."""
+    def _clauses(self, ante, goal, sat, queue, waiting):
+        """One evaluation of `goal`'s clauses in `ante`'s fixpoint: the
+        first that fires, as (rule instance, premises), True if `goal` is in
+        `ante`, else None.  A goal of `ante` still undecided is queued, and
+        `goal` waits on it; every other premise has a larger antecedent and
+        is asked of `provable`."""
         self.tick()
         if goal in ante:
             return True
@@ -537,19 +512,21 @@ class _ProofSearch:
                     waiting[x] = []
                     queue.append(x)
                 waiting[x].append(goal)
-            return answer is True
+            return bool(answer)
 
         if isinstance(goal, Imp):
             if goal.left not in ante:
-                if self.provable(Sequent(self.grow(ante, goal.left), goal.right), sat):
-                    return True
+                premise = Sequent(self.grow(ante, goal.left), goal.right)
+                if self.provable(premise, sat):
+                    return RuleInstance(R_IMP), (premise,)
             elif proved(goal.right):
-                return True
+                return RuleInstance(R_IMP), (Sequent(ante, goal.right),)
         for f in self.implications(ante):
             if proved(f.left):
-                if self.provable(Sequent(self.grow(ante, f.right), goal), sat):
-                    return True
-        return False
+                right = Sequent(self.grow(ante, f.right), goal)
+                if self.provable(right, sat):
+                    return RuleInstance(L_IMP, principal=f), (Sequent(ante, f.left), right)
+        return None
 
 
 def certify(proof: Derivation, goal: Formula) -> None:
@@ -565,7 +542,7 @@ def certify(proof: Derivation, goal: Formula) -> None:
 @contextmanager
 def deep_recursion() -> Iterator[None]:
     """The recursion limit at least 100,000 for the call it decorates, and
-    restored after: the search and the provability table recurse."""
+    restored after: the provability table and the proof writer recurse."""
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(max(saved, 100_000))
     try:
@@ -577,9 +554,10 @@ def deep_recursion() -> Iterator[None]:
 @deep_recursion()
 def prove(phi: Formula, limits: Limits | Budget | None = None) -> Verdict:
     """Decide provability of the sequent with empty antecedent and
-    succedent `phi`.  Proved verdicts carry a derivation that passes the
-    independent checker; NotProved means the table found the root
-    unprovable.  `countermodel.decide` also builds the refuting model."""
+    succedent `phi`.  Proved verdicts carry the derivation the table's
+    clauses give, which passes the independent checker; NotProved means
+    the table found the root unprovable.  `countermodel.decide` also
+    builds the refuting model."""
     search = _ProofSearch(phi, limits or Limits())
     proof = search.run()
     return Verdict(proof is not None, proof, search.stats)

@@ -11,7 +11,8 @@ merge, for the reference forcing and checks.
 `ref_bounded_countermodel_search` is the block search of the brute-force
 oracle with one fresh evaluator per assignment vector.
 `ref_expand` is the proof search with no provability table, the
-reference for the proofs the table-gated search writes.
+reference for the verdicts and proofs the table gives; `ref_run` runs it
+from the root.
 `derivation_from_doc` rebuilds the `Derivation` a proof document
 describes, and `two_pass_check_proof` checks a tree node by node, the last
 child first; `reference_check_proof` runs the two as `isci check-proof`
@@ -55,7 +56,7 @@ from isci.formulas import (
 )
 from isci.parser import ParseError
 from isci.printer import format_sequent
-from isci.prover import Saturator, identity_instance
+from isci.prover import Saturator, certify, identity_instance
 from isci.serialize import DocumentError, _field, _FormulaTable, _parse_sequent, _read_step, formula_from_doc
 from isci.semantics import Evaluator, KripkeModel, _preorders, _refutes, model_failures
 
@@ -339,16 +340,17 @@ CHOOSERS = {"full": rescan_choice, "guided": identity_instance}
 
 
 # --- reference proof search ---------------------------------------------------
-# The depth-first search `_ProofSearch.expand` ran before the provability
-# table decided every sequent: the same loop check and the same order of
-# alternatives, with no table to cut an unprovable sequent and nothing
-# written to one.
+# The depth-first search that wrote proofs before they were read off the
+# provability table: R-> first, then the L-> alternatives in canonical
+# order, backtracking, with the loop check of the countermodel walk, no
+# table to cut an unprovable sequent and nothing written to one.
 
 
 def ref_expand(search, seq: Sequent, history, sat) -> Derivation | None:
     """A proof of `seq` by the ungated search, or None; `search` supplies
-    the node count, the saturation chains and the L-> candidates.  It has
-    the signature of `_ProofSearch.expand`, which a test may replace by it."""
+    the node count, the saturation chains and the L-> candidates.
+    `history` holds the succedents of the ancestors with `seq`'s
+    antecedent, and `sat` the saturation state of the branch below it."""
     search.tick()
     if is_axiom(seq):
         return Derivation(seq)
@@ -361,6 +363,15 @@ def ref_expand(search, seq: Sequent, history, sat) -> Derivation | None:
     for conclusion, inst in reversed(chain):
         result = Derivation(conclusion, inst, (result,))
     return result
+
+
+def ref_run(search) -> Derivation | None:
+    """`_ProofSearch.run` by `ref_expand`: the goal's proof, certified, or
+    None; a test may replace `run` by it."""
+    proof = ref_expand(search, Sequent(frozenset(), search.goal), frozenset(), search.saturator)
+    if proof is not None:
+        certify(proof, search.goal)
+    return proof
 
 
 def _ref_search_tail(search, seq: Sequent, hist, sat) -> Derivation | None:
@@ -386,13 +397,14 @@ def _ref_search_tail(search, seq: Sequent, hist, sat) -> Derivation | None:
 # --- reference countermodel builder -------------------------------------------
 # The tree builder `isci.countermodel._Builder` walked before: it derives
 # the whole tree above a sequent, closing every provable node with a proof
-# the search finds for it, and reads the leftmost open branch off
+# `ref_expand` finds for it, and reads the leftmost open branch off
 # it.  The differential test compares its branches with the walked ones.
 
 
 def ref_build(search, seq: Sequent) -> Derivation:
-    """The whole derivation of `seq`, with the refuted goal's `_ProofSearch`
-    as provability gate at every node; its node cap bounds the tree too."""
+    """The whole derivation of `seq`, with `ref_expand` as provability gate
+    at every node; the node cap of `search`, the refuted goal's
+    `_ProofSearch`, bounds the tree too."""
     return _ref_expand(search, seq, frozenset(), Saturator(search.goal))
 
 
@@ -400,7 +412,7 @@ def _ref_expand(search, seq: Sequent, history, sat) -> Derivation:
     search.tick()
     if is_axiom(seq):
         return Derivation(seq)
-    proof = search.expand(seq, frozenset(), sat)
+    proof = ref_expand(search, seq, frozenset(), sat)
     if proof is not None:
         return proof
     hist = history | {seq.succedent}

@@ -72,15 +72,15 @@ def test_build_c5_on_provable_goal_closes():
 
 def test_builder_walks_its_branches_without_searching(monkeypatch):
     # each derivation is its branch plus, at every L->, the other premise
-    # as a leaf; the table picks the premise, and no proof is searched
+    # as a leaf; the table picks the premise, and no proof is written
     phi = parse_formula("p == q -> q -> r")
     search = _ProofSearch(phi, Limits())
     assert search.run() is None
 
-    def no_search(self, *args):
-        raise AssertionError("the builder searched")
+    def no_proof(self, *args):
+        raise AssertionError("the builder wrote a proof")
 
-    monkeypatch.setattr(_ProofSearch, "expand", no_search)
+    monkeypatch.setattr(_ProofSearch, "write", no_proof)
     bundle = _Builder(search).run()
     assert len(bundle.derivations) == len(bundle.branches) > 1
     for d, branch in zip(bundle.derivations, bundle.branches):
@@ -176,7 +176,7 @@ def test_segment_worlds_chain_of_three():
 def test_decide_searches_the_root_once(monkeypatch):
     phi = parse_formula("((p -> q) -> p) -> p")
     root = sequent((), phi)
-    calls = {"expand": [], "_tail": []}
+    calls = {"provable": [], "write": []}
     for name, seqs in calls.items():
         method = getattr(_ProofSearch, name)
 
@@ -187,9 +187,10 @@ def test_decide_searches_the_root_once(monkeypatch):
         monkeypatch.setattr(_ProofSearch, name, spy)
     verdict = decide(phi)
     assert not verdict.proved and verdict.model is not None
-    # the table refutes the root before any rule is tried on it, and the
-    # builder walks the refuted root without searching it again
-    assert calls == {"expand": [root], "_tail": []}
+    # the table refutes the root once, so no proof is written, and the
+    # builder walks the refuted root without deciding it again
+    assert calls["provable"].count(root) == 1
+    assert calls["write"] == []
 
 
 def test_decide_has_one_deadline(monkeypatch):
@@ -234,7 +235,7 @@ def test_costliest_builder_run_is_pinned():
     assert not verdict.proved
     assert len(verdict.model.worlds) == 3
     assert sum(map(len, verdict.model.branches)) == 49
-    assert (verdict.stats.nodes, verdict.model.stats.nodes) == (52, 49)
+    assert (verdict.stats.nodes, verdict.model.stats.nodes) == (51, 49)
 
 
 def refute(text):
