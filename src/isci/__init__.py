@@ -1,11 +1,12 @@
 """Decision procedure for intuitionistic sentential logic with identity.
 
 `decide` runs one proof search, whose provability table decides: a proof
-read off it is certified by the independent checker, and the table of a
-refuted goal steers the open branches that a finite Kripke countermodel
-is read from, which is validated against the semantics before it is
-returned.  `prove` is the search alone; `isci.countermodel.countermodel`
-is `decide` for a formula known to be unprovable.
+read off it keeps the identity steps it reads and is certified by the
+independent checker, and the table of a refuted goal steers the open
+branches that a finite Kripke countermodel is read from, which is
+validated against the semantics before it is returned.  `prove` is the
+search alone; `isci.countermodel.countermodel` is `decide` for a formula
+known to be unprovable.
 """
 
 from .calculus import (

@@ -3,7 +3,8 @@
 Rules are applied backward (root first): `apply_rule` maps a conclusion and
 a rule instance to the list of premises.  Antecedents are sets, so premises
 never duplicate formulas and every rule keeps the conclusion's antecedent
-(reading upward, antecedents only grow).
+(reading upward, antecedents only grow).  `relevant` drops the identity
+steps of a derivation whose additions nothing above reads.
 """
 
 from __future__ import annotations
@@ -121,6 +122,19 @@ def apply_rule(s: Sequent, r: RuleInstance) -> list[Sequent]:
     raise InapplicableRuleError(f"unknown rule {r.rule!r}")
 
 
+def _added(s: Sequent, r: RuleInstance) -> tuple[Formula, ...]:
+    """The formulas the applicable rule `r` adds at `s`, to its last premise."""
+    if r.rule == L_IMP:
+        return (r.principal.right,)
+    if r.rule == R_IMP:
+        return (s.succedent.left,)
+    if r.rule == L_ID1:
+        return (Id(r.principal, r.principal),)
+    if r.rule == L_ID2:
+        return (Imp(r.principal.left, r.principal.right), Imp(r.principal.right, r.principal.left))
+    return (compose_equations(r.principal, r.principal2, r.op),)
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Derivation:
     """A derivation tree node, compared by identity (generated methods
@@ -156,6 +170,59 @@ class Derivation:
             out |= node.sequent.antecedent
             out.add(node.sequent.succedent)
         return frozenset(out)
+
+
+def relevant(proof: Derivation) -> Derivation:
+    """`proof` without the identity steps whose additions nothing above
+    reads, each kept step applied again by `apply_rule` from the root up.
+
+    A subtree reads antecedent formulas of its root sequent: an axiom leaf
+    its succedent, else `#`; a rule its premises' reads less what it adds,
+    plus its principals (L->, L==2 and L==3) and what it would add that the
+    conclusion already holds.  An identity step none of whose new formulas
+    its premise reads is dropped.  Each kept sequent then holds its reads,
+    and each kept rule adds what it added before, so the result is a proof
+    of the same root whose steps are a subsequence of `proof`'s, and a
+    second pass keeps them all.  Explicit stacks, no recursion."""
+    reads: list[set[Formula]] = []  # of the subtrees left, the last on top
+    dropped: set[Derivation] = set()
+    for node, _, entering in proof.tour():
+        if entering:
+            continue
+        seq, r = node.sequent, node.rule
+        if r is None:
+            reads.append({seq.succedent if seq.succedent in seq.antecedent else BOT})
+            continue
+        above = reads.pop()
+        for _ in node.children[1:]:
+            above |= reads.pop()
+        adds = _added(seq, r)
+        new = [f for f in adds if f not in seq.antecedent]
+        if r.rule in (L_ID1, L_ID2, L_ID3) and above.isdisjoint(new):
+            dropped.add(node)
+        else:
+            above.difference_update(new)
+            above.update(f for f in adds if f in seq.antecedent)
+            if r.rule not in (R_IMP, L_ID1):
+                above.update(f for f in (r.principal, r.principal2) if f is not None)
+        reads.append(above)
+    if not dropped:
+        return proof
+    pending, sequents, built = [proof.sequent], [], []  # built: the subtrees left
+    for node, _, entering in proof.tour():
+        if entering:
+            seq = pending.pop()
+            sequents.append(seq)
+            if node in dropped:
+                pending.append(seq)
+            elif node.rule is not None:
+                pending.extend(reversed(apply_rule(seq, node.rule)))
+        else:
+            seq = sequents.pop()
+            if node not in dropped:
+                n = len(built) - len(node.children)
+                built[n:] = [Derivation(seq, node.rule, tuple(built[n:]))]
+    return built[0]
 
 
 @dataclass(frozen=True, slots=True)

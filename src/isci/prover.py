@@ -4,9 +4,11 @@ The table decides each sequent by the rules' priorities: axioms close it,
 the identity rules saturate it, then R-> applies when the succedent is an
 implication and L-> to the antecedent implications.  For each sequent it
 proves, the table keeps the clause that proved it, and the proof is read
-off those clauses, with no second search and no backtracking.  Together
-with the extended-subformula bound on identity rules, antecedents that
-only grow make the space finite.
+off those clauses, with no second search and no backtracking.  The proof
+holds each whole saturation chain, so `calculus.relevant` drops the
+identity steps nothing above reads before the proof is certified.
+Together with the extended-subformula bound on identity rules,
+antecedents that only grow make the space finite.
 
 Identity saturation is guided by the sequent: reflexive equations are
 introduced only for formulas that occur inside the sequent, and a
@@ -57,6 +59,7 @@ from .calculus import (
     apply_rule,
     check_proof,
     is_axiom,
+    relevant,
 )
 from .formulas import (
     Formula,
@@ -405,11 +408,11 @@ class _ProofSearch:
 
     def run(self) -> Derivation | None:
         """Decide the goal's root sequent; the proof of a provable one is
-        written from the table and certified."""
+        written from the table, pruned by `relevant` and certified."""
         root = Sequent(frozenset(), self.goal)
         if not self.provable(root, self.saturator):
             return None
-        proof = self.write(root)
+        proof = relevant(self.write(root))
         certify(proof, self.goal)
         return proof
 
@@ -555,9 +558,9 @@ def deep_recursion() -> Iterator[None]:
 def prove(phi: Formula, limits: Limits | Budget | None = None) -> Verdict:
     """Decide provability of the sequent with empty antecedent and
     succedent `phi`.  Proved verdicts carry the derivation the table's
-    clauses give, which passes the independent checker; NotProved means
-    the table found the root unprovable.  `countermodel.decide` also
-    builds the refuting model."""
+    clauses give, pruned by `relevant`, which passes the independent
+    checker; NotProved means the table found the root unprovable.
+    `countermodel.decide` also builds the refuting model."""
     search = _ProofSearch(phi, limits or Limits())
     proof = search.run()
     return Verdict(proof is not None, proof, search.stats)

@@ -12,7 +12,8 @@ merge, for the reference forcing and checks.
 oracle with one fresh evaluator per assignment vector.
 `ref_expand` is the proof search with no provability table, the
 reference for the verdicts and proofs the table gives; `ref_run` runs it
-from the root.
+from the root.  `written_proof` is a proof as the table writes it, before
+`relevant` drops the identity steps nothing reads.
 `derivation_from_doc` rebuilds the `Derivation` a proof document
 describes, and `two_pass_check_proof` checks a tree node by node, the last
 child first; `reference_check_proof` runs the two as `isci check-proof`
@@ -40,6 +41,7 @@ from isci.calculus import (
     apply_rule,
     compose_equations,
     is_axiom,
+    relevant,
 )
 from isci.formulas import (
     BOT,
@@ -56,7 +58,7 @@ from isci.formulas import (
 )
 from isci.parser import ParseError
 from isci.printer import format_sequent
-from isci.prover import Saturator, certify, identity_instance
+from isci.prover import Limits, Saturator, _ProofSearch, certify, deep_recursion, identity_instance
 from isci.serialize import DocumentError, _field, _FormulaTable, _parse_sequent, _read_step, formula_from_doc
 from isci.semantics import Evaluator, KripkeModel, _preorders, _refutes, model_failures
 
@@ -366,12 +368,23 @@ def ref_expand(search, seq: Sequent, history, sat) -> Derivation | None:
 
 
 def ref_run(search) -> Derivation | None:
-    """`_ProofSearch.run` by `ref_expand`: the goal's proof, certified, or
-    None; a test may replace `run` by it."""
+    """`_ProofSearch.run` by `ref_expand`: the goal's proof, pruned by
+    `relevant` and certified, or None; a test may replace `run` by it."""
     proof = ref_expand(search, Sequent(frozenset(), search.goal), frozenset(), search.saturator)
     if proof is not None:
+        proof = relevant(proof)
         certify(proof, search.goal)
     return proof
+
+
+def written_proof(phi: Formula, limits: Limits = Limits()) -> Derivation | None:
+    """The proof of `phi` that `_ProofSearch.write` reads off the table,
+    every saturation step in it, which `relevant` has not pruned; None
+    when `phi` is unprovable."""
+    search = _ProofSearch(phi, limits)
+    root = Sequent(frozenset(), phi)
+    with deep_recursion():
+        return search.write(root) if search.provable(root, search.saturator) else None
 
 
 def _ref_search_tail(search, seq: Sequent, hist, sat) -> Derivation | None:

@@ -15,7 +15,7 @@ from isci.calculus import (
 from isci.formulas import Id, Imp, Var, sorted_formulas, subformulas
 from isci.parser import parse_formula, parse_sequent
 from isci.prover import prove
-from oracle_utils import two_pass_check_proof
+from oracle_utils import two_pass_check_proof, written_proof
 
 p, q, r, s, t = (Var(n) for n in "pqrst")
 
@@ -196,7 +196,7 @@ def test_check_proof_reports_the_failure_the_two_pass_checker_meets_first():
     # two nodes of a branching proof go wrong at once; the two-pass checker
     # visits the last child first and stops at its first failure
     phi = parse_formula("(p -> q -> r) -> (p -> q) -> p -> r")
-    proof = prove(phi).proof
+    proof = written_proof(phi)
     claim = sequent((), phi)
     edits = {
         "leaf": lambda n: Derivation(n.sequent, None, n.children),

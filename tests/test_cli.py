@@ -97,7 +97,7 @@ def test_structured_model_revalidates(capsys):
     [
         (
             "p == q -> (p -> (p -> r)) == (p -> (q -> r))",
-            "00e1c4aabe7937ce47bec03dbb6486212701244b3af9494c38d5c2dd2f5a3519",
+            "4c74ee2cb114732f5da6d74ea15b192ba3324e3a252a1e063ca1005b357cbd02",
         ),
         ("p == q -> q -> r", "82c11aa34e2cda5f5ad6a8333a2dbf32095e9e5d614bffd281490a0d938ad236"),
     ],
@@ -106,6 +106,18 @@ def test_structured_documents_are_pinned(capsys, formula, digest):
     # a depth-2 congruence proof and a three-world model, byte for byte
     _, out, _ = run(capsys, "decide", formula, "--format", "structured")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "formula, steps",
+    [("p == q -> (p -> (p -> r)) == (p -> (q -> r))", 6), ("(p -> q -> r) -> (p -> q) -> p -> r", 10)],
+)
+def test_prove_and_decide_print_the_same_proof(capsys, formula, steps):
+    # both print the proof the one search writes and `relevant` prunes
+    # (written, the two proofs have 144 and 36 steps)
+    proved, decided = (run(capsys, command, formula, "--format", "structured") for command in ("prove", "decide"))
+    assert proved == decided and proved[0] == 0
+    assert len(json.loads(proved[1])["proof"]["steps"]) == steps
 
 
 @pytest.mark.parametrize(

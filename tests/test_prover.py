@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from isci import prover
-from isci.calculus import L_IMP, R_IMP, Sequent, check_proof, is_axiom, sequent
+from isci.calculus import L_ID1, L_ID2, L_ID3, L_IMP, R_IMP, Sequent, check_proof, is_axiom, relevant, sequent
 from isci.countermodel import CounterModelError, decide
-from isci.formulas import Id, Imp, Var
+from isci.formulas import BOT, Id, Imp, Var
 from isci.invariants import (
     antecedents_inherited,
+    assert_restricted_derivation,
     extended_subformula_offenders,
     no_branch_repetition,
 )
@@ -20,7 +21,7 @@ from isci.printer import format_derivation, format_derivation_dot, format_deriva
 from isci.prover import Limits, ResourceExhausted, Saturator, _ProofSearch, prove
 from isci.serialize import check_proof_doc, dumps, loads, proof_doc
 
-from oracle_utils import CHOOSERS, ref_run, rescan_instance, small_formulas_pqr
+from oracle_utils import CHOOSERS, ref_run, rescan_instance, small_formulas_pqr, written_proof
 from test_acceptance import THEOREMS as ACCEPTANCE_THEOREMS
 
 p, q, r, s = (Var(n) for n in "pqrs")
@@ -270,39 +271,54 @@ def test_search_space_is_pinned(text, nodes):
             format_derivation_dot(verdict.proof),
         ]
         assert [hashlib.sha256(r.encode()).hexdigest() for r in renderings] == [
-            "d51579d99b88915a56ac1089b6b4098dfa125d25a16d31e223158b60828a5693",
-            "f9fb47962cc78ef73c0c01bdaa1b904b5f5f6e2dd14927a000a7a172ca1623f4",
-            "f2c7d27b93b2491d8a7f28aba7da17c1621d01a3a6847203470f11e1a58b0add",
-            "58584bdbd4f49d3fc846417c51effa8898d031a22ffdf9c47ffb488e8a4b1218",
+            "18e330f2cd4acec0f7155848f8b1088229bfbc73cd405be9b546e13276661a84",
+            "2a74ceaadc92be0520d195213b59c3b2681af850896af674de5c97a8583c68dc",
+            "36ee615d731409f6b5064fa9ec674cb048fc8a31ea8514f3074bc6cc0999eac8",
+            "3557673081c92c35879a896ff82ca41d58fc8908fee4e3de4d9ef2fa3757fa86",
         ]
 
 
+# L==1 on p 2,000 times over |- p -> p, then R-> and an axiom leaf, built
+# where no `decide` has raised the recursion limit
+DEEP_CHAIN_SCRIPT = (
+    "import sys\n"
+    "from isci.calculus import Derivation, RuleInstance, apply_rule, sequent\n"
+    "from isci.formulas import Imp, Var\n"
+    "p = Var('p')\n"
+    "rules = [RuleInstance('L==1', principal=p)] * 2000 + [RuleInstance('R->')]\n"
+    "seqs = [sequent([], Imp(p, p))]\n"
+    "for rule in rules:\n"
+    "    seqs.append(apply_rule(seqs[-1], rule)[0])\n"
+    "d = Derivation(seqs.pop())\n"
+    "for seq, rule in zip(reversed(seqs), reversed(rules)):\n"
+    "    d = Derivation(seq, rule, (d,))\n"
+    "assert sys.getrecursionlimit() < 2000\n"
+)
+
+
+def run_on_the_deep_chain(lines):
+    proc = subprocess.run([sys.executable, "-c", DEEP_CHAIN_SCRIPT + lines], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_a_derivation_2000_steps_deep_renders_in_a_fresh_process():
-    # L==1 on p 2,000 times over |- p -> p, then R-> and an axiom leaf,
-    # rendered where no `decide` has raised the recursion limit
-    script = (
-        "import sys\n"
-        "from isci.calculus import Derivation, RuleInstance, apply_rule, sequent\n"
-        "from isci.formulas import Imp, Var\n"
+    assert run_on_the_deep_chain(
         "from isci.printer import format_derivation, format_derivation_dot, format_derivation_latex\n"
         "from isci.serialize import check_proof_doc, proof_doc\n"
-        "p = Var('p')\n"
-        "rules = [RuleInstance('L==1', principal=p)] * 2000 + [RuleInstance('R->')]\n"
-        "seqs = [sequent([], Imp(p, p))]\n"
-        "for rule in rules:\n"
-        "    seqs.append(apply_rule(seqs[-1], rule)[0])\n"
-        "d = Derivation(seqs.pop())\n"
-        "for seq, rule in zip(reversed(seqs), reversed(rules)):\n"
-        "    d = Derivation(seq, rule, (d,))\n"
-        "assert sys.getrecursionlimit() < 2000\n"
         "print(len(format_derivation(d).splitlines()))\n"
         "print(format_derivation_latex(d).count('\\\\infer'))\n"
         "print(format_derivation_dot(d).count(' -> n'))\n"
         "print(check_proof_doc(proof_doc(d)).ok)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["2002", "2001", "2001", "True"]
+    ) == ["2002", "2001", "2001", "True"]
+
+
+def test_relevant_prunes_a_derivation_2000_steps_deep_in_a_fresh_process():
+    # nothing reads p == p, so the chain goes and R-> closes on the axiom
+    assert run_on_the_deep_chain(
+        "from isci.calculus import relevant\n"
+        "print(*[n.rule.rule if n.rule else 'axiom' for n in relevant(d).walk()])\n"
+    ) == ["R->", "axiom"]
 
 
 def test_proof_search_hashes_no_sequent(monkeypatch):
@@ -406,10 +422,10 @@ def test_the_gated_search_writes_the_reference_proofs(text):
         return
     assert gated != reference
     steps = [len(loads(doc)["steps"]) for _, doc in (gated, reference)]
-    assert steps == [45, 45]
+    assert steps == [7, 7]
     assert check_proof_doc(loads(gated[1])).ok
     digest = hashlib.sha256(gated[1].encode()).hexdigest()
-    assert digest == "21b0f71faaad31512a59a0c24b2872a6b5d98f5c03ef06dbee1ad9157312b647"
+    assert digest == "f7c248422583083a6b0d8bef399f57b287859ac794d1e34107b7565886c5f866"
 
 
 @pytest.mark.parametrize("text", ACCEPTANCE_THEOREMS)
@@ -436,3 +452,66 @@ def test_the_writer_decides_nothing(monkeypatch, text):
         assert node.rule is inst
         assert len(node.children) == len(premises)
         assert all(child.sequent is premise for child, premise in zip(node.children, premises))
+
+
+def reads(node):
+    """The antecedent formulas the subtree at `node` reads, by recursion:
+    an axiom leaf its succedent, else #; a rule what its premises read less
+    what it adds, its principals, and what it would add that its conclusion
+    already holds."""
+    seq, rule = node.sequent, node.rule
+    if rule is None:
+        return {seq.succedent if seq.succedent in seq.antecedent else BOT}
+    above = set().union(*map(reads, node.children))
+    new = node.children[-1].sequent.antecedent - seq.antecedent
+    held = set()
+    if rule.rule == R_IMP:
+        held = {seq.succedent.left}
+    elif rule.rule == L_ID2:
+        held = {Imp(rule.principal.left, rule.principal.right), Imp(rule.principal.right, rule.principal.left)}
+    principals = {rule.principal, rule.principal2} - {None} if rule.rule in (L_IMP, L_ID2, L_ID3) else set()
+    return (above - new) | (held & seq.antecedent) | principals
+
+
+def is_subsequence(short, long):
+    rest = iter(long)
+    return all(any(x is y for y in rest) for x in short)
+
+
+def assert_relevant_proof(phi):
+    """The pruned proof of a provable `phi` is certified, its steps are a
+    subsequence of the written proof's, a second pass leaves it as it is,
+    and each identity step in it adds a formula read above."""
+    try:
+        written = written_proof(phi, Limits(max_nodes=TABLE_NODE_CAP))
+    except ResourceExhausted:
+        assume(False)
+    if written is None:
+        return
+    proof = relevant(written)
+    assert check_proof(proof, sequent((), phi)).ok
+    assert_restricted_derivation(proof, phi)
+    assert is_subsequence([n.rule for n in proof.walk()], [n.rule for n in written.walk()])
+    assert relevant(proof) is proof
+    for node in proof.walk():
+        if node.rule is not None and node.rule.rule in (L_ID1, L_ID2, L_ID3):
+            premise = node.children[0]
+            assert reads(premise) & (premise.sequent.antecedent - node.sequent.antecedent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=small_formulas_pqr)
+def test_relevant_keeps_a_certified_subsequence(phi):
+    assert_relevant_proof(phi)
+
+
+@pytest.mark.parametrize("text", ACCEPTANCE_THEOREMS)
+def test_relevant_keeps_a_certified_subsequence_of_the_theorems(text):
+    assert_relevant_proof(parse_formula(text))
+
+
+def test_the_congruence_axiom_proof_keeps_the_steps_it_reads():
+    # the written proof has 418 steps, all but 3 of them saturation; the
+    # axiom reads only the one composition
+    proof = prove(parse_formula(CONGRUENCE)).proof
+    assert [n.rule.rule if n.rule else "axiom" for n in proof.walk()] == [R_IMP, R_IMP, L_ID3, "axiom"]

@@ -26,7 +26,7 @@ from isci.serialize import (
     proof_doc,
     verdict_doc,
 )
-from oracle_utils import derivation_from_doc, formulas_pq, reference_check_proof, same_derivation
+from oracle_utils import derivation_from_doc, formulas_pq, reference_check_proof, same_derivation, written_proof
 from test_acceptance import NON_THEOREMS, THEOREMS
 
 p, q = Var("p"), Var("q")
@@ -201,7 +201,7 @@ def formulas_in(d):
 
 @pytest.fixture(scope="module")
 def congruence_proof():
-    return prove(parse_formula(CONGRUENCE)).proof
+    return written_proof(parse_formula(CONGRUENCE))
 
 
 def test_documents_print_and_parse_each_distinct_formula_once(monkeypatch, congruence_proof):
@@ -486,7 +486,7 @@ TAMPERINGS = {
 
 @pytest.fixture(scope="module")
 def acceptance_proofs():
-    return [verdict_doc(parse_formula(text), proof=prove(parse_formula(text)).proof) for text in THEOREMS]
+    return [verdict_doc(parse_formula(text), proof=written_proof(parse_formula(text))) for text in THEOREMS]
 
 
 @pytest.mark.parametrize("tamper, codes", TAMPERINGS.values(), ids=TAMPERINGS.keys())
