@@ -3,8 +3,9 @@
 Rules are applied backward (root first): `apply_rule` maps a conclusion and
 a rule instance to the list of premises.  Antecedents are sets, so premises
 never duplicate formulas and every rule keeps the conclusion's antecedent
-(reading upward, antecedents only grow).  `relevant` drops the identity
-steps of a derivation whose additions nothing above reads.
+(reading upward, antecedents only grow).  `prune` drops the identity
+steps whose additions nothing above reads, from a derivation (`relevant`)
+or from a proof described node by node, as the prover's tables hold it.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ def apply_rule(s: Sequent, r: RuleInstance) -> list[Sequent]:
     raise InapplicableRuleError(f"unknown rule {r.rule!r}")
 
 
-def _added(s: Sequent, r: RuleInstance) -> tuple[Formula, ...]:
-    """The formulas the applicable rule `r` adds at `s`, to its last premise."""
+def added(s: Sequent | None, r: RuleInstance) -> tuple[Formula, ...]:
+    """The formulas the applicable rule `r` adds at `s`, to its last premise;
+    an identity rule's do not depend on `s`, which may be None."""
     if r.rule == L_IMP:
         return (r.principal.right,)
     if r.rule == R_IMP:
@@ -172,9 +174,38 @@ class Derivation:
         return frozenset(out)
 
 
+def fresh(s: Sequent, r: RuleInstance) -> tuple[Formula, ...]:
+    """The formulas the applicable rule `r` adds at `s` that `s` lacks."""
+    return tuple(f for f in added(s, r) if f not in s.antecedent)
+
+
 def relevant(proof: Derivation) -> Derivation:
     """`proof` without the identity steps whose additions nothing above
-    reads, each kept step applied again by `apply_rule` from the root up.
+    reads (`prune`), or `proof` itself when every step is read."""
+    kept = _read_down(proof, _tree_shape)
+    if all(all(flags) for _, flags in kept.values()):
+        return proof
+    return _build_up(proof.sequent, proof, kept)
+
+
+def _tree_shape(d: Derivation):
+    """A derivation node as `prune` reads it: one rule, or a leaf."""
+    steps = () if d.rule is None else ((d.rule, fresh(d.sequent, d.rule)),)
+    return d.sequent, steps, d.children
+
+
+def prune(root: Sequent, shape) -> Derivation:
+    """The proof of `root` that `shape` describes, without the identity
+    steps whose additions nothing above reads, each kept step applied
+    again by `apply_rule` from the root up.
+
+    `shape(node)` gives a node's sequent, its steps as (rule instance, the
+    formulas it adds that its conclusion lacks) pairs, bottom first, and
+    the nodes of the last step's premises; a node with no steps is a leaf.
+    Every step but the last is an identity step with one premise, so a
+    node is a whole saturation chain, or one rule of a tree.  `root`, a
+    sequent, is also the first node.  Equal nodes must have equal shapes:
+    each node's reads are computed once.
 
     A subtree reads antecedent formulas of its root sequent: an axiom leaf
     its succedent, else `#`; a rule its premises' reads less what it adds,
@@ -182,46 +213,74 @@ def relevant(proof: Derivation) -> Derivation:
     conclusion already holds.  An identity step none of whose new formulas
     its premise reads is dropped.  Each kept sequent then holds its reads,
     and each kept rule adds what it added before, so the result is a proof
-    of the same root whose steps are a subsequence of `proof`'s, and a
-    second pass keeps them all.  Explicit stacks, no recursion."""
-    reads: list[set[Formula]] = []  # of the subtrees left, the last on top
-    dropped: set[Derivation] = set()
-    for node, _, entering in proof.tour():
-        if entering:
+    of the same root whose steps are a subsequence of the described ones,
+    and a second pass keeps them all.  Explicit stacks, no recursion."""
+    return _build_up(root, root, _read_down(root, shape))
+
+
+def _read_down(top, shape) -> dict:
+    """Each node under `top` -> (its shape, whether each step is kept),
+    from the leaves down."""
+    reads: dict = {}  # node -> the antecedent formulas its subtree reads
+    kept: dict = {}
+    stack = [(top, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node in reads:
             continue
-        seq, r = node.sequent, node.rule
-        if r is None:
-            reads.append({seq.succedent if seq.succedent in seq.antecedent else BOT})
+        if not ready:
+            described = shape(node)
+            kept[node] = described, []
+            stack.append((node, True))
+            stack.extend((p, False) for p in described[2] if p not in kept)
             continue
-        above = reads.pop()
-        for _ in node.children[1:]:
-            above |= reads.pop()
-        adds = _added(seq, r)
-        new = [f for f in adds if f not in seq.antecedent]
-        if r.rule in (L_ID1, L_ID2, L_ID3) and above.isdisjoint(new):
-            dropped.add(node)
+        (seq, steps, premises), flags = kept[node]
+        if steps:
+            above = set().union(*(reads[p] for p in premises))
         else:
+            above = {seq.succedent if seq.succedent in seq.antecedent else BOT}
+        for r, new in reversed(steps):
+            if r.rule in (L_ID1, L_ID2, L_ID3) and above.isdisjoint(new):
+                flags.append(False)
+                continue
+            flags.append(True)
             above.difference_update(new)
-            above.update(f for f in adds if f in seq.antecedent)
+            above.update(f for f in added(seq, r) if f not in new)
             if r.rule not in (R_IMP, L_ID1):
                 above.update(f for f in (r.principal, r.principal2) if f is not None)
-        reads.append(above)
-    if not dropped:
-        return proof
-    pending, sequents, built = [proof.sequent], [], []  # built: the subtrees left
-    for node, _, entering in proof.tour():
-        if entering:
-            seq = pending.pop()
-            sequents.append(seq)
-            if node in dropped:
-                pending.append(seq)
-            elif node.rule is not None:
-                pending.extend(reversed(apply_rule(seq, node.rule)))
-        else:
-            seq = sequents.pop()
-            if node not in dropped:
-                n = len(built) - len(node.children)
-                built[n:] = [Derivation(seq, node.rule, tuple(built[n:]))]
+        flags.reverse()
+        reads[node] = above
+    return kept
+
+
+def _build_up(root: Sequent, top, kept: dict) -> Derivation:
+    """The derivation of `root` with the steps `kept` keeps under `top`,
+    applied from the root up."""
+    built: list[Derivation] = []  # the subtrees finished, the last on top
+    # a node with its sequent, or (None, its kept steps and premise count)
+    stack: list = [(top, root)]
+    while stack:
+        node, seq = stack.pop()
+        if node is None:  # the node's premises are built: finish it
+            applied, n = seq
+            children = tuple(built[len(built) - n:])
+            del built[len(built) - n:]
+            for conclusion, r in reversed(applied):
+                children = (Derivation(conclusion, r, children),)
+            built.append(children[0])
+            continue
+        (_, steps, premises), flags = kept[node]
+        if not steps:
+            built.append(Derivation(seq))
+            continue
+        applied = []  # the kept steps with their conclusions, bottom first
+        above = [seq]  # the premises of the kept steps so far, at first `seq`
+        for (r, _), keep in zip(steps, flags):
+            if keep:
+                applied.append((above[0], r))
+                above = apply_rule(above[0], r)
+        stack.append((None, (applied, len(premises))))
+        stack.extend(reversed(list(zip(premises, above))))
     return built[0]
 
 

@@ -55,7 +55,7 @@ from .formulas import (
 from .invariants import assert_restricted_derivation
 from .printer import format_formula, format_sequent
 from .prover import Budget, Limits, Saturator, SearchStats, Verdict, _ProofSearch
-from .prover import deep_recursion, identity_instance
+from .prover import conclusions, deep_recursion, identity_instance
 from .semantics import Evaluator, KripkeModel, model_failures
 
 
@@ -156,13 +156,14 @@ class _Builder:
     def walk(self, seq: Sequent) -> list[Derivation]:
         """The open branch above the unprovable `seq`, root first.  Each
         node is saturated by the chain the search stored for it, a walk
-        node per step; the branch then takes the first unblocked L->, on to
-        its right premise exactly when the provability table proves the
-        left one, else R->, else it ends at an open leaf.  It is recorded as
-        a derivation whose one node off the branch per L-> is the other
-        premise, as a leaf.  `history` holds the succedents of the
-        ancestors with the current node's antecedent, the only ones a
-        premise can repeat (see `_ProofSearch`)."""
+        node per step, whose sequents `conclusions` builds; the branch then
+        takes the first unblocked L->, on to its right premise exactly when
+        the provability table proves the left one, else R->, else it ends
+        at an open leaf.  It is recorded as a derivation whose one node off
+        the branch per L-> is the other premise, as a leaf.  `history`
+        holds the succedents of the ancestors with the current node's
+        antecedent, the only ones a premise can repeat (see
+        `_ProofSearch`)."""
         steps: list[tuple[Sequent, RuleInstance | None, tuple[Sequent | None, ...]]] = []
         history: frozenset[Formula] = frozenset()
         sat = self.prover.saturator
@@ -172,7 +173,7 @@ class _Builder:
                 raise CounterModelError(f"open branch reaches an axiom: {format_sequent(seq)}")
             hist = history | {seq.succedent}
             chain, sat = self.prover.saturated(seq, sat)
-            for conclusion, inst in chain:
+            for conclusion, inst in conclusions(seq, chain):
                 steps.append((conclusion, inst, (None,)))
                 hist = frozenset((seq.succedent,))  # each step grows the antecedent
                 self.tick()

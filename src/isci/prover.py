@@ -4,9 +4,9 @@ The table decides each sequent by the rules' priorities: axioms close it,
 the identity rules saturate it, then R-> applies when the succedent is an
 implication and L-> to the antecedent implications.  For each sequent it
 proves, the table keeps the clause that proved it, and the proof is read
-off those clauses, with no second search and no backtracking.  The proof
-holds each whole saturation chain, so `calculus.relevant` drops the
-identity steps nothing above reads before the proof is certified.
+off those clauses, with no second search and no backtracking.  It is
+pruned as it is read: of the stored saturation chains, `write` keeps only
+the identity steps something above reads (`calculus.prune`).
 Together with the extended-subformula bound on identity rules,
 antecedents that only grow make the space finite.
 
@@ -32,8 +32,10 @@ Each branch keeps one `Saturator`, which never rescans all pairs of
 equations: it builds a composition only once its two equations and its
 two sides all occur, and indexes find it when the last of the four
 arrives.  It chooses what a rescan would, so the search saturates each
-sequent once and stores the chain, for the provability table and the
-countermodel walk to read.
+sequent once and stores the chain, as rule instances and the formulas
+each added, for the provability table, the writer and the countermodel
+walk to read; `conclusions` rebuilds a chain's sequents where a walk
+needs them.
 """
 
 from __future__ import annotations
@@ -53,15 +55,18 @@ from .calculus import (
     OP_ID,
     OP_IMP,
     R_IMP,
+    RULE_PRIORITY,
     Derivation,
     RuleInstance,
     Sequent,
-    apply_rule,
+    added,
     check_proof,
+    fresh,
     is_axiom,
-    relevant,
+    prune,
 )
 from .formulas import (
+    BOT,
     Formula,
     Id,
     Imp,
@@ -155,16 +160,22 @@ class CertificationError(RuntimeError):
 class Saturator:
     """Identity-saturation state of one branch.
 
-    Holds the branch's current sequent together with every identity
-    instance that may still apply to it, keyed by the canonical instance
-    order (L==1, then L==2, then L==3, then the principals, then the op).
-    A composition (a op b) == (c op d) of a == c and b == d is built once
+    Holds the branch's antecedent, a set each step grows by the formulas
+    its instance adds, and every identity instance that may still apply,
+    on one heap keyed by the canonical instance order (L==1, then L==2,
+    then L==3, then the principals, then the op).  `extend` hands a copy
+    to a premise and takes the premise's new formulas and succedent in at
+    once; a step takes in only what it adds, and the sequent is frozen
+    when asked for, once per chain at its end.  An L==2 whose two
+    implications are both held is not queued.
+
+    A composition (a op b) == (c op d) of a == c and b == d is queued once
     its four parts occur, the equations in the antecedent and the sides in
     the sequent: indexes of both find it when the last part arrives, and a
     side only the succedent's material supplies serves that succedent
-    alone.  `extend` hands a copy to a premise, and the copy
-    catches up with the premise's new antecedent formulas at its next step,
-    so the instances chosen are exactly those a full rescan of each sequent
+    alone.  It is admitted when it reaches the top of the heap: only then
+    are its equation, the closure test and its rule instance built.  The
+    instances chosen are exactly those a full rescan of each sequent
     would choose.  One heap holds every instance, the succedent's sides'
     too: the succedent changes only at `extend`, and a saturator extended
     is fresh or at its fixpoint, where `identity_instance` has popped the
@@ -174,10 +185,13 @@ class Saturator:
     def __init__(self, goal: Formula):
         self.goal = goal
         self.bound = complexity(goal)
-        self.sequent: Sequent | None = None
-        self._ante: frozenset[Formula] = frozenset()  # formulas already taken in
-        # heap entries are (order key, instance, formulas its premise adds);
-        # an entry is stale once all of those formulas are in the antecedent
+        self._sequent: Sequent | None = None  # the current sequent, once frozen
+        self._ante: set[Formula] = set()  # its antecedent: the formulas taken in
+        self._succ: Formula | None = None  # its succedent, which the _succ_ fields serve
+        # heap entries are (order key, 0, instance, formulas its premise adds),
+        # stale once all of those are in the antecedent, or (order key, 1,
+        # e1, e2, op, x, y) for the composition x == y of e1 and e2, not yet
+        # admitted; the 0 or 1 orders an instance before a duplicate
         self._heap: list = []
         self._sub: set[Formula] = set()  # sub_closure(self._ante)
         # sides: compound members of _sub by (connective, left or right part)
@@ -186,48 +200,59 @@ class Saturator:
         # the antecedent's equations by (left, right), by left and by right
         self._eqs: dict[tuple[Formula, Formula], Id] = {}
         self._eq_left, self._eq_right = {}, {}
-        self._succ: Formula | None = None  # succedent that the _succ_ fields serve
-        self._succ_left, self._succ_right = {}, {}  # its sides outside _sub
+        self._succ_left, self._succ_right = {}, {}  # the succedent's sides outside _sub
+
+    @property
+    def sequent(self) -> Sequent:
+        """The current sequent, frozen when first asked for after a step."""
+        if self._sequent is None:
+            self._sequent = Sequent(frozenset(self._ante), self._succ)
+        return self._sequent
 
     def extend(self, seq: Sequent) -> "Saturator":
-        """A copy positioned at `seq`, whose antecedent contains this one's."""
+        """A copy positioned at `seq`, whose antecedent contains this one's,
+        with `seq`'s new antecedent formulas and its succedent taken in."""
         child = Saturator.__new__(Saturator)
         child.__dict__ = self.__dict__.copy()
-        child.sequent = seq
+        child._sequent = seq
+        child._ante = set(seq.antecedent)
         child._sub = set(self._sub)
         child._left, child._right = dict(self._left), dict(self._right)
         child._eqs = dict(self._eqs)
         child._eq_left, child._eq_right = dict(self._eq_left), dict(self._eq_right)
         child._heap = list(self._heap)
+        moved = seq.succedent is not self._succ
+        if moved:
+            child._succ, child._succ_left, child._succ_right = seq.succedent, {}, {}
+        for f in seq.antecedent - self._ante:
+            child._take(f)
+        if moved:
+            for g in subformulas(child._succ):
+                if g not in child._sub:
+                    child._enter(g, child._succ_left, child._succ_right)
         return child
 
-    def saturate(self) -> Iterator[tuple[Sequent, RuleInstance]]:
+    def saturate(self) -> Iterator[tuple[RuleInstance, tuple[Formula, ...]]]:
         """Apply identity instances until the fixpoint or an axiom, yielding
-        each conclusion with the instance applied to it."""
-        while not is_axiom(self.sequent):
+        each instance applied with the formulas it added."""
+        ante = self._ante
+        while self._succ not in ante and BOT not in ante:
             inst = identity_instance(self)
             if inst is None:
                 return
-            conclusion = self.sequent
-            self.sequent = apply_rule(conclusion, inst)[0]
-            yield conclusion, inst
+            # `identity_instance` leaves the instance's entry on top; a
+            # chooser patched in for it, as tests do, may not
+            top = self._heap[0] if self._heap else None
+            adds = top[3] if top is not None and top[2] is inst else added(None, inst)
+            new = tuple(f for f in adds if f not in ante)
+            ante.update(new)
+            self._sequent = None
+            for f in new:
+                self._take(f)
+            yield inst, new
 
     def _push(self, inst: RuleInstance, adds: tuple[Formula, ...]) -> None:
-        heapq.heappush(self._heap, (inst.order_key(), inst, adds))
-
-    def _sync(self) -> None:
-        seq = self.sequent
-        new = seq.antecedent - self._ante
-        if seq.succedent is not self._succ:
-            self._succ, self._succ_left, self._succ_right = None, {}, {}
-        self._ante = seq.antecedent
-        for f in new:
-            self._take(f)
-        if self._succ is None:
-            self._succ = seq.succedent
-            for g in subformulas(self._succ):
-                if g not in self._sub:
-                    self._enter(g, self._succ_left, self._succ_right)
+        heapq.heappush(self._heap, (inst.order_key(), 0, inst, adds))
 
     def _take(self, f: Formula) -> None:
         for g in subformulas(f):
@@ -236,7 +261,8 @@ class Saturator:
                 self._enter(g, self._left, self._right)
         if isinstance(f, Id):
             splits = (Imp(f.left, f.right), Imp(f.right, f.left))
-            self._push(RuleInstance(L_ID2, principal=f), splits)
+            if splits[0] not in self._ante or splits[1] not in self._ante:
+                self._push(RuleInstance(L_ID2, principal=f), splits)
             self._take_equation(f)
 
     def _reflexive(self, x: Formula) -> None:
@@ -300,28 +326,38 @@ class Saturator:
         return self._right.get(key, ()) + self._succ_right.get(key, ())
 
     def _queue(self, e1: Id, e2: Id, op: str, x: Formula, y: Formula) -> None:
-        """Queue the composition x == y of `e1` and `e2` if the bound and the
-        closure admit it."""
-        if complexity(x) + complexity(y) >= self.bound:  # before Id(x, y) interns it
-            return
-        comp = Id(x, y)
-        if comp not in self._ante and in_extended_subformulas(comp, self.goal):
-            self._push(RuleInstance(L_ID3, principal=e1, principal2=e2, op=op), (comp,))
+        """Queue the composition x == y of `e1` and `e2` if the bound admits
+        it, under its instance's `order_key`; `identity_instance` admits it."""
+        if complexity(x) + complexity(y) < self.bound:
+            key = (RULE_PRIORITY[L_ID3], sort_key(e1), sort_key(e2), op)
+            heapq.heappush(self._heap, (key, 1, e1, e2, op, x, y))
 
 
 def identity_instance(sat: Saturator) -> RuleInstance | None:
     """Canonically least identity-rule instance applicable to the
-    saturator's sequent, or None at the saturation fixpoint.
+    saturator's sequent, or None at the saturation fixpoint.  Stale
+    entries are popped; the instance returned stays on top of the heap.
 
-    A composition is kept when both of its sides occur
-    inside the sequent: an identity between mentioned formulas can feed an
-    axiom or an implication split, one reaching outside them only feeds
-    further compositions."""
-    sat._sync()
-    ante, heap = sat.sequent.antecedent, sat._heap
-    while heap and all(f in ante for f in heap[0][2]):
+    A composition is kept when both of its sides occur inside the
+    sequent, its equation is new and in the goal's extended subformulas:
+    an identity between mentioned formulas can feed an axiom or an
+    implication split, one reaching outside them only feeds further
+    compositions."""
+    ante, heap = sat._ante, sat._heap
+    while heap:
+        entry = heap[0]
+        if not entry[1]:
+            if not all(f in ante for f in entry[3]):
+                return entry[2]
+        else:
+            key, _, e1, e2, op, x, y = entry
+            comp = Id(x, y)
+            if comp not in ante and in_extended_subformulas(comp, sat.goal):
+                inst = RuleInstance(L_ID3, principal=e1, principal2=e2, op=op)
+                heap[0] = (key, 0, inst, (comp,))  # it orders before the entry it replaces
+                return inst
         heapq.heappop(heap)
-    return heap[0][1] if heap else None
+    return None
 
 
 class _ProofSearch:
@@ -370,7 +406,8 @@ class _ProofSearch:
         self._open: dict[frozenset[Formula], tuple[list[Formula], dict]] = {}
         self._implications: dict[frozenset[Formula], tuple[Imp, ...]] = {}
         self._grown: dict[frozenset[Formula], dict[Formula, frozenset[Formula]]] = {}
-        # antecedent -> succedent -> (saturation chain, saturator at its end)
+        # antecedent -> succedent -> (saturation chain, saturator at its end);
+        # a chain holds (instance, formulas it added) pairs, not sequents
         self._saturated: dict[frozenset[Formula], dict[Formula, tuple[list, Saturator]]] = {}
 
     def implications(self, antecedent: frozenset[Formula]) -> tuple[Imp, ...]:
@@ -408,36 +445,41 @@ class _ProofSearch:
 
     def run(self) -> Derivation | None:
         """Decide the goal's root sequent; the proof of a provable one is
-        written from the table, pruned by `relevant` and certified."""
+        written from the table and certified."""
         root = Sequent(frozenset(), self.goal)
         if not self.provable(root, self.saturator):
             return None
-        proof = relevant(self.write(root))
+        proof = self.write(root)
         certify(proof, self.goal)
         return proof
 
     def write(self, seq: Sequent) -> Derivation:
-        """The proof of the provable `seq` the tables hold: an axiom leaf,
-        the clause that proved `seq`, or its stored saturation chain above
-        the proof of the chain's end.  It evaluates no clause, counts no
-        node and saturates nothing."""
-        if is_axiom(seq):
-            return Derivation(seq)
-        reason = self.table[seq.antecedent][seq.succedent]
-        if reason is not True:
-            inst, premises = reason
-            return Derivation(seq, inst, tuple(self.write(p) for p in premises))
-        chain, sat = self._saturated[seq.antecedent][seq.succedent]  # proved at its end
-        proof = self.write(sat.sequent)
-        for conclusion, inst in reversed(chain):
-            proof = Derivation(conclusion, inst, (proof,))
-        return proof
+        """The proof of the provable `seq` the tables hold, pruned as it is
+        read (`calculus.prune`): above each sequent an axiom leaf, the clause
+        that proved it, or its stored saturation chain below the proof of
+        the chain's end.  The identity steps nothing above reads are left
+        out, so it is `calculus.relevant` of the whole proof the tables
+        hold, without building that proof.  It evaluates no clause, counts
+        no node and saturates nothing."""
+
+        def shape(s: Sequent):
+            if is_axiom(s):
+                return s, (), ()
+            reason = self.table[s.antecedent][s.succedent]
+            if reason is not True:
+                inst, premises = reason
+                return s, ((inst, fresh(s, inst)),), premises
+            chain, sat = self._saturated[s.antecedent][s.succedent]  # proved at its end
+            return s, chain, (sat.sequent,)
+
+        return prune(seq, shape)
 
     def saturated(self, seq: Sequent, sat: Saturator) -> tuple[list, Saturator]:
-        """The saturation chain of `seq`, as (conclusion, instance) pairs,
-        and a saturator at its end; `sat` is at a sequent whose antecedent
-        `seq`'s contains.  A chain depends on its sequent alone, so it is
-        built once per call, a node per step, and stored for later calls."""
+        """The saturation chain of `seq`, as (instance, formulas it added)
+        pairs, and a saturator at its end; `sat` is at a sequent whose
+        antecedent `seq`'s contains.  A chain depends on its sequent alone,
+        so it is built once per call, a node per step, and stored for later
+        calls; `conclusions` gives its sequents."""
         by_succ = self._saturated.setdefault(seq.antecedent, {})
         found = by_succ.get(seq.succedent)
         if found is None:
@@ -453,10 +495,14 @@ class _ProofSearch:
 
     def provable(self, seq: Sequent, sat: Saturator) -> bool:
         """Whether `seq` is derivable, on any branch.  `sat` is a saturator
-        positioned at a sequent whose antecedent `seq`'s contains."""
+        positioned at a sequent whose antecedent `seq`'s contains; an axiom
+        is not saturated."""
         answers = self.table.setdefault(seq.antecedent, {})
         answer = answers.get(seq.succedent)
         if answer is None:
+            if is_axiom(seq):
+                answers[seq.succedent] = True
+                return True
             chain, sat = self.saturated(seq, sat)
             if is_axiom(sat.sequent):
                 answer = True
@@ -532,6 +578,19 @@ class _ProofSearch:
         return None
 
 
+def conclusions(start: Sequent, chain: list) -> Iterator[tuple[Sequent, RuleInstance]]:
+    """The steps of a stored saturation chain from its sequent `start`, as
+    (conclusion, instance) pairs: each conclusion is the last one with the
+    formulas the last step added.  The last step's premise is the
+    saturator's end sequent, which `saturated` returns."""
+    seq, new = start, ()
+    for inst, adds in chain:
+        if new:
+            seq = Sequent(seq.antecedent.union(new), seq.succedent)
+        yield seq, inst
+        new = adds
+
+
 def certify(proof: Derivation, goal: Formula) -> None:
     """Raise unless `proof` passes the independent checker as a proof of
     `goal` and keeps the restricted-derivation invariants.  Explicit raises,
@@ -545,7 +604,7 @@ def certify(proof: Derivation, goal: Formula) -> None:
 @contextmanager
 def deep_recursion() -> Iterator[None]:
     """The recursion limit at least 100,000 for the call it decorates, and
-    restored after: the provability table and the proof writer recurse."""
+    restored after: the provability table recurses."""
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(max(saved, 100_000))
     try:
@@ -558,7 +617,7 @@ def deep_recursion() -> Iterator[None]:
 def prove(phi: Formula, limits: Limits | Budget | None = None) -> Verdict:
     """Decide provability of the sequent with empty antecedent and
     succedent `phi`.  Proved verdicts carry the derivation the table's
-    clauses give, pruned by `relevant`, which passes the independent
+    clauses give, pruned as it is written, which passes the independent
     checker; NotProved means the table found the root unprovable.
     `countermodel.decide` also builds the refuting model."""
     search = _ProofSearch(phi, limits or Limits())

@@ -12,8 +12,9 @@ merge, for the reference forcing and checks.
 oracle with one fresh evaluator per assignment vector.
 `ref_expand` is the proof search with no provability table, the
 reference for the verdicts and proofs the table gives; `ref_run` runs it
-from the root.  `written_proof` is a proof as the table writes it, before
-`relevant` drops the identity steps nothing reads.
+from the root.  `written_proof` is a proof as the table holds it, before
+`relevant` drops the identity steps nothing reads, which
+`_ProofSearch.write` leaves out as it reads the table.
 `derivation_from_doc` rebuilds the `Derivation` a proof document
 describes, and `two_pass_check_proof` checks a tree node by node, the last
 child first; `reference_check_proof` runs the two as `isci check-proof`
@@ -58,7 +59,7 @@ from isci.formulas import (
 )
 from isci.parser import ParseError
 from isci.printer import format_sequent
-from isci.prover import Limits, Saturator, _ProofSearch, certify, deep_recursion, identity_instance
+from isci.prover import Limits, Saturator, _ProofSearch, certify, conclusions, deep_recursion, identity_instance
 from isci.serialize import DocumentError, _field, _FormulaTable, _parse_sequent, _read_step, formula_from_doc
 from isci.semantics import Evaluator, KripkeModel, _preorders, _refutes, model_failures
 
@@ -362,7 +363,7 @@ def ref_expand(search, seq: Sequent, history, sat) -> Derivation | None:
     result = Derivation(current) if is_axiom(current) else _ref_search_tail(search, current, hist, sat)
     if result is None:
         return None
-    for conclusion, inst in reversed(chain):
+    for conclusion, inst in reversed(list(conclusions(seq, chain))):
         result = Derivation(conclusion, inst, (result,))
     return result
 
@@ -378,13 +379,32 @@ def ref_run(search) -> Derivation | None:
 
 
 def written_proof(phi: Formula, limits: Limits = Limits()) -> Derivation | None:
-    """The proof of `phi` that `_ProofSearch.write` reads off the table,
-    every saturation step in it, which `relevant` has not pruned; None
-    when `phi` is unprovable."""
+    """The proof of `phi` that the provability table holds, every
+    saturation step in it (`unpruned_proof`); None when `phi` is
+    unprovable."""
     search = _ProofSearch(phi, limits)
     root = Sequent(frozenset(), phi)
     with deep_recursion():
-        return search.write(root) if search.provable(root, search.saturator) else None
+        return unpruned_proof(search, root) if search.provable(root, search.saturator) else None
+
+
+def unpruned_proof(search, seq: Sequent) -> Derivation:
+    """The proof of the provable `seq` read off `search`'s tables by
+    recursion, before `relevant` drops the identity steps nothing reads:
+    an axiom leaf, the clause that proved `seq`, or its stored saturation
+    chain, its sequents given by `conclusions`, above the proof of the
+    chain's end.  `_ProofSearch.write` gives its pruned form."""
+    if is_axiom(seq):
+        return Derivation(seq)
+    reason = search.table[seq.antecedent][seq.succedent]
+    if reason is not True:
+        inst, premises = reason
+        return Derivation(seq, inst, tuple(unpruned_proof(search, p) for p in premises))
+    chain, sat = search._saturated[seq.antecedent][seq.succedent]
+    proof = unpruned_proof(search, sat.sequent)
+    for conclusion, inst in reversed(list(conclusions(seq, chain))):
+        proof = Derivation(conclusion, inst, (proof,))
+    return proof
 
 
 def _ref_search_tail(search, seq: Sequent, hist, sat) -> Derivation | None:
@@ -429,14 +449,12 @@ def _ref_expand(search, seq: Sequent, history, sat) -> Derivation:
     if proof is not None:
         return proof
     hist = history | {seq.succedent}
-    chain = []
     sat = sat.extend(seq)
-    for conclusion, inst in sat.saturate():
-        chain.append((conclusion, inst))
+    chain = list(sat.saturate())
     if chain:
         hist = frozenset((seq.succedent,))
     result = _ref_tail(search, sat.sequent, hist, sat)
-    for conclusion, inst in reversed(chain):
+    for conclusion, inst in reversed(list(conclusions(seq, chain))):
         result = Derivation(conclusion, inst, (result,))
     return result
 

@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import os
 import subprocess
 import sys
 
@@ -7,9 +9,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from isci import prover
-from isci.calculus import L_ID1, L_ID2, L_ID3, L_IMP, R_IMP, Sequent, check_proof, is_axiom, relevant, sequent
+from isci.calculus import (
+    L_ID1,
+    L_ID2,
+    L_ID3,
+    L_IMP,
+    R_IMP,
+    RuleInstance,
+    Sequent,
+    apply_rule,
+    check_proof,
+    is_axiom,
+    relevant,
+    sequent,
+)
 from isci.countermodel import CounterModelError, decide
-from isci.formulas import BOT, Id, Imp, Var
+from isci.formulas import BOT, Formula, Id, Imp, Var
 from isci.invariants import (
     antecedents_inherited,
     assert_restricted_derivation,
@@ -18,10 +33,18 @@ from isci.invariants import (
 )
 from isci.parser import parse_formula, parse_sequent
 from isci.printer import format_derivation, format_derivation_dot, format_derivation_latex
-from isci.prover import Limits, ResourceExhausted, Saturator, _ProofSearch, prove
+from isci.prover import Limits, ResourceExhausted, Saturator, _ProofSearch, conclusions, prove
 from isci.serialize import check_proof_doc, dumps, loads, proof_doc
 
-from oracle_utils import CHOOSERS, ref_run, rescan_instance, small_formulas_pqr, written_proof
+from oracle_utils import (
+    CHOOSERS,
+    ref_run,
+    rescan_instance,
+    same_derivation,
+    small_formulas_pqr,
+    unpruned_proof,
+    written_proof,
+)
 from test_acceptance import THEOREMS as ACCEPTANCE_THEOREMS
 
 p, q, r, s = (Var(n) for n in "pqrs")
@@ -31,10 +54,11 @@ def saturation_chain(start, goal):
     """The identity-rule chain a branch's `Saturator` applies from `start`,
     as (instance, premise) pairs; every step enlarges the antecedent."""
     sat = Saturator(goal).extend(start)
-    chain = []
-    for conclusion, inst in sat.saturate():
+    chain, conclusion = [], start
+    for inst, _ in sat.saturate():
         assert conclusion.antecedent < sat.sequent.antecedent
         chain.append((inst, sat.sequent))
+        conclusion = sat.sequent
     return chain
 
 
@@ -431,8 +455,9 @@ def test_the_gated_search_writes_the_reference_proofs(text):
 @pytest.mark.parametrize("text", ACCEPTANCE_THEOREMS)
 def test_the_writer_decides_nothing(monkeypatch, text):
     # once the table proves the root, the proof is read off it: writing
-    # evaluates no clause and counts no node, and each R-> and L-> node is
-    # the clause the table keeps for its sequent, premises and all
+    # evaluates no clause and counts no node, and each R-> and L-> node of
+    # the proof the table holds, before pruning, is the clause the table
+    # keeps for its sequent, premises and all
     phi = parse_formula(text)
     search = _ProofSearch(phi, Limits())
     root = Sequent(frozenset(), phi)
@@ -446,7 +471,8 @@ def test_the_writer_decides_nothing(monkeypatch, text):
     proof = search.write(root)
     assert search.stats.nodes == nodes
     assert check_proof(proof, root).ok
-    inner = [n for n in proof.walk() if n.rule is not None and n.rule.rule in (R_IMP, L_IMP)]
+    written = unpruned_proof(search, root)
+    inner = [n for n in written.walk() if n.rule is not None and n.rule.rule in (R_IMP, L_IMP)]
     for node in inner:  # none where saturation alone proves the theorem
         inst, premises = search.table[node.sequent.antecedent][node.sequent.succedent]
         assert node.rule is inst
@@ -515,3 +541,53 @@ def test_the_congruence_axiom_proof_keeps_the_steps_it_reads():
     # axiom reads only the one composition
     proof = prove(parse_formula(CONGRUENCE)).proof
     assert [n.rule.rule if n.rule else "axiom" for n in proof.walk()] == [R_IMP, R_IMP, L_ID3, "axiom"]
+
+
+def identity_workload() -> list[str]:
+    """The formulas of the benchmark's `identity` workload at seed 1, read
+    from `certbench/corpus.py`."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "certbench", "corpus.py")
+    spec = importlib.util.spec_from_file_location("certbench_corpus", path)
+    corpus = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(corpus)
+    return [op.formula for op in corpus.identity(1).ops]
+
+
+IDENTITY_WORKLOAD = identity_workload()
+
+
+def assert_written_as_pruned(phi):
+    """The proof `write` reads off the table is `relevant` of the whole
+    proof the table holds, node for node; and every stored chain holds
+    instances and formulas, no sequent, whose conclusions `conclusions`
+    builds as `apply_rule` does, up to the saturator's end sequent."""
+    search = _ProofSearch(phi, Limits(max_nodes=TABLE_NODE_CAP))
+    root = Sequent(frozenset(), phi)
+    if search.provable(root, search.saturator):
+        whole = unpruned_proof(search, root)
+        assert same_derivation(search.write(root), relevant(whole))
+    assert search._saturated
+    for ante, by_succ in search._saturated.items():
+        for succ, (chain, sat) in by_succ.items():
+            assert all(
+                isinstance(inst, RuleInstance) and all(isinstance(f, Formula) for f in new)
+                for inst, new in chain
+            )
+            steps = list(conclusions(Sequent(ante, succ), chain))
+            premises = [conclusion for conclusion, _ in steps[1:]] + [sat.sequent]
+            for (conclusion, inst), premise in zip(steps, premises):
+                assert apply_rule(conclusion, inst) == [premise]
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=small_formulas_pqr)
+def test_write_prunes_as_it_reads(phi):
+    try:
+        assert_written_as_pruned(phi)
+    except ResourceExhausted:
+        assume(False)
+
+
+@pytest.mark.parametrize("text", ACCEPTANCE_THEOREMS + IDENTITY_WORKLOAD)
+def test_write_prunes_as_it_reads_the_theorems_and_the_identity_workload(text):
+    assert_written_as_pruned(parse_formula(text))
