@@ -339,10 +339,12 @@ def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits
     model's formulas, then on a broken promise of the construction.  The
     budget's deadline is checked between the checks and inside their loops.
 
-    The saturation promise asks a fresh saturator, sharing no state with
-    the search, for an identity instance at each world's last sequent:
-    there is none, so Γ_w is closed under the identity rules over its own
-    material."""
+    The saturation promise asks a saturator, sharing no state with the
+    search, for an identity instance at each world's last sequent: there
+    is none, so Γ_w is closed under the identity rules over its own
+    material.  Each world, in order, extends the saturator of the latest
+    earlier world below it by a base edge if that world's last antecedent
+    is in its own, else a fresh one."""
     phi = bundle.formula
     model = bundle.model
     ev = Evaluator(model)
@@ -353,9 +355,14 @@ def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits
         material.update(occ.sequent.succedent for occ in w.occurrences)
     for failure in model_failures(ev, material, phi, bundle.designated, budget, "validation"):
         raise CounterModelError(failure)
+    index = {w.name: i for i, w in enumerate(bundle.worlds)}
+    below: dict[str, str] = {}  # each world's latest earlier world below it
     for src, dst in bundle.base_edges:
         if not bundle.world_named(src).gamma_max <= bundle.world_named(dst).gamma_max:
             raise CounterModelError(f"antecedents shrink along {src} <= {dst}")
+        if index[src] < index[dst]:
+            below[dst] = max(below.get(dst, src), src, key=index.get)
+    saturators: dict[str, Saturator] = {}
     for w in bundle.worlds:
         budget.check("validation", "the forcing and saturation of the worlds")
         bit = model.bit[w.name]
@@ -374,6 +381,11 @@ def validate_bundle(bundle: CounterModelBundle, limits: Limits | Budget = Limits
                 raise CounterModelError(
                     f"{w.name} does not force its antecedent formula {format_formula(f)}"
                 )
-        inst = identity_instance(Saturator(phi).extend(w.occurrences[-1].sequent))
+        last = w.occurrences[-1].sequent
+        sat = saturators.get(below.get(w.name))
+        if sat is None or not sat.sequent.antecedent <= last.antecedent:
+            sat = Saturator(phi)
+        sat = saturators[w.name] = sat.extend(last)
+        inst = identity_instance(sat)
         if inst is not None:
             raise CounterModelError(f"{inst.rule} still applies to the last sequent of {w.name}")

@@ -4,8 +4,9 @@ The language has propositional variables, falsum, implication and a binary
 identity connective.  Identity is a connective, not meta-level equality:
 ``Id(p, q)`` and ``Id(q, p)`` are distinct formulas.  Nodes are interned:
 constructing a formula twice yields the same object, so structural
-equality coincides with identity and hashing is constant time.  Formulas
-are immutable; never write to their fields.
+equality coincides with identity and hashing is constant time.  Each node
+carries its complexity `c` and its order key `key`, set once when it is
+interned.  Formulas are immutable; never write to their fields.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Iterable
 
 
 class Formula:
-    """Base class of formula nodes."""
+    """Base class of formula nodes: complexity `c`, order key `key`."""
 
-    __slots__ = ()
+    __slots__ = ("c", "key")
 
     def __repr__(self) -> str:  # diagnostics only; printer owns real output
         from .printer import format_formula
@@ -33,7 +34,7 @@ class Var(Formula):
         f = cls._interned.get(name)
         if f is None:
             f = super().__new__(cls)
-            f.name = name
+            f.name, f.c, f.key = name, 0, (1, name)
             cls._interned[name] = f
         return f
 
@@ -44,21 +45,22 @@ class Bottom(Formula):
 
     def __new__(cls):
         if cls._instance is None:
-            cls._instance = super().__new__(cls)
+            f = cls._instance = super().__new__(cls)
+            f.c, f.key = 0, (0,)
         return cls._instance
 
 
 class _Binary(Formula):
     __slots__ = ("left", "right")
-    _interned: dict  # per subclass
+    _interned: dict  # per subclass, as is _rank, the first entry of the order key
 
     def __new__(cls, left: Formula, right: Formula):
         key = (left, right)
         f = cls._interned.get(key)
         if f is None:
             f = super().__new__(cls)
-            f.left = left
-            f.right = right
+            f.left, f.right = left, right
+            f.c, f.key = left.c + right.c + 1, (cls._rank, left.key, right.key)
             cls._interned[key] = f
         return f
 
@@ -66,11 +68,13 @@ class _Binary(Formula):
 class Imp(_Binary):
     __slots__ = ()
     _interned = {}
+    _rank = 2
 
 
 class Id(_Binary):
     __slots__ = ()
     _interned = {}
+    _rank = 3
 
 
 BOT = Bottom()
@@ -81,24 +85,14 @@ def in_form0(f: Formula) -> bool:
     return isinstance(f, (Var, Id))
 
 
-@lru_cache(maxsize=None)
 def complexity(f: Formula) -> int:
     """0 for variables and falsum; c(l) + c(r) + 1 for both connectives."""
-    if isinstance(f, (Var, Bottom)):
-        return 0
-    return complexity(f.left) + complexity(f.right) + 1
+    return f.c
 
 
-@lru_cache(maxsize=None)
 def sort_key(f: Formula):
     """Total-order key: Bottom < Var < Imp < Id, then lexicographic."""
-    if isinstance(f, Bottom):
-        return (0,)
-    if isinstance(f, Var):
-        return (1, f.name)
-    if isinstance(f, Imp):
-        return (2, sort_key(f.left), sort_key(f.right))
-    return (3, sort_key(f.left), sort_key(f.right))
+    return f.key
 
 
 def sorted_formulas(fs: Iterable[Formula]) -> list[Formula]:
@@ -200,8 +194,7 @@ def in_extended_subformulas(psi: Formula, phi: Formula) -> bool:
     """
     if psi in subformulas(phi):
         return True
-    n = complexity(phi)
-    if complexity(psi) > n:
+    if psi.c > phi.c:
         return False
     if isinstance(psi, Id):
         if psi.left == psi.right and in_extended_subformulas(psi.left, phi):

@@ -70,7 +70,6 @@ from .formulas import (
     Formula,
     Id,
     Imp,
-    complexity,
     in_extended_subformulas,
     sort_key,
     subformulas,
@@ -163,35 +162,41 @@ class Saturator:
     Holds the branch's antecedent, a set each step grows by the formulas
     its instance adds, and every identity instance that may still apply,
     on one heap keyed by the canonical instance order (L==1, then L==2,
-    then L==3, then the principals, then the op).  `extend` hands a copy
-    to a premise and takes the premise's new formulas and succedent in at
-    once; a step takes in only what it adds, and the sequent is frozen
-    when asked for, once per chain at its end.  An L==2 whose two
-    implications are both held is not queued.
+    then L==3, then the principals, then the op): a key built from the
+    formulas' `key` slots, equal to the instance's `order_key`.  `extend`
+    hands a copy to a premise and takes the premise's new formulas and
+    succedent in at once; a step takes in only what it adds, each new
+    formula top-down to the parts already held, and the sequent is
+    frozen when asked for, once per chain at its end.
 
-    A composition (a op b) == (c op d) of a == c and b == d is queued once
-    its four parts occur, the equations in the antecedent and the sides in
-    the sequent: indexes of both find it when the last part arrives, and a
-    side only the succedent's material supplies serves that succedent
-    alone.  It is admitted when it reaches the top of the heap: only then
-    are its equation, the closure test and its rule instance built.  The
-    instances chosen are exactly those a full rescan of each sequent
-    would choose.  One heap holds every instance, the succedent's sides'
-    too: the succedent changes only at `extend`, and a saturator extended
-    is fresh or at its fixpoint, where `identity_instance` has popped the
-    heap empty, so only the indexes of the succedent's sides are reset.
+    Entries wait on the heap unbuilt: an L==1 as its formula and the
+    reflexive equation, queued within the bound and the closure; an L==2
+    as its equation and splits, queued unless both are held; an L==3 as
+    its equations, op and sides.  A composition (a op b) == (c op d) of
+    a == c and b == d is queued once its four parts occur, the equations
+    in the antecedent and the sides in the sequent: indexes of both find
+    it when the last part arrives, and a side only the succedent's
+    material supplies serves that succedent alone.  `identity_instance`
+    admits the entry on top of the heap: only then is its rule instance
+    built (for an L==3, its equation and closure test too), and the
+    admitted entry replaces it on top.  The instances chosen are exactly
+    those a full rescan of each sequent would choose.  One heap holds
+    every instance, the succedent's sides' too: the succedent changes
+    only at `extend`, and a saturator extended is fresh or at its
+    fixpoint, where `identity_instance` has popped the heap empty, so
+    only the indexes of the succedent's sides are reset.
     """
 
     def __init__(self, goal: Formula):
         self.goal = goal
-        self.bound = complexity(goal)
+        self.bound = goal.c
         self._sequent: Sequent | None = None  # the current sequent, once frozen
         self._ante: set[Formula] = set()  # its antecedent: the formulas taken in
         self._succ: Formula | None = None  # its succedent, which the _succ_ fields serve
-        # heap entries are (order key, 0, instance, formulas its premise adds),
-        # stale once all of those are in the antecedent, or (order key, 1,
-        # e1, e2, op, x, y) for the composition x == y of e1 and e2, not yet
-        # admitted; the 0 or 1 orders an instance before a duplicate
+        # heap entries are (order key, 0, instance, formulas its premise adds)
+        # once admitted, stale once those are all held; before, (order key, 1,
+        # principal, formulas it adds) for an L==1 or L==2, (order key, 1, e1,
+        # e2, op, x, y) for an L==3; the 0 orders an instance before a duplicate
         self._heap: list = []
         self._sub: set[Formula] = set()  # sub_closure(self._ante)
         # sides: compound members of _sub by (connective, left or right part)
@@ -251,24 +256,33 @@ class Saturator:
                 self._take(f)
             yield inst, new
 
-    def _push(self, inst: RuleInstance, adds: tuple[Formula, ...]) -> None:
-        heapq.heappush(self._heap, (inst.order_key(), 0, inst, adds))
-
     def _take(self, f: Formula) -> None:
-        for g in subformulas(f):
-            if g not in self._sub:
-                self._sub.add(g)
-                self._enter(g, self._left, self._right)
-        if isinstance(f, Id):
+        """Take `f`, new to the antecedent, in: material, L==2, compositions."""
+        if f not in self._sub:
+            self._hold(f)
+        if type(f) is Id:
             splits = (Imp(f.left, f.right), Imp(f.right, f.left))
             if splits[0] not in self._ante or splits[1] not in self._ante:
-                self._push(RuleInstance(L_ID2, principal=f), splits)
+                heapq.heappush(self._heap, ((_L_ID2, f.key, (), ""), 1, f, splits))
             self._take_equation(f)
 
+    def _hold(self, g: Formula) -> None:
+        """Add `g` and its parts not yet in `_sub` to it and its indexes."""
+        sub = self._sub
+        sub.add(g)
+        if isinstance(g, (Imp, Id)):
+            if g.left not in sub:
+                self._hold(g.left)
+            if g.right not in sub:
+                self._hold(g.right)
+        self._enter(g, self._left, self._right)
+
     def _reflexive(self, x: Formula) -> None:
+        if 2 * x.c + 1 > self.bound:
+            return  # x == x is neither in sub(goal) nor in the closure
         e = Id(x, x)
         if e not in self._ante and in_extended_subformulas(e, self.goal):
-            self._push(RuleInstance(L_ID1, principal=x), (e,))
+            heapq.heappush(self._heap, ((_L_ID1, x.key, (), ""), 1, x, (e,)))
 
     # -- a composition is found once its four parts occur --------------------
 
@@ -278,7 +292,7 @@ class Saturator:
         (the other side is compound too), the compositions it completes.
         `left` and `right` index it by connective and part."""
         self._reflexive(g)
-        if not isinstance(g, (Imp, Id)) or complexity(g) + 2 > self.bound:
+        if g.c + 2 > self.bound or not isinstance(g, (Imp, Id)):
             return
         kind, op = type(g), OP_IMP if isinstance(g, Imp) else OP_ID
         left[kind, g.left] = left.get((kind, g.left), ()) + (g,)
@@ -304,14 +318,14 @@ class Saturator:
         for kind, op in ((Imp, OP_IMP), (Id, OP_ID)):
             # f = a == c first: sides a op b and c op d, partner b == d
             ys = self._by_left((kind, f.right))
-            for x in self._by_left((kind, f.left)):
+            for x in self._by_left((kind, f.left)) if ys else ():
                 for y in ys:
                     e2 = self._eqs.get((x.right, y.right))
                     if e2 is not None:
                         self._queue(f, e2, op, x, y)
             # f = b == d second: partner a == c
             ys = self._by_right((kind, f.right))
-            for x in self._by_right((kind, f.left)):
+            for x in self._by_right((kind, f.left)) if ys else ():
                 for y in ys:
                     e1 = self._eqs.get((x.left, y.left))
                     if e1 is not None and e1 is not f:
@@ -320,23 +334,29 @@ class Saturator:
     def _by_left(self, key: tuple) -> tuple[Formula, ...]:
         """The sides with connective and left part `key`, in `_sub` or the
         succedent's material; `_by_right` likewise by right part."""
-        return self._left.get(key, ()) + self._succ_left.get(key, ())
+        held, theirs = self._left.get(key, ()), self._succ_left.get(key)
+        return held + theirs if theirs else held
 
     def _by_right(self, key: tuple) -> tuple[Formula, ...]:
-        return self._right.get(key, ()) + self._succ_right.get(key, ())
+        held, theirs = self._right.get(key, ()), self._succ_right.get(key)
+        return held + theirs if theirs else held
 
     def _queue(self, e1: Id, e2: Id, op: str, x: Formula, y: Formula) -> None:
         """Queue the composition x == y of `e1` and `e2` if the bound admits
         it, under its instance's `order_key`; `identity_instance` admits it."""
-        if complexity(x) + complexity(y) < self.bound:
-            key = (RULE_PRIORITY[L_ID3], sort_key(e1), sort_key(e2), op)
-            heapq.heappush(self._heap, (key, 1, e1, e2, op, x, y))
+        if x.c + y.c < self.bound:
+            heapq.heappush(self._heap, ((_L_ID3, e1.key, e2.key, op), 1, e1, e2, op, x, y))
+
+
+# the first entry of each identity rule's order key
+_L_ID1, _L_ID2, _L_ID3 = (RULE_PRIORITY[r] for r in (L_ID1, L_ID2, L_ID3))
 
 
 def identity_instance(sat: Saturator) -> RuleInstance | None:
     """Canonically least identity-rule instance applicable to the
     saturator's sequent, or None at the saturation fixpoint.  Stale
-    entries are popped; the instance returned stays on top of the heap.
+    entries are popped; the instance returned is built from the entry on
+    top of the heap, which it replaces as an admitted entry.
 
     A composition is kept when both of its sides occur inside the
     sequent, its equation is new and in the goal's extended subformulas:
@@ -346,16 +366,20 @@ def identity_instance(sat: Saturator) -> RuleInstance | None:
     ante, heap = sat._ante, sat._heap
     while heap:
         entry = heap[0]
-        if not entry[1]:
-            if not all(f in ante for f in entry[3]):
-                return entry[2]
-        else:
-            key, _, e1, e2, op, x, y = entry
+        key = entry[0]
+        if entry[1] and key[0] == _L_ID3:
+            _, _, e1, e2, op, x, y = entry
             comp = Id(x, y)
             if comp not in ante and in_extended_subformulas(comp, sat.goal):
                 inst = RuleInstance(L_ID3, principal=e1, principal2=e2, op=op)
                 heap[0] = (key, 0, inst, (comp,))  # it orders before the entry it replaces
                 return inst
+        elif not all(f in ante for f in entry[3]):
+            if not entry[1]:
+                return entry[2]
+            inst = RuleInstance(L_ID1 if key[0] == _L_ID1 else L_ID2, principal=entry[2])
+            heap[0] = (key, 0, inst, entry[3])
+            return inst
         heapq.heappop(heap)
     return None
 
@@ -489,6 +513,9 @@ class _ProofSearch:
                 chain.append(step)
                 self.tick()
             found = by_succ[seq.succedent] = (chain, sat)
+            if chain and not is_axiom(sat.sequent):  # the end is at its fixpoint
+                end = sat.sequent
+                self._saturated.setdefault(end.antecedent, {}).setdefault(end.succedent, ([], sat))
         return found
 
     # -- provability table ----------------------------------------------------

@@ -436,6 +436,25 @@ def test_validation_requires_saturated_worlds():
     assert str(exc.value) == f"L==2 still applies to the last sequent of {w.name}"
 
 
+def test_validation_requires_saturated_extended_worlds():
+    # the broken world extends the saturator of the world below it, whose
+    # last antecedent lacks the removed split: the extended saturator finds
+    # the L==2 a fresh one finds
+    bundle = countermodel(parse_formula("p == q -> r"))
+    below, w = bundle.worlds
+    assert (below.name, w.name) in bundle.base_edges
+    last = w.occurrences[-1].sequent
+    assert Imp(p, q) in last.antecedent
+    assert Imp(p, q) not in below.occurrences[-1].sequent.antecedent
+    assert below.occurrences[-1].sequent.antecedent <= last.antecedent - {Imp(p, q)}
+    w.occurrences = w.occurrences[:-1] + (
+        Derivation(Sequent(last.antecedent - {Imp(p, q)}, last.succedent)),
+    )
+    with pytest.raises(CounterModelError) as exc:
+        validate_bundle(bundle)
+    assert str(exc.value) == f"L==2 still applies to the last sequent of {w.name}"
+
+
 def test_equation_sets_match_the_pair_scans():
     """The small equations that a scan of the pairs of a world's
     antecedent material finds true under a naive congruence are in the

@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from isci.formulas import (
@@ -153,3 +154,32 @@ def test_connectives_strictly_increase_complexity(a, b):
     for op in (Imp, Id):
         c = complexity(op(a, b))
         assert c > complexity(a) and c > complexity(b)
+
+
+def reference_complexity(f):
+    if isinstance(f, (Imp, Id)):
+        return reference_complexity(f.left) + reference_complexity(f.right) + 1
+    return 0
+
+
+def reference_sort_key(f):
+    if f is BOT:
+        return (0,)
+    if isinstance(f, Var):
+        return (1, f.name)
+    return (2 if isinstance(f, Imp) else 3, reference_sort_key(f.left), reference_sort_key(f.right))
+
+
+formulas_with_bottom = st.recursive(
+    st.sampled_from([p, q, r, BOT]),
+    lambda kids: st.builds(Imp, kids, kids) | st.builds(Id, kids, kids),
+    max_leaves=12,
+)
+
+
+@given(formulas_with_bottom)
+def test_nodes_carry_their_complexity_and_order_key(phi):
+    # the slots set at interning are the recursive definitions, and the
+    # public functions return them
+    assert phi.c == complexity(phi) == reference_complexity(phi)
+    assert phi.key == sort_key(phi) == reference_sort_key(phi)

@@ -33,7 +33,7 @@ from isci.invariants import (
 )
 from isci.parser import parse_formula, parse_sequent
 from isci.printer import format_derivation, format_derivation_dot, format_derivation_latex
-from isci.prover import Limits, ResourceExhausted, Saturator, _ProofSearch, conclusions, prove
+from isci.prover import Limits, ResourceExhausted, Saturator, _ProofSearch, conclusions, identity_instance, prove
 from isci.serialize import check_proof_doc, dumps, loads, proof_doc
 
 from oracle_utils import (
@@ -162,6 +162,25 @@ def test_search_saturates_as_a_rescan_does(monkeypatch, choose, text):
 
     monkeypatch.setattr(prover, "identity_instance", checked)
     decide(goal)
+
+
+@pytest.mark.parametrize("text", ["p == q -> (p -> #) -> q", DEPTH_2, SUCCEDENT_SIDE])
+def test_admitted_entries_carry_their_instances_order_key(monkeypatch, text):
+    # the saturator queues instances unbuilt, under keys it builds inline;
+    # each instance admitted sits on top of the heap under its own order key
+    admitted = []
+
+    def checked(sat):
+        inst = identity_instance(sat)
+        if inst is not None:
+            key, built, top, _ = sat._heap[0]
+            assert built == 0 and top is inst and key == inst.order_key()
+            admitted.append(inst.rule)
+        return inst
+
+    monkeypatch.setattr(prover, "identity_instance", checked)
+    decide(parse_formula(text))
+    assert {"L==1", "L==2", "L==3"} <= set(admitted)
 
 
 def test_guided_saturation_interns_few_equations():
