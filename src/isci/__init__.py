@@ -56,7 +56,6 @@ from .semantics import (
     check_identity_entails_implications,
     check_monotonicity,
     forces,
-    valid_in_model,
 )
 
 __all__ = [
@@ -103,5 +102,4 @@ __all__ = [
     "prove",
     "sequent",
     "subformulas",
-    "valid_in_model",
 ]

@@ -55,7 +55,7 @@ from .formulas import (
 from .invariants import assert_restricted_derivation
 from .printer import format_formula, format_sequent
 from .prover import Budget, Limits, Saturator, SearchStats, Verdict, _ProofSearch
-from .prover import conclusions, deep_recursion, identity_instance
+from .prover import conclusions, identity_instance
 from .semantics import Evaluator, KripkeModel, model_failures
 
 
@@ -305,7 +305,6 @@ def _reflexive_transitive_closure(names: list[str], edges: set[tuple[str, str]])
     return frozenset((a, b) for a in names for b in reach[a])
 
 
-@deep_recursion()
 def decide(phi: Formula, limits: Limits | Budget | None = None) -> Verdict:
     """Prove `phi` or refute it.  The search's provability table decides;
     a proof read off the table is certified, and otherwise the table steers

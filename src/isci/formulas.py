@@ -3,10 +3,12 @@
 The language has propositional variables, falsum, implication and a binary
 identity connective.  Identity is a connective, not meta-level equality:
 ``Id(p, q)`` and ``Id(q, p)`` are distinct formulas.  Nodes are interned:
-constructing a formula twice yields the same object, so structural
-equality coincides with identity and hashing is constant time.  Each node
-carries its complexity `c` and its order key `key`, set once when it is
-interned.  Formulas are immutable; never write to their fields.
+constructing a formula twice yields the same object, in any thread, so
+structural equality coincides with identity and hashing is constant
+time.  Each node carries its complexity `c` and its order key `key`, set
+once when it is interned.  Formulas are immutable; never write to their
+fields.  The walks over a formula run on explicit stacks, so a formula of
+any depth is walked under any recursion limit.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class Var(Formula):
         if f is None:
             f = super().__new__(cls)
             f.name, f.c, f.key = name, 0, (1, name)
-            cls._interned[name] = f
+            f = cls._interned.setdefault(name, f)
         return f
 
 
@@ -61,7 +63,7 @@ class _Binary(Formula):
             f = super().__new__(cls)
             f.left, f.right = left, right
             f.c, f.key = left.c + right.c + 1, (cls._rank, left.key, right.key)
-            cls._interned[key] = f
+            f = cls._interned.setdefault(key, f)
         return f
 
 
@@ -99,13 +101,52 @@ def sorted_formulas(fs: Iterable[Formula]) -> list[Formula]:
     return sorted(fs, key=sort_key)
 
 
+def parts_first(f: Formula, seen: set) -> list[Formula]:
+    """`f` and its parts not in `seen`, each added to `seen`, parts before
+    wholes and left before right.  The walk runs on an explicit stack, so
+    a formula of any depth walks under any recursion limit."""
+    seen.add(f)
+    stack, out = [f], []
+    while stack:
+        g = stack[-1]
+        if isinstance(g, _Binary):
+            if g.left not in seen:
+                seen.add(g.left)
+                stack.append(g.left)
+                continue
+            if g.right not in seen:
+                seen.add(g.right)
+                stack.append(g.right)
+                continue
+        out.append(stack.pop())
+    return out
+
+
+def solve(question, lookup, ask):
+    """The answer to `question`: `lookup(question)` unless that is None,
+    else what the generator `ask(question)` returns.  A generator yields
+    each question it needs answered and is sent its answer, found the same
+    way; the generators wait on one explicit stack, so nothing recurses."""
+    answer = lookup(question)
+    stack = [] if answer is not None else [ask(question)]
+    while stack:
+        try:
+            question = stack[-1].send(answer)
+        except StopIteration as done:
+            stack.pop()
+            answer = done.value
+            continue
+        answer = lookup(question)
+        if answer is None:
+            stack.append(ask(question))
+    return answer
+
+
 @lru_cache(maxsize=None)
 def subformulas(f: Formula) -> frozenset[Formula]:
-    out = {f}
-    if isinstance(f, (Imp, Id)):
-        out |= subformulas(f.left)
-        out |= subformulas(f.right)
-    return frozenset(out)
+    seen: set[Formula] = set()
+    parts_first(f, seen)
+    return frozenset(seen)  # sized to fit, as a copy of a set is
 
 
 def sub_closure(fs: Iterable[Formula]) -> frozenset[Formula]:
@@ -117,11 +158,7 @@ def sub_closure(fs: Iterable[Formula]) -> frozenset[Formula]:
 
 @lru_cache(maxsize=None)
 def variables(f: Formula) -> frozenset[Var]:
-    if isinstance(f, Var):
-        return frozenset((f,))
-    if isinstance(f, Bottom):
-        return frozenset()
-    return variables(f.left) | variables(f.right)
+    return frozenset(g for g in subformulas(f) if isinstance(g, Var))
 
 
 def extended_subformulas(phi: Formula, budget=None, phase: str | None = None) -> frozenset[Formula]:
@@ -183,30 +220,44 @@ def extended_subformulas_within(phi: Formula, cap: int) -> frozenset[Formula] | 
     return closure if len(closure) <= cap else None
 
 
-@lru_cache(maxsize=None)
 def in_extended_subformulas(psi: Formula, phi: Formula) -> bool:
     """Membership test that never materializes the whole closure.
 
     Works top-down: an equation is a member if it is a plain subformula, a
     reflexive equation over a member, or a bounded composition of member
     equations; an implication is a member if it is a plain subformula or
-    the split of a member equation.
+    the split of a member equation.  The questions this asks of smaller
+    formulas are `solve`d, without recursion.
     """
-    if psi in subformulas(phi):
-        return True
-    if psi.c > phi.c:
-        return False
-    if isinstance(psi, Id):
-        if psi.left == psi.right and in_extended_subformulas(psi.left, phi):
+    return solve(psi, *_membership(phi))
+
+
+@lru_cache(maxsize=None)
+def _membership(phi: Formula):
+    """The lookup and the rules that `in_extended_subformulas` solves with
+    for `phi`, sharing one table of answers.  The lookup answers what needs
+    no rule: a subformula, a formula above the bound, a reflexive equation
+    over a subformula and a formula decided before."""
+    sub, known = subformulas(phi), {}
+
+    def answered(chi: Formula) -> bool | None:
+        if chi.c > phi.c:
+            return False
+        if chi in sub or type(chi) is Id and chi.left is chi.right and chi.left in sub:
             return True
-        l, r = psi.left, psi.right
-        if type(l) is type(r) and isinstance(l, (Imp, Id)):
-            return in_extended_subformulas(Id(l.left, r.left), phi) and in_extended_subformulas(
-                Id(l.right, r.right), phi
-            )
-        return False
-    if isinstance(psi, Imp):
-        return in_extended_subformulas(Id(psi.left, psi.right), phi) or in_extended_subformulas(
-            Id(psi.right, psi.left), phi
-        )
-    return False
+        return known.get(chi)
+
+    def decide(psi: Formula):
+        # yields each formula whose membership it needs and is sent the answer
+        member = False
+        if isinstance(psi, Id):
+            l, r = psi.left, psi.right
+            member = l is r and (yield l)
+            if not member and type(l) is type(r) and isinstance(l, (Imp, Id)):
+                member = (yield Id(l.left, r.left)) and (yield Id(l.right, r.right))
+        elif isinstance(psi, Imp):
+            member = (yield Id(psi.left, psi.right)) or (yield Id(psi.right, psi.left))
+        known[psi] = member
+        return member
+
+    return answered, decide

@@ -4,11 +4,13 @@ The table decides each sequent by the rules' priorities: axioms close it,
 the identity rules saturate it, then R-> applies when the succedent is an
 implication and L-> to the antecedent implications.  For each sequent it
 proves, the table keeps the clause that proved it, and the proof is read
-off those clauses, with no second search and no backtracking.  It is
-pruned as it is read: of the stored saturation chains, `write` keeps only
-the identity steps something above reads (`calculus.prune`).
-Together with the extended-subformula bound on identity rules,
-antecedents that only grow make the space finite.
+off those clauses, with no second search and no backtracking.  The
+table runs on one explicit stack, not by recursion, so it never changes
+the interpreter's recursion limit.  The proof is pruned as it is read:
+of the stored saturation chains, `write` keeps only the identity steps
+something above reads (`calculus.prune`).  Together with the
+extended-subformula bound on identity rules, antecedents that only grow
+make the space finite.
 
 Identity saturation is guided by the sequent: reflexive equations are
 introduced only for formulas that occur inside the sequent, and a
@@ -41,9 +43,7 @@ needs them.
 from __future__ import annotations
 
 import heapq
-import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -71,6 +71,8 @@ from .formulas import (
     Id,
     Imp,
     in_extended_subformulas,
+    parts_first,
+    solve,
     sort_key,
     subformulas,
 )
@@ -267,15 +269,10 @@ class Saturator:
             self._take_equation(f)
 
     def _hold(self, g: Formula) -> None:
-        """Add `g` and its parts not yet in `_sub` to it and its indexes."""
-        sub = self._sub
-        sub.add(g)
-        if isinstance(g, (Imp, Id)):
-            if g.left not in sub:
-                self._hold(g.left)
-            if g.right not in sub:
-                self._hold(g.right)
-        self._enter(g, self._left, self._right)
+        """Add `g` and its parts not yet in `_sub` to it and its indexes,
+        parts first."""
+        for h in parts_first(g, self._sub):
+            self._enter(h, self._left, self._right)
 
     def _reflexive(self, x: Formula) -> None:
         if 2 * x.c + 1 > self.bound:
@@ -391,15 +388,16 @@ class _ProofSearch:
     Provability does not depend on the branch.  The provable succedents of
     a saturated antecedent Γ form the least fixpoint of Γ's R-> and L->
     clauses (Horn clauses, as in Dowling and Gallier, 1984), whose other
-    premises have larger antecedents.  `provable` computes it lazily, in a
-    table keyed by antecedent and then succedent, so a refuted goal fails
-    at its root.  A sequent the fixpoint proves keeps the clause that
-    fired, rule instance and premises: R-> first, then the L-> alternatives
-    in canonical order, the first whose premises were proved when it was
-    last evaluated.  `write` reads the proof off these clauses and the
-    stored saturation chains; a premise with its conclusion's antecedent
-    was proved before it, so no branch repeats a sequent.  Every saturation
-    step and clause evaluation is a node, and the node cap bounds them all.
+    premises have larger antecedents.  `provable` computes it lazily, on
+    one explicit stack, in a table keyed by antecedent and then succedent,
+    so a refuted goal fails at its root.  A sequent the fixpoint proves
+    keeps the clause that fired, rule instance and premises: R-> first,
+    then the L-> alternatives in canonical order, the first whose premises
+    were proved when it was last evaluated.  `write` reads the proof off
+    these clauses and the stored saturation chains; a premise with its
+    conclusion's antecedent was proved before it, so no branch repeats a
+    sequent.  Every saturation step and clause evaluation is a node, and
+    the node cap bounds them all.
 
     The tables and the budget outlive `run`: after a refuted root the
     countermodel builder asks the same object which premise of each L->
@@ -522,34 +520,46 @@ class _ProofSearch:
 
     def provable(self, seq: Sequent, sat: Saturator) -> bool:
         """Whether `seq` is derivable, on any branch.  `sat` is a saturator
-        positioned at a sequent whose antecedent `seq`'s contains; an axiom
-        is not saturated."""
+        positioned at a sequent whose antecedent `seq`'s contains.  The
+        table answers, or the `_decide` generators, `solve`d on one
+        explicit stack, so no clause is evaluated by recursion."""
+        return solve((seq, sat), self._answer, self._decide) is not False
+
+    def _answer(self, question: tuple[Sequent, Saturator]) -> tuple | bool | None:
+        """The table's answer for the question's sequent, which is True for
+        an axiom, or None if it is undecided."""
+        seq = question[0]
         answers = self.table.setdefault(seq.antecedent, {})
         answer = answers.get(seq.succedent)
-        if answer is None:
-            if is_axiom(seq):
-                answers[seq.succedent] = True
-                return True
-            chain, sat = self.saturated(seq, sat)
-            if is_axiom(sat.sequent):
-                answer = True
-            elif chain:  # saturation grew the antecedent
-                answer = self.provable(sat.sequent, sat)
-            else:
-                answer = self._fixpoint(seq.antecedent, seq.succedent, sat)
-            answers[seq.succedent] = answer
-        return answer is not False
+        if answer is None and is_axiom(seq):
+            answer = answers[seq.succedent] = True
+        return answer
 
-    def _fixpoint(self, ante: frozenset[Formula], goal: Formula, sat: Saturator) -> tuple | bool:
+    def _decide(self, question: tuple[Sequent, Saturator]):
+        """Decide `seq`, absent from the table and no axiom, store its
+        answer and return it.  It yields each premise with a larger
+        antecedent, with a saturator, and is sent the premise's answer."""
+        seq, sat = question
+        chain, sat = self.saturated(seq, sat)
+        if is_axiom(sat.sequent):
+            answer = True
+        elif chain:  # saturation grew the antecedent
+            answer = (yield sat.sequent, sat) is not False
+        else:
+            answer = yield from self._fixpoint(seq.antecedent, seq.succedent, sat)
+        self.table[seq.antecedent][seq.succedent] = answer
+        return answer
+
+    def _fixpoint(self, ante: frozenset[Formula], goal: Formula, sat: Saturator):
         """Decide `ante ⊢ goal` for a saturated, non-axiomatic `ante`: run
         the least fixpoint over `ante`'s goals until `goal` is proved or
         none is left to evaluate, when every goal not proved is unprovable.
         Each goal proved gets the clause that proved it, and `goal`'s is
-        returned; False means unprovable.  A later query resumes it.  A
-        goal is re-evaluated when a goal it waits on is proved.  `ante` is
-        saturated for every goal: each is a succedent `ante` was saturated
-        for, or a subformula of one or of `ante`, which admits no new
-        instance."""
+        returned; False means unprovable.  It yields what `_clauses`
+        yields.  A later query resumes it.  A goal is re-evaluated when a
+        goal it waits on is proved.  `ante` is saturated for every goal:
+        each is a succedent `ante` was saturated for, or a subformula of one
+        or of `ante`, which admits no new instance."""
         answers = self.table[ante]
         queue, waiting = self._open.setdefault(ante, ([], {}))
         if goal not in waiting:
@@ -557,7 +567,7 @@ class _ProofSearch:
             queue.append(goal)
         while queue:
             d = queue.pop()
-            reason = answers.get(d) or self._clauses(ante, d, sat, queue, waiting)
+            reason = answers.get(d) or (yield from self._clauses(ante, d, sat, queue, waiting))
             if not reason:
                 continue
             answers[d] = reason
@@ -574,8 +584,8 @@ class _ProofSearch:
         """One evaluation of `goal`'s clauses in `ante`'s fixpoint: the
         first that fires, as (rule instance, premises), True if `goal` is in
         `ante`, else None.  A goal of `ante` still undecided is queued, and
-        `goal` waits on it; every other premise has a larger antecedent and
-        is asked of `provable`."""
+        `goal` waits on it; every other premise has a larger antecedent, and
+        it is yielded with `sat` for `provable` to answer."""
         self.tick()
         if goal in ante:
             return True
@@ -593,14 +603,14 @@ class _ProofSearch:
         if isinstance(goal, Imp):
             if goal.left not in ante:
                 premise = Sequent(self.grow(ante, goal.left), goal.right)
-                if self.provable(premise, sat):
+                if (yield premise, sat) is not False:
                     return RuleInstance(R_IMP), (premise,)
             elif proved(goal.right):
                 return RuleInstance(R_IMP), (Sequent(ante, goal.right),)
         for f in self.implications(ante):
             if proved(f.left):
                 right = Sequent(self.grow(ante, f.right), goal)
-                if self.provable(right, sat):
+                if (yield right, sat) is not False:
                     return RuleInstance(L_IMP, principal=f), (Sequent(ante, f.left), right)
         return None
 
@@ -628,19 +638,6 @@ def certify(proof: Derivation, goal: Formula) -> None:
     assert_restricted_derivation(proof, goal)
 
 
-@contextmanager
-def deep_recursion() -> Iterator[None]:
-    """The recursion limit at least 100,000 for the call it decorates, and
-    restored after: the provability table recurses."""
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(saved, 100_000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(saved)
-
-
-@deep_recursion()
 def prove(phi: Formula, limits: Limits | Budget | None = None) -> Verdict:
     """Decide provability of the sequent with empty antecedent and
     succedent `phi`.  Proved verdicts carry the derivation the table's

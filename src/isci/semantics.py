@@ -91,10 +91,21 @@ class Congruence:
         return c
 
     def find(self, t: Formula) -> Formula:
-        """The root of `t`'s class; `t` is added first if it is new."""
+        """The root of `t`'s class; `t` is added first if it is new, after
+        its parts, so that no addition recurses."""
         parent = self._parent
         if t not in parent:
-            self._add(t)
+            stack = [t]
+            while stack:
+                u = stack[-1]
+                if isinstance(u, (Imp, Id)):
+                    if u.left not in parent:
+                        stack.append(u.left)
+                        continue
+                    if u.right not in parent:
+                        stack.append(u.right)
+                        continue
+                self._add(stack.pop())
         root = parent[t]
         while parent[root] is not root:
             root = parent[root]
@@ -251,12 +262,24 @@ class Evaluator:
 
     def forces(self, f: Formula) -> int:
         """Forcing: variables and equations through the assignment, falsum
-        nowhere, `A -> B` at the worlds whose up-set avoids A & ~B."""
+        nowhere, `A -> B` at the worlds whose up-set avoids A & ~B.  The
+        implications inside an implication are evaluated first, on an
+        explicit stack."""
         if isinstance(f, Imp):
-            mask = self._forces.get(f)
+            known = self._forces
+            mask = known.get(f)
             if mask is None:
-                mask = self.avoiding(self.forces(f.left) & ~self.forces(f.right))
-                self._forces[f] = mask
+                stack = [f]
+                while stack:
+                    g = stack[-1]
+                    left, right = g.left, g.right
+                    if isinstance(left, Imp) and left not in known:
+                        stack.append(left)
+                    elif isinstance(right, Imp) and right not in known:
+                        stack.append(right)
+                    else:
+                        mask = known[g] = self.avoiding(self.forces(left) & ~self.forces(right))
+                        stack.pop()
             return mask
         if isinstance(f, (Var, Id)):
             return self.value(f)
@@ -377,10 +400,6 @@ def model_failures(model, base, goal=None, designated=None, budget=None, phase=N
         stage("the forcing of the formula")
         if ev.forces(goal) & ev.model.bit[designated]:
             yield "designated world forces the formula"
-
-
-def valid_in_model(model: KripkeModel, f: Formula) -> bool:
-    return Evaluator(model).forces(f) == model.full
 
 
 # --- bounded countermodel search -------------------------------------------

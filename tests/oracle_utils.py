@@ -25,6 +25,7 @@ two trees node by node.
 from __future__ import annotations
 
 import contextlib
+import sys
 
 from isci.calculus import (
     L_ID1,
@@ -59,7 +60,7 @@ from isci.formulas import (
 )
 from isci.parser import ParseError
 from isci.printer import format_sequent
-from isci.prover import Limits, Saturator, _ProofSearch, certify, conclusions, deep_recursion, identity_instance
+from isci.prover import Limits, Saturator, _ProofSearch, certify, conclusions, identity_instance
 from isci.serialize import DocumentError, _field, _FormulaTable, _parse_sequent, _read_step, formula_from_doc
 from isci.semantics import Evaluator, KripkeModel, _preorders, _refutes, model_failures
 
@@ -384,8 +385,22 @@ def written_proof(phi: Formula, limits: Limits = Limits()) -> Derivation | None:
     unprovable."""
     search = _ProofSearch(phi, limits)
     root = Sequent(frozenset(), phi)
+    if not search.provable(root, search.saturator):
+        return None
     with deep_recursion():
-        return unpruned_proof(search, root) if search.provable(root, search.saturator) else None
+        return unpruned_proof(search, root)
+
+
+@contextlib.contextmanager
+def deep_recursion():
+    """The recursion limit at least 100,000 while `unpruned_proof`
+    recurses, and restored after."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved, 100_000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def unpruned_proof(search, seq: Sequent) -> Derivation:

@@ -612,7 +612,7 @@ def compact_chain_document(depth):
 @contextlib.contextmanager
 def recursion_limit(limit):
     """Run under `limit`: a fresh `isci` process has the interpreter's
-    default, 1000, and the commands restore whatever limit they find."""
+    default, 1000, and the commands leave it as they find it."""
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
@@ -709,8 +709,8 @@ def test_a_formula_nested_past_the_recursion_limit_is_an_input_error(capsys, com
 
 
 def test_decide_leaves_the_recursion_limit_as_it_found_it(capsys):
-    # the search raises the limit only while it runs, so a deep formula is
-    # an input error after a `decide` in the same process as before it
+    # the search never changes the limit, so a deep formula is an input
+    # error after a `decide` in the same process as before it
     deep = "(" * 400 + "p" + ")" * 400
     codes = []
     with recursion_limit(1000):
@@ -718,6 +718,36 @@ def test_decide_leaves_the_recursion_limit_as_it_found_it(capsys):
             codes.append(run(capsys, "decide", text, "--quiet")[0])
             assert sys.getrecursionlimit() == 1000
     assert codes == [2, 1, 2]
+
+
+# the deepest `->` or `~` chain `parse_formula` reads in a fresh process,
+# less five levels for `main`'s own frames, decided under a node cap
+DEEPEST_CHAIN_SCRIPT = (
+    "import sys\n"
+    "from isci.cli import main\n"
+    "from isci.parser import ParseError, parse_formula\n"
+    "def chain(n):\n"
+    "    return ' -> '.join(['p'] * (n + 1)) if sys.argv[1] == '->' else '~' * n + 'p'\n"
+    "def parses(n):\n"
+    "    try:\n"
+    "        parse_formula(chain(n))\n"
+    "    except ParseError:\n"
+    "        return False\n"
+    "    return True\n"
+    "n = next(n for n in range(1000, 0, -1) if parses(n)) - 5\n"
+    "print(n)\n"
+    "sys.exit(main(['decide', chain(n), '--quiet', '--max-nodes', '100']))\n"
+)
+
+
+@pytest.mark.parametrize("connective", ["->", "~"])
+def test_the_deepest_chain_that_parses_runs_into_the_node_cap(connective):
+    # the search walks formulas on explicit stacks, so a chain the parser
+    # reads under the default limit meets the node cap, as it did when
+    # `decide` raised the limit
+    proc = subprocess.run([sys.executable, "-c", DEEPEST_CHAIN_SCRIPT, connective], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (3, "resource limit: node cap 100 hit in the proof search\n")
+    assert int(proc.stdout) > 900
 
 
 def test_the_oracle_recurses_once_per_enumerated_block():

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -183,3 +186,27 @@ def test_nodes_carry_their_complexity_and_order_key(phi):
     # public functions return them
     assert phi.c == complexity(phi) == reference_complexity(phi)
     assert phi.key == sort_key(phi) == reference_sort_key(phi)
+
+
+def test_threads_building_one_formula_get_one_node():
+    # nodes compare by identity, so a node interned twice would make two
+    # threads' formulas differ; a 1 µs switch interval interleaves them
+    built = [[] for _ in range(4)]
+
+    def build(out):
+        for i in range(3000):
+            out.append(Imp(Var(f"t{i}"), Id(Var(f"u{i}"), Imp(BOT, Var(f"t{i}")))))
+
+    threads = [threading.Thread(target=build, args=(out,)) for out in built]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [len(out) for out in built] == [3000] * 4
+    assert all(a is b for out in built[1:] for a, b in zip(built[0], out))

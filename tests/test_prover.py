@@ -322,7 +322,7 @@ def test_search_space_is_pinned(text, nodes):
 
 
 # L==1 on p 2,000 times over |- p -> p, then R-> and an axiom leaf, built
-# where no `decide` has raised the recursion limit
+# under the interpreter's default recursion limit
 DEEP_CHAIN_SCRIPT = (
     "import sys\n"
     "from isci.calculus import Derivation, RuleInstance, apply_rule, sequent\n"
@@ -362,6 +362,71 @@ def test_relevant_prunes_a_derivation_2000_steps_deep_in_a_fresh_process():
         "from isci.calculus import relevant\n"
         "print(*[n.rule.rule if n.rule else 'axiom' for n in relevant(d).walk()])\n"
     ) == ["R->", "axiom"]
+
+
+@pytest.mark.parametrize("text, proved, nodes", [(CONGRUENCE, True, 417), ("p == q -> q -> r", False, 51)])
+def test_decide_and_prove_leave_the_recursion_limit_alone(monkeypatch, text, proved, nodes):
+    # the provability table runs on an explicit stack, so no call changes
+    # the process-wide limit, and the verdicts and counts are as before
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit})")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    phi = parse_formula(text)
+    for verdict in (decide(phi), prove(phi)):
+        assert (verdict.proved, verdict.stats.nodes) == (proved, nodes)
+
+
+def test_a_60_variable_chain_proves_under_a_recursion_limit_of_150():
+    # p0 -> p1 -> ... -> p59 -> p0 stacks a premise per variable, which a
+    # recursive table would decide 60 calls deep, or more
+    script = (
+        "import sys\n"
+        "from isci.countermodel import decide\n"
+        "from isci.formulas import Imp, Var\n"
+        "ps = [Var(f'p{i}') for i in range(60)]\n"
+        "phi = ps[0]\n"
+        "for v in reversed(ps):\n"
+        "    phi = Imp(v, phi)\n"
+        "sys.setrecursionlimit(150)\n"
+        "def refuse(limit):\n"
+        "    raise AssertionError(f'setrecursionlimit({limit})')\n"
+        "sys.setrecursionlimit = refuse\n"
+        "verdict = decide(phi)\n"
+        "print(verdict.proved, verdict.stats.nodes)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "3974"]
+
+
+def test_the_formula_walks_run_under_a_recursion_limit_of_100():
+    # chains 3,000 deep: subformulas, variables, closure membership, the
+    # saturator's indexes, forcing and the congruences walk them all on
+    # explicit stacks
+    script = (
+        "import sys\n"
+        "from isci.calculus import Sequent\n"
+        "from isci.formulas import Id, Imp, Var, in_extended_subformulas, subformulas, variables\n"
+        "from isci.prover import Saturator\n"
+        "from isci.semantics import Congruence, Evaluator, KripkeModel\n"
+        "p, q = Var('p'), Var('q')\n"
+        "ps, qs = p, q\n"
+        "for _ in range(3000):\n"
+        "    ps, qs = Imp(p, ps), Imp(q, qs)\n"
+        "goal = Imp(Id(p, q), Imp(ps, qs))\n"
+        "sys.setrecursionlimit(100)\n"
+        "sat = Saturator(p).extend(Sequent(frozenset([ps]), p))\n"
+        "model = KripkeModel(('w',), frozenset([('w', 'w')]), {(p, 'w'): 1, (q, 'w'): 0})\n"
+        "congruence = Congruence()\n"
+        "congruence.merge(ps, qs)\n"
+        "print(len(subformulas(goal)), len(variables(goal)), in_extended_subformulas(Id(ps, qs), goal))\n"
+        "print(len(sat._sub), Evaluator(model).forces(ps), Evaluator(model).forces(Imp(ps, q)))\n"
+        "print(congruence.find(ps) is congruence.find(qs), congruence.find(Imp(p, ps)) is congruence.find(Imp(p, qs)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6005", "2", "True", "3001", "1", "0", "True", "True"]
 
 
 def test_proof_search_hashes_no_sequent(monkeypatch):

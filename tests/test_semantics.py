@@ -31,7 +31,6 @@ from isci.semantics import (
     check_identity_entails_implications,
     check_monotonicity,
     forces,
-    valid_in_model,
     value,
 )
 
@@ -178,9 +177,9 @@ def test_identity_entails_implications_check():
 
 def test_valid_in_model():
     m = model(["a"], reflexive("a"), {(p, "a"): 1})
-    assert valid_in_model(m, p)
-    assert not valid_in_model(m, q)
-    assert valid_in_model(m, Id(q, q))
+    assert Evaluator(m).forces(p) == m.full
+    assert Evaluator(m).forces(q) != m.full
+    assert Evaluator(m).forces(Id(q, q)) == m.full
 
 
 def test_forces_agrees_with_value_on_atoms_and_equations():
@@ -238,8 +237,8 @@ def test_returned_models_validate_equation_implication_axiom():
     assert found is not None
     m, _ = found
     for e in (f for f in extended_subformulas(phi) if isinstance(f, Id)):
-        assert valid_in_model(m, Imp(e, Imp(e.left, e.right)))
-        assert valid_in_model(m, Imp(e, Imp(e.right, e.left)))
+        assert Evaluator(m).forces(Imp(e, Imp(e.left, e.right))) == m.full
+        assert Evaluator(m).forces(Imp(e, Imp(e.right, e.left))) == m.full
 
 
 # sides for the rows of random models: enough for reflexive equations and
