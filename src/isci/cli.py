@@ -39,11 +39,6 @@ def _start(args, limits: Limits) -> tuple[str, Budget]:
     return text, limits.start()
 
 
-def _emit(args, text: str):
-    if not args.quiet:
-        sys.stdout.write(text)
-
-
 def _verdict_line(args, text: str):
     # structured output must be a single document on stdout
     print(text, file=sys.stderr if args.format == "structured" else sys.stdout)
@@ -51,25 +46,29 @@ def _verdict_line(args, text: str):
 
 def _report_proof(args, phi, proof) -> int:
     _verdict_line(args, "PROVED")
+    if args.quiet:
+        return EXIT_PROVED
     if args.format == "structured":
-        _emit(args, serialize.dumps(serialize.verdict_doc(phi, proof=proof)))
+        sys.stdout.write(serialize.dumps(serialize.verdict_doc(phi, proof=proof)))
     elif args.format == "latex":
-        _emit(args, format_derivation_latex(proof))
+        sys.stdout.write(format_derivation_latex(proof))
     elif args.format == "graph":
-        _emit(args, format_derivation_dot(proof))
+        sys.stdout.write(format_derivation_dot(proof))
     else:
-        _emit(args, format_derivation(proof))
+        sys.stdout.write(format_derivation(proof))
     return EXIT_PROVED
 
 
 def _report_model(args, phi, bundle) -> int:
     _verdict_line(args, "REFUTED")
+    if args.quiet:
+        return EXIT_REFUTED
     if args.format == "structured":
-        _emit(args, serialize.dumps(serialize.verdict_doc(phi, model=bundle.model_document())))
+        sys.stdout.write(serialize.dumps(serialize.verdict_doc(phi, model=bundle.model_document())))
     elif args.format == "graph":
-        _emit(args, bundle.to_dot())
+        sys.stdout.write(bundle.to_dot())
     else:
-        _emit(args, format_model(bundle.model_document()))
+        sys.stdout.write(format_model(bundle.model_document()))
     return EXIT_REFUTED
 
 
@@ -113,9 +112,10 @@ def _cmd_prove(args) -> int:
 
 
 def _reads_a_document(command):
-    """`loads` accepts deeper nesting than the interpreter's recursion limit
-    lets Python print or compare, so a document value that recurses past
-    it (a premise list nested 4,000 levels deep, say) is an input error."""
+    """`loads` reads as deep as the recursion limit lets it from the frames
+    it runs in, and the check prints a malformed value in an error message
+    a few frames deeper.  No document tried passes the limit there, but
+    the margin is those frames, so a `RecursionError` is an input error."""
 
     @functools.wraps(command)
     def run(args) -> int:

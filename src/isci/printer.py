@@ -2,18 +2,19 @@
 
 One printer, `formatter`, emits minimal parentheses (`==` binds tighter
 than `->`, `->` is right-associative, `==` non-associative) and prints
-each distinct formula once, from its parts' texts.  `format_formula` is
-one call of a fresh one; a derivation renderer or a document writer uses
-one per call.  Model renderers read the plain model document.  Derivation
-renderers rank the tree's formulas by `sort_key` once per call, order
-each antecedent by that rank, and follow `Derivation.tour`, so they do
-not recurse and any depth renders under any recursion limit.
+each distinct formula once, from its parts' texts, without recursion.
+`format_formula` is one call of a fresh one; a derivation renderer or a
+document writer uses one per call.  Model renderers read the plain model
+document.  Derivation renderers rank the tree's formulas by `sort_key`
+once per call, order each antecedent by that rank, and follow
+`Derivation.tour`, so they do not recurse and any depth renders under any
+recursion limit.
 """
 
 from __future__ import annotations
 
 from .calculus import Derivation, RuleInstance, Sequent, is_axiom
-from .formulas import Bottom, Formula, Id, Imp, sort_key
+from .formulas import Bottom, Formula, Id, Imp, parts_first, sort_key
 
 
 def _atom(f: Formula) -> str:
@@ -22,25 +23,27 @@ def _atom(f: Formula) -> str:
 
 def formatter(atom=_atom, imp=" -> ", eq=" == "):
     """A cached formatter for one call: each distinct formula is formatted
-    once, an implication's or an equation's text from its two parts' texts.
-    It prints the minimal parentheses, with the LaTeX renderer's `atom`,
-    `imp` and `eq` as well."""
+    once, an implication's or an equation's text from its two parts' texts,
+    parts before wholes and without recursion.  It prints the minimal
+    parentheses, with the LaTeX renderer's `atom`, `imp` and `eq` as well."""
     texts: dict[Formula, str] = {}
+    seen: set[Formula] = set()  # the formulas `texts` holds
 
     def side(f: Formula) -> str:
-        return f"({text(f)})" if isinstance(f, (Imp, Id)) else text(f)
+        return f"({texts[f]})" if isinstance(f, (Imp, Id)) else texts[f]
 
     def text(f: Formula) -> str:
         s = texts.get(f)
         if s is None:
-            if isinstance(f, Imp):
-                left = side(f.left) if isinstance(f.left, Imp) else text(f.left)
-                s = left + imp + text(f.right)
-            elif isinstance(f, Id):
-                s = side(f.left) + eq + side(f.right)
-            else:
-                s = atom(f)
-            texts[f] = s
+            for g in parts_first(f, seen):
+                if isinstance(g, Imp):
+                    left = side(g.left) if isinstance(g.left, Imp) else texts[g.left]
+                    texts[g] = left + imp + texts[g.right]
+                elif isinstance(g, Id):
+                    texts[g] = side(g.left) + eq + side(g.right)
+                else:
+                    texts[g] = atom(g)
+            s = texts[f]
         return s
 
     return text

@@ -15,8 +15,9 @@ A proof holds its root sequent and its rule instances in preorder, a leaf
 as `axiom` or `open`.  A rule's arity (two premises for L->, one for the
 other rules) fixes the tree's shape.  `check_proof_doc` feeds the steps to
 one `calculus.replay` from the root, which applies each rule once and
-builds no tree.  It also takes the nested form, in which every node is a
-step that holds its "sequent" and its "premises": [<node>...].
+builds no tree.  A proof without a "steps" list is an input error: that
+is the nested form earlier versions wrote, a "sequent" and "premises" at
+every node, which is no longer read.
 
 A model's rows are authoritative.  An equation no row lists is true at a
 world exactly when its sides are congruent modulo the equations listed 1
@@ -30,13 +31,12 @@ self-contained and re-parse with the package's own parser.
 from __future__ import annotations
 
 import json
-import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .calculus import Derivation, ProofCheckResult, RuleInstance, Sequent, is_axiom, replay
-from .formulas import Formula, sort_key, subformulas
-from .parser import ParseError, parse_formula, parse_sequent
+from .formulas import Formula, sort_key, sub_closure
+from .parser import parse_formula, parse_sequent
 from .printer import format_formula, format_sequent, formatter
 from .semantics import KripkeModel
 
@@ -75,29 +75,15 @@ def dumps(doc: dict) -> str:
     return "".join(pieces) + "\n"
 
 
-# The JSON nesting `loads` reads, counting the Python frames below it.  A
-# proof's steps sit four levels deep in a verdict, however deep the proof;
-# a nested proof takes two levels a node, so one about 5,000 nodes deep
-# loads.  The standard library's C scanner takes about 120 bytes of stack
-# per level (CPython 3.11, x86-64 Linux), about 1.2 MB of a main thread's
-# usual 8 MB.
-NESTING = 10_000
-
-
 def loads(text: str) -> dict:
-    """The JSON object `text` holds.  The interpreter's recursion limit,
-    which bounds the nesting the C scanner reads, is `NESTING` for the
-    call, whatever it was before; deeper text is a `DocumentError`."""
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(NESTING)
+    """The JSON object `text` holds.  The C scanner reads as deep as the
+    interpreter's recursion limit allows; deeper text is a `DocumentError`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise DocumentError(f"document nested more than about {NESTING} levels deep") from exc
-    finally:
-        sys.setrecursionlimit(saved)
+        raise DocumentError("document nested too deeply") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     return doc
@@ -156,56 +142,6 @@ class _FormulaTable(dict):
             f = self[text] = formula_from_doc(text)
         return f
 
-    def parse(self, text: str) -> Formula:
-        """`parse_formula(text)`, entered with its subformulas."""
-        f = self[text] = parse_formula(text)
-        self.learn(subformulas(f))
-        return f
-
-
-def _parse_sequent(text, table: _FormulaTable) -> Sequent:
-    """`parse_sequent` via the table.  Text the writer printed, `A, B |- C`
-    or `|- C`, splits into table keys; text with a part the table misses
-    goes to `_parse_parts`, and text whose parts do not parse to
-    `parse_sequent`, which gives its errors their positions."""
-    if not isinstance(text, str):
-        raise DocumentError(f"sequent must be a string, got {text!r}")
-    if text.startswith("|- "):
-        parts = [text[3:]]
-    else:
-        left, _, right = text.partition(" |- ")
-        parts = left.split(", ")
-        parts.append(right)
-    found = list(map(table.get, parts))
-    if None in found:
-        found = _parse_parts(text, table)
-    if found is not None:
-        succedent = found.pop()
-        return Sequent(frozenset(found), succedent)
-    return parse_sequent(text)
-
-
-def _parse_parts(text: str, table: _FormulaTable) -> list[Formula] | None:
-    """The formulas of a sequent's text, succedent last, or None if a part
-    does not parse.  No formula holds ',', '|-' or '⇒', so the text splits
-    at them, and each part the table misses is parsed."""
-    left, turnstile, right = text.partition("|-")
-    if not turnstile:
-        left, _, right = text.partition("⇒")
-    parts = left.split(",") if left.strip() else []
-    parts.append(right)
-    found = []
-    for part in parts:
-        part = part.strip()
-        f = table.get(part)
-        if f is None:
-            try:
-                f = table.parse(part)
-            except ParseError:
-                return None
-        found.append(f)
-    return found
-
 
 # premises a rule has, whether or not it applies
 _ARITY = {"axiom": 0, "open": 0, "L->": 2, "R->": 1, "L==1": 1, "L==2": 1, "L==3": 1}
@@ -233,42 +169,28 @@ def _read_step(node, table: _FormulaTable) -> tuple[RuleInstance | None, int, No
     return RuleInstance(rule_name, principal, principal2, op), _ARITY[rule_name], None
 
 
-def _nested_steps(node, table: _FormulaTable):
-    """A nested document's steps in preorder, with their premises' stored
-    sequents: parsed after `replay` learns the premises, or after the step."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        rule = _read_step(node, table)[0]
-        premises = node.get("premises", [])
-        if not isinstance(premises, list):
-            raise DocumentError(f"premises must be a list, got {premises!r}")
-        if rule is None and premises:
-            raise DocumentError("leaf node with premises")
-        stored = (_parse_sequent(_field(p, "sequent"), table) for p in premises)
-        yield rule, len(premises), stored
-        list(stored)  # read, and rejected if malformed, even below a rule that does not apply
-        stack.extend(reversed(premises))
-
-
 def check_proof_doc(doc: dict, budget=None) -> ProofCheckResult:
     """`check_proof` on the proof `doc` holds, a verdict document's or its
     own, against the verdict's formula (else the proof's root), in one
     `replay` of its steps: no `Derivation` is built.  The root sequent is
-    parsed, and the formulas each rule's premises add enter the table, so
-    later principals are looked up."""
+    parsed, and its subformulas and the formulas each rule's premises add
+    enter the table, so principals are looked up."""
     proof = doc.get("proof", doc)
+    text = _field(proof, "sequent")
+    if not isinstance(text, str):
+        raise DocumentError(f"sequent must be a string, got {text!r}")
+    root = parse_sequent(text)
     table = _FormulaTable()
-    root = _parse_sequent(_field(proof, "sequent"), table)
+    table.learn(sub_closure(root.antecedent | {root.succedent}))
     claim = Sequent(frozenset(), formula_from_doc(doc["formula"])) if "formula" in doc else root
     steps = proof.get("steps")
     if steps is None:
-        steps = _nested_steps(proof, table)
-    elif isinstance(steps, list):
-        steps = (_read_step(step, table) for step in steps)
-    else:
+        raise DocumentError(
+            "proof has no steps list; the nested form, a sequent and premises at each node, is no longer read"
+        )
+    if not isinstance(steps, list):
         raise DocumentError(f"steps must be a list, got {steps!r}")
-    return replay(claim, root, steps, table.learn_premises, budget)
+    return replay(claim, root, (_read_step(step, table) for step in steps), table.learn_premises, budget)
 
 
 # `certbench/spans.py` traces the proof reader under this name.

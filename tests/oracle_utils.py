@@ -58,10 +58,10 @@ from isci.formulas import (
     subformulas,
     variables,
 )
-from isci.parser import ParseError
+from isci.parser import ParseError, parse_sequent
 from isci.printer import format_sequent
 from isci.prover import Limits, Saturator, _ProofSearch, certify, conclusions, identity_instance
-from isci.serialize import DocumentError, _field, _FormulaTable, _parse_sequent, _read_step, formula_from_doc
+from isci.serialize import DocumentError, _field, _FormulaTable, _read_step, formula_from_doc
 from isci.semantics import Evaluator, KripkeModel, _preorders, _refutes, model_failures
 
 try:
@@ -583,27 +583,22 @@ def derivation_from_doc(doc: dict) -> Derivation:
     """The derivation a proof document describes, read in preorder without
     recursion.  The root sequent is parsed, and the formulas each rule's
     premises add (by `apply_rule`) enter the table, so later ones are looked
-    up.  A compact document's nodes are those premises, none for a step whose
-    rule does not apply, which `two_pass_check_proof` reports; a nested
-    document's nodes keep their stored sequents, and the check compares the
-    two."""
-    table = _FormulaTable()
-    root = _parse_sequent(_field(doc, "sequent"), table)
+    up.  A node's premises are those `apply_rule` gives, none for a step
+    whose rule does not apply, which `two_pass_check_proof` reports."""
+    text = _field(doc, "sequent")
+    if not isinstance(text, str):
+        raise DocumentError(f"sequent must be a string, got {text!r}")
+    root = parse_sequent(text)
     steps = doc.get("steps")
-    if steps is not None and not isinstance(steps, list):
+    if not isinstance(steps, list):
         raise DocumentError(f"steps must be a list, got {steps!r}")
-    read: list[tuple[Sequent, RuleInstance | None, int]] = []
-    # a sequent (None below an inapplicable rule) and its node (None: the next step)
-    slots = [(root, doc if steps is None else None)]
-    taken = 0
-    while slots:
-        seq, node = slots.pop()
-        if steps is not None:
-            if taken == len(steps):
-                raise ProofShapeError("the steps end before the proof does")
-            node, taken = steps[taken], taken + 1
-        elif seq is None:
-            seq = _parse_sequent(_field(node, "sequent"), table)
+    table = _FormulaTable()
+    read: list[tuple[Sequent | None, RuleInstance | None, int]] = []
+    slots: list[Sequent | None] = [root]  # None below an inapplicable rule
+    for node in steps:
+        if not slots:
+            raise ProofShapeError("steps after the proof's last leaf")
+        seq = slots.pop()
         rule, arity, _ = _read_step(node, table)
         premises = []
         if rule is not None and seq is not None:
@@ -612,19 +607,11 @@ def derivation_from_doc(doc: dict) -> Derivation:
             for premise in premises:
                 table.learn(premise.antecedent - seq.antecedent)
                 table.learn((premise.succedent,))
-        if steps is not None:
-            children = [(p, None) for p in premises] or [(None, None)] * arity
-        elif not isinstance(nested := node.get("premises", []), list):
-            raise DocumentError(f"premises must be a list, got {nested!r}")
-        elif rule is None and nested:
-            raise DocumentError("leaf node with premises")
-        else:
-            children = [(None, p) for p in nested]
         if seq is not None:
-            read.append((seq, rule, len(premises) if steps is not None else len(children)))
-        slots.extend(reversed(children))
-    if steps is not None and taken < len(steps):
-        raise ProofShapeError("steps after the proof's last leaf")
+            read.append((seq, rule, len(premises)))
+        slots.extend(reversed(premises or [None] * arity))
+    if slots:
+        raise ProofShapeError("the steps end before the proof does")
     built: list[Derivation] = []  # finished subtrees, a node's first premise on top
     for seq, rule, n in reversed(read):
         children = tuple(built.pop() for _ in range(n))

@@ -14,13 +14,14 @@ import pytest
 
 import isci.calculus
 import isci.cli
+import isci.countermodel
+import isci.printer
 import isci.prover
 import isci.semantics
 from isci.cli import main
 from isci.parser import parse_formula
 from isci.serialize import dumps, loads, proof_doc
-from oracle_utils import derivation_from_doc
-from test_serialize import nested_document
+from oracle_utils import derivation_from_doc, reference_check_proof
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -29,12 +30,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def nested(doc):
-    """`doc` with its proof in the nested form, each node with its sequent."""
-    doc["proof"] = nested_document(derivation_from_doc(doc["proof"]))
-    return doc
 
 
 def test_decide_proved(capsys):
@@ -172,11 +167,23 @@ def test_congruence_models_are_refutations_check_model_accepts(capsys, formula):
 
 def test_check_proof_rejects_tampering(capsys):
     _, out, _ = run(capsys, "decide", "p == p", "--format", "structured")
-    doc = nested(json.loads(out))
-    doc["proof"]["premises"][0]["sequent"] = "q == q |- q == q"
+    doc = json.loads(out)
+    doc["proof"]["sequent"] = "q == q |- q == q"
     code, out2, _ = run(capsys, "check-proof", json.dumps(doc))
     assert code == 1
-    assert "INVALID PROOF" in out2
+    assert out2 == "INVALID PROOF: root is q == q |- q == q, claim is |- p == p\n"
+
+
+def test_check_proof_rejects_the_nested_form(capsys):
+    # the form earlier versions wrote: a sequent and premises at every node
+    doc = {
+        "sequent": "|- p -> p",
+        "rule": "R->",
+        "premises": [{"sequent": "p |- p", "rule": "axiom", "premises": []}],
+    }
+    code, out, err = run(capsys, "check-proof", json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: proof has no steps list; the nested form")
 
 
 def test_check_model_rejects_tampering(capsys):
@@ -192,8 +199,8 @@ def test_check_model_rejects_tampering(capsys):
 @pytest.mark.parametrize(
     "formula, command, field",
     [
-        ("p == p", "check-proof", ("proof", "principal")),
-        ("p == p", "check-proof", ("proof", "premises")),
+        ("p == p", "check-proof", ("proof", "sequent")),
+        ("p == p", "check-proof", ("proof", "steps", 0, "rule")),
         ("p == p", "check-proof", ("formula",)),
         ("p -> q", "check-model", ("model", "valuation", 0, 0)),
         ("p -> q", "check-model", ("formula",)),
@@ -204,8 +211,6 @@ def test_check_model_rejects_tampering(capsys):
 def test_malformed_document_field_is_an_input_error(capsys, formula, command, field, bad):
     _, out, _ = run(capsys, "decide", formula, "--format", "structured")
     doc = json.loads(out)
-    if command == "check-proof" and "steps" not in field:
-        nested(doc)
     *path, last = field
     node = doc
     for key in path:
@@ -266,7 +271,7 @@ ONE_WORLD = {"worlds": ["a"], "order_pairs": [["a", "a"]], "valuation": [], "des
     [
         (
             "check-proof",
-            {"sequent": "p == q |- p", "rule": "L==3", "principal": "p == q", "op": "&"},
+            {"sequent": "p == q |- p", "steps": [{"rule": "L==3", "principal": "p == q", "op": "&"}]},
             "unknown connective '&'",
         ),
         ("check-model", {"worlds": ["a"]}, "malformed model document: 'order_pairs'"),
@@ -385,15 +390,7 @@ def test_oracle_exhausted_above_the_refutation_is_a_disagreement(capsys, monkeyp
 
 
 def test_check_proof_rejects_l_imp_without_its_implication(capsys):
-    doc = {
-        "sequent": "|- p -> p",
-        "rule": "L->",
-        "principal": "p -> p",
-        "premises": [
-            {"sequent": "|- p", "rule": "open", "premises": []},
-            {"sequent": "p |- p -> p", "rule": "axiom", "premises": []},
-        ],
-    }
+    doc = {"sequent": "|- p -> p", "steps": [{"rule": "L->", "principal": "p -> p"}, {"rule": "open"}, {"rule": "axiom"}]}
     code, out, err = run(capsys, "check-proof", json.dumps(doc))
     assert (code, err) == (1, "")
     assert out == (
@@ -485,32 +482,27 @@ def test_console_entry_point():
     assert proc.stdout == "PROVED\n"
 
 
-def test_check_proof_rejects_a_swapped_antecedent_formula(capsys, monkeypatch):
+def test_check_proof_rejects_a_swapped_principal(capsys, monkeypatch):
     code, out, _ = run(capsys, "decide", "(p == q) -> ((p -> #) == (q -> #))", "--format", "structured")
     assert code == 0
-    doc = nested(json.loads(out))
-    nodes, stack = [], [doc["proof"]]
-    while stack:
-        nodes.append(stack.pop())
-        stack.extend(reversed(nodes[-1]["premises"]))
-
-    def split(node):
-        left, _, succedent = node["sequent"].partition("|-")
-        return [t.strip() for t in left.split(",") if t.strip()], succedent.strip()
-
-    # the first node past the middle with an antecedent formula to swap for
-    # another one that an earlier node already put into the reader's memo
-    for index in range(len(nodes) // 2, len(nodes)):
-        antecedent, succedent = split(nodes[index])
-        earlier = {t for n in nodes[:index] for t in split(n)[0] + [split(n)[1]]}
-        others = sorted(earlier - set(antecedent) - {succedent})
-        if antecedent and others:
+    doc = json.loads(out)
+    steps = doc["proof"]["steps"]
+    nodes = list(derivation_from_doc(doc["proof"]).walk())
+    # the first step past the middle with a principal to swap for another
+    # formula that an earlier step already put into the reader's table and
+    # that is not in the step's antecedent
+    for index in range(len(steps) // 2, len(steps)):
+        antecedent = set(map(isci.printer.format_formula, nodes[index].sequent.antecedent))
+        earlier = {s["principal"] for s in steps[:index] if "principal" in s}
+        others = sorted(earlier - antecedent)
+        if "principal" in steps[index] and others:
             break
-    nodes[index]["sequent"] = ", ".join([others[0]] + antecedent[1:]) + " |- " + succedent
+    steps[index]["principal"] = others[0]
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     code, out, _ = run(capsys, "check-proof", "-")
     assert code == 1
-    assert out.startswith("INVALID PROOF")
+    assert out.startswith(f"INVALID PROOF: {steps[index]['rule']} not applicable at ")
+    assert (code, out, "") == reference_check_proof(doc)
 
 
 def test_oracle_stops_at_the_deadline_decide_started(capsys, monkeypatch):
@@ -586,25 +578,9 @@ def test_the_oracle_counts_its_vectors_against_the_node_cap(capsys):
     assert (code, out, err) == (3, "PROVED\n", "resource limit: node cap 200 hit in the oracle\n")
 
 
-def chain_document(depth):
+def compact_chain_document(depth):
     """The text of a valid proof document `depth` + 2 nodes deep: L==1 on
     v0, v1, ... in turn over `|- p -> p`, then R-> and an axiom leaf."""
-
-    def node(antecedent, succedent, rule, **fields):
-        text = (", ".join(antecedent) + " |- " if antecedent else "|- ") + succedent
-        return json.dumps({"sequent": text, "rule": rule, **fields})[:-1] + ', "premises": ['
-
-    opening, antecedent = [], []
-    for i in range(depth):
-        opening.append(node(antecedent, "p -> p", "L==1", principal=f"v{i}"))
-        antecedent.append(f"v{i} == v{i}")
-    opening.append(node(antecedent, "p -> p", "R->"))
-    opening.append(node(antecedent + ["p"], "p", "axiom"))
-    return "".join(opening) + "]}" * len(opening)
-
-
-def compact_chain_document(depth):
-    """`chain_document(depth)` as a compact document: its root and steps."""
     steps = [{"rule": "L==1", "principal": f"v{i}"} for i in range(depth)]
     return json.dumps({"sequent": "|- p -> p", "steps": steps + [{"rule": "R->"}, {"rule": "axiom"}]})
 
@@ -624,20 +600,20 @@ def recursion_limit(limit):
 
 def test_check_proof_reads_a_proof_2000_nodes_deep(capsys):
     with recursion_limit(1000):
-        code, out, err = run(capsys, "check-proof", chain_document(2000))
+        code, out, err = run(capsys, "check-proof", compact_chain_document(2000))
     assert (code, out, err) == (0, "VALID PROOF\n", "")
 
 
 def test_a_proof_2000_nodes_deep_writes_and_checks(capsys):
     with recursion_limit(1000):
-        text = dumps(proof_doc(derivation_from_doc(loads(chain_document(2000)))))
+        text = dumps(proof_doc(derivation_from_doc(loads(compact_chain_document(2000)))))
         code, out, err = run(capsys, "check-proof", text)
     assert (code, out, err) == (0, "VALID PROOF\n", "")
     assert len(text.encode()) < 300_000
 
 
-def test_the_compact_chain_is_the_chain_written_compact():
-    assert loads(compact_chain_document(50)) == proof_doc(derivation_from_doc(loads(chain_document(50))))
+def test_the_compact_chain_is_what_the_writer_writes():
+    assert loads(compact_chain_document(50)) == proof_doc(derivation_from_doc(loads(compact_chain_document(50))))
 
 
 def test_check_proof_stops_at_the_deadline_inside_the_replay(capsys, monkeypatch):
@@ -683,20 +659,45 @@ def test_check_proof_reads_the_compact_chain_in_bounded_memory():
     assert int(max_rss_kib) < 40 * 1024
 
 
-def test_check_proof_rejects_nesting_beyond_the_reader(capsys):
-    with recursion_limit(100_000):
-        code, out, err = run(capsys, "check-proof", "[" * 100_000 + "]" * 100_000)
-    assert (code, out) == (2, "")
-    assert err.startswith("input error: document nested")
+def test_check_proof_rejects_nesting_beyond_the_reader():
+    # a fresh process at the default limit, which `loads` leaves alone
+    proc = subprocess.run(
+        [sys.executable, "-m", "isci.cli", "check-proof", "-"],
+        input="[" * 100_000 + "]" * 100_000,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "input error: document nested too deeply\n")
 
 
-@pytest.mark.parametrize("field", ["premises", "principal"])
+def deepest_loadable(shape):
+    """The largest depth of nested lists that `loads` reads within `shape`."""
+    depth = 1
+    while True:
+        try:
+            loads(shape("[" * (depth + 1) + "]" * (depth + 1)))
+        except isci.serialize.DocumentError:
+            return depth
+        depth += 1
+
+
+@pytest.mark.parametrize("field", ["principal", "op"])
 def test_check_proof_reports_a_deeply_nested_value_as_an_input_error(capsys, field):
-    deep = "[" * 4000 + "]" * 4000
-    text = '{"sequent": "|- p", "rule": "L==1", "%s": {"a": %s}}' % (field, deep)
+    # as deep as `loads` reads, a value is printed in the error message;
+    # deeper, `loads` rejects it
+    def shape(value):
+        return '{"sequent": "|- p", "steps": [{"rule": "L==1", "%s": %s}]}' % (field, value)
+
     with recursion_limit(1000):
-        code, out, err = run(capsys, "check-proof", text)
-    assert (code, out, err) == (2, "", "input error: document nested too deeply\n")
+        deepest = deepest_loadable(shape)
+        for depth in range(deepest - 20, deepest + 3):
+            code, out, err = run(capsys, "check-proof", shape("[" * depth + "]" * depth))
+            assert (code, out) == (2, ""), depth
+            if depth > deepest:
+                assert err == "input error: document nested too deeply\n"
+            else:
+                assert err.startswith("input error: ")
 
 
 @pytest.mark.parametrize("command", ["decide", "prove", "exsub"])
@@ -718,6 +719,39 @@ def test_decide_leaves_the_recursion_limit_as_it_found_it(capsys):
             codes.append(run(capsys, "decide", text, "--quiet")[0])
             assert sys.getrecursionlimit() == 1000
     assert codes == [2, 1, 2]
+
+
+def test_a_proof_with_600_negations_prints_under_the_default_limit(capsys):
+    # the formatter builds a text from its parts' texts, parts first,
+    # without recursion; its 600 nested parentheses are more than the
+    # parser reads back under this limit, so the test reads no text back
+    negated = "p -> #"
+    for _ in range(599):
+        negated = f"({negated}) -> #"
+    with recursion_limit(1000):
+        code, out, err = run(capsys, "decide", "q -> " + "~" * 600 + "p -> q")
+    assert (code, err) == (0, "")
+    assert out == (
+        "PROVED\n"
+        f"|- q -> ({negated}) -> q   [R->]\n"
+        f"  q |- ({negated}) -> q   [R->]\n"
+        f"    q, {negated} |- q   [axiom]\n"
+    )
+
+
+@pytest.mark.parametrize("formula, code, verdict", [("p == q -> (p -> q)", 0, "PROVED\n"), ("p -> q", 1, "REFUTED\n")])
+@pytest.mark.parametrize("fmt", ["text", "structured", "graph", "latex"])
+def test_quiet_renders_nothing(capsys, monkeypatch, formula, code, verdict, fmt):
+    def no_render(*args, **kwargs):
+        raise RuntimeError("rendered under --quiet")
+
+    for name in ("format_derivation", "format_derivation_dot", "format_derivation_latex", "format_model"):
+        monkeypatch.setattr(isci.cli, name, no_render)
+    monkeypatch.setattr(isci.cli.serialize, "dumps", no_render)
+    monkeypatch.setattr(isci.countermodel.CounterModelBundle, "to_dot", no_render)
+    monkeypatch.setattr(isci.countermodel.CounterModelBundle, "model_document", no_render)
+    expected = (code, "", verdict) if fmt == "structured" else (code, verdict, "")
+    assert run(capsys, "decide", formula, "--format", fmt, "--quiet") == expected
 
 
 # the deepest `->` or `~` chain `parse_formula` reads in a fresh process,

@@ -23,6 +23,7 @@ from isci.calculus import (
     relevant,
     sequent,
 )
+from isci.cli import main
 from isci.countermodel import CounterModelError, decide
 from isci.formulas import BOT, Formula, Id, Imp, Var
 from isci.invariants import (
@@ -365,9 +366,10 @@ def test_relevant_prunes_a_derivation_2000_steps_deep_in_a_fresh_process():
 
 
 @pytest.mark.parametrize("text, proved, nodes", [(CONGRUENCE, True, 417), ("p == q -> q -> r", False, 51)])
-def test_decide_and_prove_leave_the_recursion_limit_alone(monkeypatch, text, proved, nodes):
-    # the provability table runs on an explicit stack, so no call changes
-    # the process-wide limit, and the verdicts and counts are as before
+def test_decide_prove_and_the_checks_leave_the_recursion_limit_alone(capsys, monkeypatch, text, proved, nodes):
+    # the provability table runs on an explicit stack, and `loads` reads
+    # under the limit it finds, so no call changes the process-wide limit,
+    # and the verdicts and counts are as before
     def refuse(limit):
         raise AssertionError(f"setrecursionlimit({limit})")
 
@@ -375,6 +377,10 @@ def test_decide_and_prove_leave_the_recursion_limit_alone(monkeypatch, text, pro
     phi = parse_formula(text)
     for verdict in (decide(phi), prove(phi)):
         assert (verdict.proved, verdict.stats.nodes) == (proved, nodes)
+    assert main(["decide", text, "--format", "structured"]) == (0 if proved else 1)
+    document = capsys.readouterr().out
+    assert main(["check-proof" if proved else "check-model", document]) == 0
+    assert capsys.readouterr().out == ("VALID PROOF\n" if proved else "VALID MODEL\n")
 
 
 def test_a_60_variable_chain_proves_under_a_recursion_limit_of_150():

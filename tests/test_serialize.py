@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import pytest
@@ -9,7 +8,7 @@ import isci.calculus
 import isci.parser
 import isci.printer
 import isci.serialize
-from isci.calculus import Derivation, RuleInstance, Sequent, check_proof, sequent
+from isci.calculus import Sequent, check_proof, sequent
 from isci.cli import main
 from isci.countermodel import countermodel, decide
 from isci.formulas import Var
@@ -31,17 +30,6 @@ from test_acceptance import NON_THEOREMS, THEOREMS
 
 p, q = Var("p"), Var("q")
 CONGRUENCE = "(p == q) -> (r == s) -> ((p -> r) == (q -> s))"
-
-
-def nested_document(d):
-    """`d` as a nested proof document, as the reader still takes it: each
-    node holds its sequent, its step's fields and its premises."""
-    steps = iter(proof_doc(d)["steps"])
-
-    def node(n):
-        return {"sequent": format_sequent(n.sequent), **next(steps), "premises": [node(c) for c in n.children]}
-
-    return node(d)
 
 
 def test_proof_document_round_trip():
@@ -124,11 +112,10 @@ def test_malformed_documents_rejected():
         loads("not json")
     with pytest.raises(DocumentError):
         loads("[1, 2]")
-    with pytest.raises(DocumentError):
-        check_proof_doc({"sequent": "|- p", "rule": "L??", "premises": []})
-    with pytest.raises(DocumentError):
-        check_proof_doc({"sequent": "|- p", "rule": "axiom", "premises": [
-            {"sequent": "|- p", "rule": "axiom", "premises": []}]})
+    with pytest.raises(DocumentError, match="unknown rule 'L\\?\\?'"):
+        check_proof_doc({"sequent": "|- p", "steps": [{"rule": "L??"}]})
+    with pytest.raises(DocumentError, match="steps must be a list"):
+        check_proof_doc({"sequent": "|- p", "steps": {"rule": "axiom"}})
     with pytest.raises(DocumentError):
         model_from_doc({"worlds": [], "order_pairs": [], "valuation": [],
                         "designated_world": "w0"})
@@ -180,14 +167,18 @@ def apply_edits(text, edits):
         max_size=4,
     ),
 )
-def test_memoized_reader_agrees_with_parse_sequent(antecedent, succedent, edits):
-    # the root sequent fills the document's memo before its premise is read
-    printed = format_sequent(Sequent(frozenset(antecedent), succedent))
-    edited = apply_edits(printed, edits)
-    doc = {"sequent": printed, "rule": "R->",
-           "premises": [{"sequent": edited, "rule": "open", "premises": []}]}
-    premise = result_or_error(lambda d: derivation_from_doc(d).children[0].sequent, doc)
-    assert premise == result_or_error(parse_sequent, edited)
+def test_the_root_reads_as_parse_sequent_reads_it(antecedent, succedent, edits):
+    # no edit makes the root |- s, so the check names the root it read;
+    # text that does not parse is parse_sequent's error, with its position
+    edited = apply_edits(format_sequent(Sequent(frozenset(antecedent), succedent)), edits)
+    doc = {"formula": "s", "proof": {"sequent": edited, "steps": [{"rule": "open"}]}}
+
+    def root_read(doc):
+        return check_proof_doc(doc).error.removeprefix("root is ").removesuffix(", claim is |- s")
+
+    root = result_or_error(parse_sequent, edited)
+    expected = root if isinstance(root, str) else format_sequent(root)
+    assert result_or_error(root_read, doc) == expected
 
 
 def formulas_in(d):
@@ -258,39 +249,9 @@ def depth2_proof():
     return prove(parse_formula(DEPTH2)).proof
 
 
-def depth2_document(proof):
-    """The verdict on DEPTH2 with its proof in the nested form."""
-    doc = verdict_doc(parse_formula(DEPTH2), proof=proof)
-    doc["proof"] = nested_document(proof)
-    return doc
-
-
-def document_nodes(node):
-    nodes, stack = [], [node]
-    while stack:
-        nodes.append(stack.pop())
-        stack.extend(reversed(nodes[-1]["premises"]))
-    return nodes
-
-
 def split_sequent(text):
     left, _, succedent = text.partition("|- ")
     return (left[:-1].split(", ") if left else []), succedent
-
-
-def node_texts(node):
-    antecedent, succedent = split_sequent(node["sequent"])
-    return antecedent + [succedent] + [node[k] for k in ("principal", "principal2") if k in node]
-
-
-def plain_derivation(node):
-    """A document's derivation read with `parse_sequent` and `parse_formula` alone."""
-    rule = None
-    if node["rule"] not in ("axiom", "open"):
-        principals = [parse_formula(node[k]) if k in node else None for k in ("principal", "principal2")]
-        rule = RuleInstance(node["rule"], *principals, node.get("op"))
-    children = tuple(plain_derivation(p) for p in node["premises"])
-    return Derivation(parse_sequent(node["sequent"]), rule, children)
 
 
 def check_proof_output(capsys, doc):
@@ -326,32 +287,15 @@ REPRINTS = {
 
 
 @pytest.mark.parametrize("reprint", REPRINTS.values(), ids=REPRINTS.keys())
-def test_documents_from_other_writers_read_as_parse_sequent_reads_them(capsys, depth2_proof, reprint):
-    doc = depth2_document(depth2_proof)
-    nodes = document_nodes(doc["proof"])
-    for node in nodes:
-        node["sequent"] = reprint(*split_sequent(node["sequent"]))
-    read = list(derivation_from_doc(doc["proof"]).walk())
-    assert [d.sequent for d in read] == [parse_sequent(n["sequent"]) for n in nodes]
+def test_roots_from_other_writers_read_as_parse_sequent_reads_them(capsys, depth2_proof, reprint):
+    # the subproof of the first sequent with two antecedent formulas
+    proof = next(n for n in depth2_proof.walk() if len(n.sequent.antecedent) > 1)
+    doc = proof_doc(proof)
+    doc["sequent"] = reprinted = reprint(*split_sequent(doc["sequent"]))
+    assert reprinted != format_sequent(proof.sequent)
+    assert parse_sequent(reprinted) == proof.sequent
+    assert same_derivation(derivation_from_doc(doc), proof)
     assert check_proof_output(capsys, doc) == (0, "VALID PROOF\n")
-
-
-def test_a_swap_between_seeded_texts_is_reported_as_parse_sequent_reads_it(capsys, depth2_proof):
-    doc = depth2_document(depth2_proof)
-    nodes = document_nodes(doc["proof"])
-    # the first non-root node with an antecedent formula to swap for a
-    # formula of an earlier node, which the reader's table already holds
-    for index in range(1, len(nodes)):
-        antecedent, succedent = split_sequent(nodes[index]["sequent"])
-        earlier = {t for n in nodes[:index] for t in node_texts(n)}
-        others = sorted(earlier - set(antecedent) - {succedent})
-        if antecedent and others:
-            break
-    nodes[index]["sequent"] = ", ".join([others[0]] + antecedent[1:]) + " |- " + succedent
-    claim = sequent((), parse_formula(doc["formula"]))
-    expected = check_proof(plain_derivation(doc["proof"]), claim).error
-    assert expected.startswith("premise mismatch at ")
-    assert check_proof_output(capsys, doc) == (1, f"INVALID PROOF: {expected}\n")
 
 
 # the theorems of the benchmark's `identity` and `search` workloads: the
@@ -369,16 +313,6 @@ BENCHMARK_THEOREMS = [
 def test_proofs_read_back_unchanged(text):
     proof = decide(parse_formula(text)).proof
     assert same_derivation(derivation_from_doc(loads(dumps(proof_doc(proof)))), proof)
-
-
-def test_the_nested_form_is_the_earlier_documents_byte_for_byte(congruence_proof):
-    # the nested form is what proof documents were before they held steps,
-    # byte for byte, and it reads back as the compact one does
-    doc = nested_document(congruence_proof)
-    assert hashlib.sha256(dumps(doc).encode()).hexdigest() == (
-        "9482aae232c40f425d6c39da4fc624dae45065ab63fd2a0a716a280f4dea7aab"
-    )
-    assert same_derivation(derivation_from_doc(loads(dumps(doc))), congruence_proof)
 
 
 def swap_l_id3_principal(doc):
@@ -451,22 +385,9 @@ def widen_root(doc):
     doc["proof"]["sequent"] = widened(doc["proof"]["sequent"])
 
 
-def nested_nodes(doc):
-    """The nodes of `doc`'s proof, rewritten in the nested form, in preorder."""
-    doc["proof"] = nested_document(derivation_from_doc(doc["proof"]))
-    return document_nodes(doc["proof"])
-
-
-def widen_a_stored_sequent(doc):
-    nodes = nested_nodes(doc)
-    node = nodes[len(nodes) // 2]
-    node["sequent"] = widened(node["sequent"])
-
-
-def break_a_stored_sequent_below_a_rejected_step(doc):
-    nodes = nested_nodes(doc)
-    next(n for n in nodes if "principal" in n)["principal"] = doc["formula"]
-    nodes[-1]["sequent"] = "p |- (("
+def break_a_principal_below_a_rejected_step(doc):
+    swap_principals(doc, 1)
+    [s for s in doc["proof"]["steps"] if "principal" in s][-1]["principal"] = "(("
 
 
 # each edit and the exit codes it gives on the acceptance proofs
@@ -479,8 +400,7 @@ TAMPERINGS = {
     # the leaf is still an axiom, whatever the step says
     "leaf marked open": (mark_first_leaf_open, {0}),
     "wrong root": (widen_root, {1}),
-    "stored sequent edited": (widen_a_stored_sequent, {1}),
-    "stored sequent malformed": (break_a_stored_sequent_below_a_rejected_step, {2}),
+    "principal malformed": (break_a_principal_below_a_rejected_step, {2}),
 }
 
 
