@@ -9,12 +9,13 @@ Grammar (ASCII first, unicode aliases in parentheses):
     sequent  := (formula (',' formula)*)? '|-' formula                (⇒)
 
 `==` binds tighter than `->`; `~` binds tighter than `==`.  Chained `==`
-without parentheses is rejected.
+without parentheses is rejected.  An identifier starts with a letter or
+`_` and goes on with letters, digits and `_`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .calculus import Sequent
 from .formulas import BOT, Formula, Id, Imp, Var
@@ -28,149 +29,121 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # '->', '==', '|-', '(', ')', ',', '~', 'bot', 'ident', 'end'
-    text: str
-    line: int
-    col: int
+# One token per match, whitespace skipped between them: a connective, a
+# symbol, a word, or any other character, which no token starts with.
+_SCAN = re.compile(r"->|==|\|-|[⊃≡⇒⊥#(),~]|\w+|\S")
+_ALIASES = {"⊃": "->", "≡": "==", "⇒": "|-", "⊥": "#", "bot": "#"}
+_SYMBOLS = frozenset(["->", "==", "|-", "#", "(", ")", ",", "~", ""])  # "" ends the text
+_SPELLINGS = _SYMBOLS.union(_ALIASES)
 
 
-_PUNCT = {
-    "->": "->",
-    "==": "==",
-    "|-": "|-",
-    "⊃": "->",
-    "≡": "==",
-    "⇒": "|-",
-    "⊥": "bot",
-    "#": "bot",
-    "(": "(",
-    ")": ")",
-    ",": ",",
-    "~": "~",
-}
+def _match(text: str, index: int) -> re.Match | None:
+    """Token `index` of `text`, or None past the last."""
+    for i, match in enumerate(_SCAN.finditer(text)):
+        if i == index:
+            return match
+    return None
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        two = text[i : i + 2]
-        if two in ("->", "==", "|-"):
-            tokens.append(_Token(_PUNCT[two], two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "bot" if word == "bot" else "ident"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """`message` at the line and column of `offset` in `text`."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def _stray(token: str) -> bool:
+    """Whether `token` starts with a character that starts no token: a
+    digit, say, where a symbol or an identifier's letter or `_` is due."""
+    return token not in _SPELLINGS and not (token[0].isalpha() or token[0] == "_")
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text`, then "": each connective and falsum under its
+    ASCII spelling, and each identifier as itself."""
+    tokens = _SCAN.findall(text)
+    spelled = set(tokens)
+    for word in spelled.difference(_SPELLINGS):
+        if _stray(word):
+            match = next(m for m in _SCAN.finditer(text) if _stray(m.group()))
+            raise _error(text, match.start(), f"unexpected character {match.group()[0]!r}")
+    if not spelled.isdisjoint(_ALIASES):
+        tokens = [_ALIASES.get(t, t) for t in tokens]
+    tokens.append("")
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens; each nesting level costs the
+    four frames of `formula`, `equality`, `unary` and `atom`."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.line, tok.col)
-        return self.take()
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def error(self, message: str) -> ParseError:
+        """`message` at the current token, found again in the text."""
+        match = _match(self.text, self.pos)
+        return _error(self.text, match.start() if match else len(self.text), message)
 
     def formula(self) -> Formula:
         left = self.equality()
-        if self.peek().kind == "->":
-            self.take()
+        if self.tokens[self.pos] == "->":
+            self.pos += 1
             return Imp(left, self.formula())
         return left
 
     def equality(self) -> Formula:
         left = self.unary()
-        if self.peek().kind == "==":
-            self.take()
+        if self.tokens[self.pos] == "==":
+            self.pos += 1
             right = self.unary()
-            if self.peek().kind == "==":
-                self.fail("'==' is not associative; use parentheses")
+            if self.tokens[self.pos] == "==":
+                raise self.error("'==' is not associative; use parentheses")
             return Id(left, right)
         return left
 
     def unary(self) -> Formula:
-        if self.peek().kind == "~":
-            self.take()
+        if self.tokens[self.pos] == "~":
+            self.pos += 1
             return Imp(self.unary(), BOT)
         return self.atom()
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.take()
+        tok = self.tokens[self.pos]
+        if tok == "(":
+            self.pos += 1
             inner = self.formula()
-            self.expect(")", "')'")
+            if self.tokens[self.pos] != ")":
+                raise self.error("expected ')'")
+            self.pos += 1
             return inner
-        if tok.kind == "bot":
-            self.take()
+        if tok not in _SYMBOLS:
+            self.pos += 1
+            return Var(tok)
+        if tok == "#":
+            self.pos += 1
             return BOT
-        if tok.kind == "ident":
-            self.take()
-            return Var(tok.text)
-        self.fail("expected a formula")
+        raise self.error("expected a formula")
 
     def sequent(self) -> Sequent:
+        tokens = self.tokens
         antecedent: list[Formula] = []
-        if self.peek().kind != "|-":
+        if tokens[self.pos] != "|-":
             antecedent.append(self.formula())
-            while self.peek().kind == ",":
-                self.take()
+            while tokens[self.pos] == ",":
+                self.pos += 1
                 antecedent.append(self.formula())
-        self.expect("|-", "'|-'")
-        if self.peek().kind == "end":
-            self.fail("succedent required")
-        succedent = self.formula()
-        return Sequent(frozenset(antecedent), succedent)
+        if tokens[self.pos] != "|-":
+            raise self.error("expected '|-'")
+        self.pos += 1
+        if tokens[self.pos] == "":
+            raise self.error("succedent required")
+        return Sequent(frozenset(antecedent), self.formula())
 
     def finish(self):
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r} after formula", tok.line, tok.col)
+        if self.tokens[self.pos] != "":
+            raise self.error(f"unexpected {_match(self.text, self.pos).group()!r} after formula")
 
 
 def _parse(text: str, read):
@@ -180,8 +153,7 @@ def _parse(text: str, read):
     try:
         result = read(p)
     except RecursionError:
-        tok = p.peek()
-        raise ParseError("formula nested too deeply", tok.line, tok.col) from None
+        raise p.error("formula nested too deeply") from None
     p.finish()
     return result
 

@@ -304,7 +304,7 @@ class Saturator:
         for e1 in self._eq_right.get(g.left, ()):
             for x in self._by_left((kind, e1.left)):
                 e2 = self._eqs.get((x.right, g.right))
-                if e2 is not None and x is not g:
+                if e2 is not None:
                     self._queue(e1, e2, op, x, g)
 
     def _take_equation(self, f: Id) -> None:
@@ -340,8 +340,10 @@ class Saturator:
 
     def _queue(self, e1: Id, e2: Id, op: str, x: Formula, y: Formula) -> None:
         """Queue the composition x == y of `e1` and `e2` if the bound admits
-        it, under its instance's `order_key`; `identity_instance` admits it."""
-        if x.c + y.c < self.bound:
+        it, under its instance's `order_key`; `identity_instance` admits it.
+        A side paired with itself is never queued: the L==1 instance of
+        x == x has the same bound and closure test and sorts first."""
+        if x is not y and x.c + y.c < self.bound:
             heapq.heappush(self._heap, ((_L_ID3, e1.key, e2.key, op), 1, e1, e2, op, x, y))
 
 

@@ -360,7 +360,12 @@ def check_identity_entails_implications(model: KripkeModel | Evaluator, base) ->
     congruence grows along the order, so two congruent formulas are forced
     alike at every world above."""
     ev = _evaluator(model)
-    terms = term_graph(ev, base)
+    return _classes_forced_alike(ev, term_graph(ev, base))
+
+
+def _classes_forced_alike(ev: Evaluator, terms) -> bool:
+    """Whether each congruence class among `terms` is forced uniformly at
+    the worlds of its congruence."""
     for mask, cong in ev.congruences:
         for members in cong.classes(terms):
             forced = ev.forces(members[0]) & mask
@@ -394,7 +399,7 @@ def model_failures(model, base, goal=None, designated=None, budget=None, phase=N
     if not check_monotonicity(ev, terms):
         yield "forcing not monotone"
     stage("the identity-to-implication check")
-    if not check_identity_entails_implications(ev, terms):
+    if not _classes_forced_alike(ev, terms):
         yield "a true equation fails to force its implications"
     if goal is not None:
         stage("the forcing of the formula")

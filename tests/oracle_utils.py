@@ -5,7 +5,9 @@ scanning a complete universe of candidate formulas and justifying each one
 directly against the defining clauses; it shares nothing with the
 production worklist, so the two can cross-check each other.
 `ref_format_formula` prints a formula by recursion, the reference for the
-program's cached formatter.  `ref_labels` computes a world's congruence
+program's cached formatter; `ref_parse_formula` and `ref_parse_sequent`
+read text one character at a time, the reference for the program's
+compiled scanner.  `ref_labels` computes a world's congruence
 naively, relabelling classes until no pair of compound terms is left to
 merge, for the reference forcing and checks.
 `ref_bounded_countermodel_search` is the block search of the brute-force
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
+from dataclasses import dataclass
 
 from isci.calculus import (
     L_ID1,
@@ -100,6 +103,177 @@ def ref_format_formula(f: Formula, eq_side: bool = False, imp_left: bool = False
         body = f"{ref_format_formula(f.left, eq_side=True)} == {ref_format_formula(f.right, eq_side=True)}"
         return f"({body})" if eq_side else body
     raise TypeError(f"not a formula: {f!r}")
+
+
+# --- reference reader -------------------------------------------------------
+# The formula reader `isci.parser` once had: a tokenizer that walks the text
+# one character at a time, keeping each token's line and column, and a
+# descent through `peek` and `take`.  The differential tests compare its
+# formulas, sequents and errors with the compiled scanner's.
+
+
+@dataclass(frozen=True, slots=True)
+class _RefToken:
+    kind: str  # '->', '==', '|-', '(', ')', ',', '~', 'bot', 'ident', 'end'
+    text: str
+    line: int
+    col: int
+
+
+_REF_PUNCT = {
+    "->": "->",
+    "==": "==",
+    "|-": "|-",
+    "⊃": "->",
+    "≡": "==",
+    "⇒": "|-",
+    "⊥": "bot",
+    "#": "bot",
+    "(": "(",
+    ")": ")",
+    ",": ",",
+    "~": "~",
+}
+
+
+def _ref_tokenize(text: str) -> list[_RefToken]:
+    tokens: list[_RefToken] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        two = text[i : i + 2]
+        if two in ("->", "==", "|-"):
+            tokens.append(_RefToken(_REF_PUNCT[two], two, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _REF_PUNCT:
+            tokens.append(_RefToken(_REF_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "bot" if word == "bot" else "ident"
+            tokens.append(_RefToken(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_RefToken("end", "", line, col))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, text: str):
+        self.tokens = _ref_tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> _RefToken:
+        return self.tokens[self.pos]
+
+    def take(self) -> _RefToken:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _RefToken:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {what}", tok.line, tok.col)
+        return self.take()
+
+    def fail(self, message: str):
+        tok = self.peek()
+        raise ParseError(message, tok.line, tok.col)
+
+    def formula(self) -> Formula:
+        left = self.equality()
+        if self.peek().kind == "->":
+            self.take()
+            return Imp(left, self.formula())
+        return left
+
+    def equality(self) -> Formula:
+        left = self.unary()
+        if self.peek().kind == "==":
+            self.take()
+            right = self.unary()
+            if self.peek().kind == "==":
+                self.fail("'==' is not associative; use parentheses")
+            return Id(left, right)
+        return left
+
+    def unary(self) -> Formula:
+        if self.peek().kind == "~":
+            self.take()
+            return Imp(self.unary(), BOT)
+        return self.atom()
+
+    def atom(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "(":
+            self.take()
+            inner = self.formula()
+            self.expect(")", "')'")
+            return inner
+        if tok.kind == "bot":
+            self.take()
+            return BOT
+        if tok.kind == "ident":
+            self.take()
+            return Var(tok.text)
+        self.fail("expected a formula")
+
+    def sequent(self) -> Sequent:
+        antecedent: list[Formula] = []
+        if self.peek().kind != "|-":
+            antecedent.append(self.formula())
+            while self.peek().kind == ",":
+                self.take()
+                antecedent.append(self.formula())
+        self.expect("|-", "'|-'")
+        if self.peek().kind == "end":
+            self.fail("succedent required")
+        succedent = self.formula()
+        return Sequent(frozenset(antecedent), succedent)
+
+    def finish(self):
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected {tok.text!r} after formula", tok.line, tok.col)
+
+
+def _ref_parse(text: str, read):
+    p = _RefParser(text)
+    try:
+        result = read(p)
+    except RecursionError:
+        tok = p.peek()
+        raise ParseError("formula nested too deeply", tok.line, tok.col) from None
+    p.finish()
+    return result
+
+
+def ref_parse_formula(text: str) -> Formula:
+    return _ref_parse(text, _RefParser.formula)
+
+
+def ref_parse_sequent(text: str) -> Sequent:
+    return _ref_parse(text, _RefParser.sequent)
 
 
 def naive_extended_subformulas(phi: Formula) -> frozenset[Formula]:

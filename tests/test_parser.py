@@ -1,12 +1,14 @@
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isci.calculus import Sequent
 from isci.formulas import BOT, Id, Imp, Var
 from isci.parser import ParseError, parse_formula, parse_sequent
 from isci.printer import _latex_atom, format_formula, format_sequent, formatter
-from oracle_utils import all_formulas, formulas_pq, ref_format_formula
+from oracle_utils import all_formulas, formulas_pq, ref_format_formula, ref_parse_formula, ref_parse_sequent
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -78,6 +80,87 @@ def test_trailing_garbage_rejected():
         parse_formula("p q")
     with pytest.raises(ParseError):
         parse_sequent("p |- q |- r")
+
+
+def read(parse, text):
+    """What `parse` makes of `text`: its result, or its error's message and
+    position."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.message, err.line, err.col
+
+
+# every token in every spelling, and what is no token or starts none: words
+# of letters, digits, `_`, `²` and `½`, whitespace of three kinds, and
+# stray halves of the two-character connectives
+PIECES = [
+    *"pqé_0²½", "p2", "q_é", "bot", "#", "⊥", "->", "⊃", "==", "≡", "|-", "⇒",
+    *"(),~", " ", "\n", "\t", "-", "=", "|", "$",
+]
+SPELLINGS = {"->": ["->", "⊃"], "==": ["==", "≡"], "|-": ["|-", "⇒"], "#": ["#", "⊥", "bot"]}
+
+
+@st.composite
+def respelled(draw, text):
+    """`text`'s tokens in any spelling, with any whitespace or none between
+    them, and sometimes one piece put in anywhere."""
+    out = []
+    for token in text.replace("(", "( ").replace(")", " )").split():
+        out.append(draw(st.sampled_from(SPELLINGS.get(token, [token]))))
+        out.append(draw(st.sampled_from(["", " ", "\n", "\t"])))
+    if draw(st.booleans()):
+        out.insert(draw(st.integers(0, len(out))), draw(st.sampled_from(PIECES)))
+    return "".join(out)
+
+
+printed_sequents = st.builds(
+    lambda ante, succ: format_sequent(Sequent(frozenset(ante), succ)), st.sets(formulas_pq, max_size=3), formulas_pq
+)
+texts = st.one_of(
+    st.lists(st.sampled_from(PIECES), max_size=24).map("".join),
+    formulas_pq.map(ref_format_formula).flatmap(respelled),
+    printed_sequents.flatmap(respelled),
+)
+
+
+@settings(max_examples=600)
+@given(texts, st.sampled_from([0, 1, 3, None]), st.booleans())
+def test_the_scanner_reads_as_the_reference_reads(body, depth, as_sequent):
+    # the same formula or sequent, or the same error at the same line and
+    # column.  Past the recursion limit (depth None: four frames a level)
+    # only the error's message is the same, since the two readers reach
+    # the limit at different tokens.
+    past_the_limit = depth is None
+    if past_the_limit:
+        depth = sys.getrecursionlimit() // 3
+    text = "(" * depth + body + ")" * depth
+    if as_sequent:
+        got, want = read(parse_sequent, text), read(ref_parse_sequent, text)
+    else:
+        got, want = read(parse_formula, text), read(ref_parse_formula, text)
+    if past_the_limit and want[0] == "formula nested too deeply":
+        assert got[0] == want[0]
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("p ⇒ q", "unexpected '⇒' after formula", 3),
+        ("p bot", "unexpected 'bot' after formula", 3),
+        ("p ⊥", "unexpected '⊥' after formula", 3),
+        ("(p ⊃ q", "expected ')'", 7),
+        ("p ≡ q ≡ r", "'==' is not associative; use parentheses", 7),
+        ("p ⊃ ²q", "unexpected character '²'", 5),
+        ("é2 -> 2é", "unexpected character '2'", 7),
+    ],
+)
+def test_errors_name_the_token_as_it_is_spelled(text, message, col):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, 1, col)
 
 
 def test_the_cached_formatter_prints_as_format_formula():

@@ -322,6 +322,23 @@ def test_search_space_is_pinned(text, nodes):
         ]
 
 
+@pytest.mark.parametrize("text", [CONGRUENCE, DEPTH_2])
+def test_no_composition_pairs_a_side_with_itself(monkeypatch, text):
+    # a composition x == x is never admitted, since the L==1 instance of x,
+    # under the same bound and closure test, sorts before it; so none waits
+    # on any heap the congruence theorems' saturation reads
+    compositions = []
+
+    def checked(sat):
+        compositions.extend(entry for entry in sat._heap if entry[1] == 1 and len(entry) == 7)
+        return identity_instance(sat)
+
+    monkeypatch.setattr(prover, "identity_instance", checked)
+    assert decide(parse_formula(text), Limits(max_nodes=100_000)).proved
+    assert compositions
+    assert not [(x, y) for *_, x, y in compositions if x is y]
+
+
 # L==1 on p 2,000 times over |- p -> p, then R-> and an axiom leaf, built
 # under the interpreter's default recursion limit
 DEEP_CHAIN_SCRIPT = (
