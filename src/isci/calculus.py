@@ -302,15 +302,14 @@ def check_proof(d: Derivation, claim: Sequent) -> ProofCheckResult:
     return replay(claim, d.sequent, steps)
 
 
-def replay(claim: Sequent, root: Sequent, steps, learn=None, budget=None) -> ProofCheckResult:
+def replay(claim: Sequent, root: Sequent, steps, budget=None) -> ProofCheckResult:
     """Check, against `claim`, the proof of `root` whose steps `steps`
     yields in preorder, with one `apply_rule` per step.  A step is (rule,
     None at a leaf; number of premise steps; the premises' stored sequents,
     an iterable, or None).  Below a rejected step steps are only counted.
     A shape error wins, then a root that is not `claim`, then the last
     rejected step, the first in `check_proof`'s order (last child first).
-    `learn(sequent, premises)` sees a rule's premises before they are
-    compared or the next step is read; `budget` is checked every 4,096 steps."""
+    `budget` is checked every 4,096 steps."""
     from .printer import format_sequent
 
     expected: list[Sequent | None] = [root]
@@ -332,8 +331,6 @@ def replay(claim: Sequent, root: Sequent, steps, learn=None, budget=None) -> Pro
             except InapplicableRuleError as exc:
                 error = f"{rule.rule} not applicable at {format_sequent(seq)}: {exc}"
             else:
-                if learn is not None:
-                    learn(seq, premises)
                 if stored is None or list(stored) == premises:
                     expected.extend(reversed(premises))
                     continue

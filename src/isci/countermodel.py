@@ -8,11 +8,15 @@ node's identity saturation from the search's stored chains.  Before R->
 may fire, every antecedent implication must be saturated (its consequent
 present, or its antecedent the succedent) or treated by L->; at an L->
 the branch takes the left premise unless the table proves it, and then
-the right one.  The branch is cut at its R-> applications into worlds;
-branches are then closed under walking a fresh branch for every sequent
-whose succedent is an implication, giving the extra worlds that refute
-those implications.  The valuation lists a variable as true at a world
-exactly when it occurs in the world's antecedent, and lists the
+the right one.  The branch is cut into worlds at its R-> applications
+that grow the antecedent.  An R-> whose premise keeps the antecedent
+stays in its world, so that the world sees the witnesses of its own
+implication succedents, as a loop-blocked node must see the witness of
+the ancestor it repeats (Heuerding, Seyfried & Zimmermann, TABLEAUX
+1996).  Branches are then closed under walking a fresh branch for every
+sequent whose succedent is an implication, giving the extra worlds that
+refute those implications.  The valuation lists a variable as true at a
+world exactly when it occurs in the world's antecedent, and lists the
 antecedent's equations as true; any other equation is read by the least
 congruence, true where its sides are congruent modulo the equations
 listed at the world or below it (`semantics`).
@@ -227,8 +231,9 @@ class _Builder:
         segments: list[list[Derivation]] = [[]]
         for node in nodes:
             segments[-1].append(node)
-            if node.rule is not None and node.rule.rule == R_IMP:
-                segments.append([])
+            seq = node.sequent
+            if node.rule is not None and node.rule.rule == R_IMP and seq.succedent.left not in seq.antecedent:
+                segments.append([])  # a new world, where R-> grows the antecedent
         first = len(self.worlds)
         for seg in segments:
             world = World(f"w{len(self.worlds)}", tuple(seg), seg[-1].sequent.antecedent)

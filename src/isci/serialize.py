@@ -15,27 +15,30 @@ A proof holds its root sequent and its rule instances in preorder, a leaf
 as `axiom` or `open`.  A rule's arity (two premises for L->, one for the
 other rules) fixes the tree's shape.  `check_proof_doc` feeds the steps to
 one `calculus.replay` from the root, which applies each rule once and
-builds no tree.  A proof without a "steps" list is an input error: that
-is the nested form earlier versions wrote, a "sequent" and "premises" at
-every node, which is no longer read.
+builds no tree; each distinct principal text is parsed once.  A proof
+without a "steps" list is an input error: that is the nested form
+earlier versions wrote, a "sequent" and "premises" at every node, which
+is no longer read.
 
-A model's rows are authoritative.  An equation no row lists is true at a
-world exactly when its sides are congruent modulo the equations listed 1
-at that world or below it (the least congruence, `semantics`); any other
-unlisted formula is false.
+A model's rows are authoritative, and a repeated world, or a second row
+for a formula at a world, is an input error.  An equation no row lists is
+true at a world exactly when its sides are congruent modulo the
+equations listed 1 at that world or below it (the least congruence,
+`semantics`); any other unlisted formula is false.
 
 Formulas and sequents are embedded as concrete syntax, so documents are
-self-contained and re-parse with the package's own parser.
+self-contained and re-parse with the package's own parser.  `dumps` is
+the standard library's indented writer: a verdict nests four levels deep,
+however large its proof.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .calculus import Derivation, ProofCheckResult, RuleInstance, Sequent, is_axiom, replay
-from .formulas import Formula, sort_key, sub_closure
+from .formulas import Formula, sort_key
 from .parser import parse_formula, parse_sequent
 from .printer import format_formula, format_sequent, formatter
 from .semantics import KripkeModel
@@ -46,33 +49,8 @@ class DocumentError(ValueError):
 
 
 def dumps(doc: dict) -> str:
-    """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, for dicts, lists,
-    str, int, bool and None.  It is faster: with `indent` the standard library
-    encodes in pure Python, through one generator per nesting level."""
-    pieces: list[str] = []
-    append = pieces.append
-
-    def write(value, newline: str) -> None:
-        if isinstance(value, str):
-            append(_quote(value))
-        elif type(value) is int:
-            append(int.__repr__(value))
-        elif isinstance(value, (dict, list)) and value:
-            inner, keyed = newline + "  ", isinstance(value, dict)
-            separator = ("{" if keyed else "[") + inner
-            for item in value.items() if keyed else value:
-                append(separator)
-                if keyed:
-                    append(_quote(item[0]) + ": ")
-                    item = item[1]
-                write(item, inner)
-                separator = "," + inner
-            append(newline + ("}" if keyed else "]"))
-        else:
-            append(json.dumps(value))  # None, booleans and empty containers
-
-    write(doc, "\n")
-    return "".join(pieces) + "\n"
+    """`doc` as indented JSON text, with a final newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def loads(text: str) -> dict:
@@ -116,24 +94,7 @@ def formula_from_doc(text) -> Formula:
 
 
 class _FormulaTable(dict):
-    """One document's formula texts and their formulas.  Each entry is what
-    `parse_formula` gives for its text: a parse is entered under the text
-    it read, and `learn` enters formulas under their printed texts, since
-    `parse_formula(format_formula(f))` is `f`."""
-
-    def __init__(self):
-        super().__init__()
-        self.formatted = formatter()
-
-    def learn(self, formulas) -> None:
-        for f in formulas:
-            self[self.formatted(f)] = f
-
-    def learn_premises(self, seq: Sequent, premises) -> None:
-        """Enter the formulas that `premises` add to `seq`."""
-        for premise in premises:
-            self.learn(premise.antecedent - seq.antecedent)
-            self.learn((premise.succedent,))
+    """One document's formula texts and their formulas, each text parsed once."""
 
     def formula(self, text) -> Formula:
         """`formula_from_doc(text)`, parsed once per text."""
@@ -172,16 +133,14 @@ def _read_step(node, table: _FormulaTable) -> tuple[RuleInstance | None, int, No
 def check_proof_doc(doc: dict, budget=None) -> ProofCheckResult:
     """`check_proof` on the proof `doc` holds, a verdict document's or its
     own, against the verdict's formula (else the proof's root), in one
-    `replay` of its steps: no `Derivation` is built.  The root sequent is
-    parsed, and its subformulas and the formulas each rule's premises add
-    enter the table, so principals are looked up."""
+    `replay` of its steps: no `Derivation` is built.  Each distinct
+    principal text is parsed once."""
     proof = doc.get("proof", doc)
     text = _field(proof, "sequent")
     if not isinstance(text, str):
         raise DocumentError(f"sequent must be a string, got {text!r}")
     root = parse_sequent(text)
     table = _FormulaTable()
-    table.learn(sub_closure(root.antecedent | {root.succedent}))
     claim = Sequent(frozenset(), formula_from_doc(doc["formula"])) if "formula" in doc else root
     steps = proof.get("steps")
     if steps is None:
@@ -190,7 +149,7 @@ def check_proof_doc(doc: dict, budget=None) -> ProofCheckResult:
         )
     if not isinstance(steps, list):
         raise DocumentError(f"steps must be a list, got {steps!r}")
-    return replay(claim, root, (_read_step(step, table) for step in steps), table.learn_premises, budget)
+    return replay(claim, root, (_read_step(step, table) for step in steps), budget)
 
 
 # `certbench/spans.py` traces the proof reader under this name.
@@ -212,7 +171,9 @@ def model_doc(model: KripkeModel, designated: str) -> dict:
 
 
 def model_from_doc(doc: dict):
-    """Parse a model document into (KripkeModel, designated world)."""
+    """Parse a model document into (KripkeModel, designated world).  A
+    repeated world, or a second row for a formula at a world, is an input
+    error, however the formula is spelled."""
     try:
         worlds, pairs = doc["worlds"], doc["order_pairs"]
         designated, rows = doc["designated_world"], doc["valuation"]
@@ -225,6 +186,9 @@ def model_from_doc(doc: dict):
             raise DocumentError(f"malformed order pair {pair!r}")
     if not worlds:
         raise DocumentError("model needs at least one world")
+    if len(set(worlds)) < len(worlds):
+        repeated = next(w for i, w in enumerate(worlds) if w in worlds[:i])
+        raise DocumentError(f"repeated world {repeated!r}")
     if designated not in worlds:
         raise DocumentError("designated world is not a world")
     valuation: dict[tuple[Formula, str], int] = {}
@@ -238,7 +202,10 @@ def model_from_doc(doc: dict):
             raise DocumentError(f"valuation row for unknown world {world!r}")
         if type(value) is not int or value not in (0, 1):
             raise DocumentError(f"valuation value must be 0 or 1, got {value!r}")
-        valuation[(table.formula(text), world)] = value
+        key = (table.formula(text), world)
+        if key in valuation:
+            raise DocumentError(f"repeated valuation row for {format_formula(key[0])} at {world!r}")
+        valuation[key] = value
     for a, b in pairs:
         if a not in worlds or b not in worlds:
             raise DocumentError(f"order pair ({a!r}, {b!r}) outside the world set")

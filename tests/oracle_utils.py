@@ -17,6 +17,7 @@ reference for the verdicts and proofs the table gives; `ref_run` runs it
 from the root.  `written_proof` is a proof as the table holds it, before
 `relevant` drops the identity steps nothing reads, which
 `_ProofSearch.write` leaves out as it reads the table.
+`random_corpus` draws the random samples ROADMAP.md quotes.
 `derivation_from_doc` rebuilds the `Derivation` a proof document
 describes, and `two_pass_check_proof` checks a tree node by node, the last
 child first; `reference_check_proof` runs the two as `isci check-proof`
@@ -27,6 +28,7 @@ two trees node by node.
 from __future__ import annotations
 
 import contextlib
+import random
 import sys
 from dataclasses import dataclass
 
@@ -87,6 +89,25 @@ def all_formulas(atoms: list[Formula], max_complexity: int) -> list[Formula]:
                     layer.append(Id(left, right))
         by_c.append(sorted(layer, key=sort_key))
     return [f for layer in by_c for f in layer]
+
+
+RANDOM_ATOMS = [Var("p"), Var("q"), Var("r"), BOT]
+
+
+def random_formula(rng: random.Random, c: int) -> Formula:
+    """A random formula of complexity `c` over p, q, r and #."""
+    if c == 0:
+        return rng.choice(RANDOM_ATOMS)
+    lc = rng.randint(0, c - 1)
+    left, right = random_formula(rng, lc), random_formula(rng, c - 1 - lc)
+    return Imp(left, right) if rng.random() < 0.5 else Id(left, right)
+
+
+def random_corpus(seed: int, n: int, lo: int, hi: int) -> list[Formula]:
+    """`Random(seed)`, `n` formulas of complexity `lo` to `hi`: the samples
+    ROADMAP.md quotes."""
+    rng = random.Random(seed)
+    return [random_formula(rng, rng.randint(lo, hi)) for _ in range(n)]
 
 
 def ref_format_formula(f: Formula, eq_side: bool = False, imp_left: bool = False) -> str:
@@ -755,10 +776,9 @@ class ProofShapeError(ValueError):
 
 def derivation_from_doc(doc: dict) -> Derivation:
     """The derivation a proof document describes, read in preorder without
-    recursion.  The root sequent is parsed, and the formulas each rule's
-    premises add (by `apply_rule`) enter the table, so later ones are looked
-    up.  A node's premises are those `apply_rule` gives, none for a step
-    whose rule does not apply, which `two_pass_check_proof` reports."""
+    recursion.  The root sequent is parsed, and each distinct principal
+    text once.  A node's premises are those `apply_rule` gives, none for a
+    step whose rule does not apply, which `two_pass_check_proof` reports."""
     text = _field(doc, "sequent")
     if not isinstance(text, str):
         raise DocumentError(f"sequent must be a string, got {text!r}")
@@ -778,9 +798,6 @@ def derivation_from_doc(doc: dict) -> Derivation:
         if rule is not None and seq is not None:
             with contextlib.suppress(InapplicableRuleError):
                 premises = apply_rule(seq, rule)
-            for premise in premises:
-                table.learn(premise.antecedent - seq.antecedent)
-                table.learn((premise.succedent,))
         if seq is not None:
             read.append((seq, rule, len(premises)))
         slots.extend(reversed(premises or [None] * arity))

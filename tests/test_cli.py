@@ -282,6 +282,12 @@ ONE_WORLD = {"worlds": ["a"], "order_pairs": [["a", "a"]], "valuation": [], "des
         ("check-model", {**ONE_WORLD, "order_pairs": [["a"]]}, "malformed order pair ['a']"),
         ("check-model", {**ONE_WORLD, "worlds": "ab"}, "worlds must be a list of strings, got 'ab'"),
         ("check-model", {**ONE_WORLD, "valuation": [["p", "a", True]]}, "valuation value must be 0 or 1, got True"),
+        ("check-model", {**ONE_WORLD, "worlds": ["a", "b", "a"]}, "repeated world 'a'"),
+        (
+            "check-model",
+            {**ONE_WORLD, "valuation": [["p -> q", "a", 1], ["(p ⊃ q)", "a", 0]]},
+            "repeated valuation row for p -> q at 'a'",
+        ),
     ],
     ids=[
         "unknown connective",
@@ -293,6 +299,8 @@ ONE_WORLD = {"worlds": ["a"], "order_pairs": [["a", "a"]], "valuation": [], "des
         "short order pair",
         "worlds a string",
         "boolean value",
+        "repeated world",
+        "repeated row in another spelling",
     ],
 )
 def test_malformed_document_messages(capsys, command, doc, message):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from oracle_utils import (
     CHOOSERS,
     all_formulas,
+    random_corpus,
     ref_build,
     ref_labels,
     ref_leftmost_open_branch,
@@ -38,7 +39,8 @@ from isci.invariants import antecedents_inherited, no_branch_repetition
 from isci.parser import parse_formula
 from isci.prover import Limits, ResourceExhausted, _ProofSearch, prove
 from isci.cli import main
-from isci.semantics import KripkeModel, forces, value
+from isci.printer import format_formula
+from isci.semantics import KripkeModel, bounded_countermodel_search, forces, value
 from isci.serialize import model_from_doc
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -368,6 +370,33 @@ def test_close_branch_set_peirce_is_finite_and_refutes():
     bundle = countermodel(phi)
     assert 1 <= len(bundle.branches) < 20
     assert not forces(bundle.model, bundle.designated, phi)
+
+
+# (seed, n, lo, hi) of a `random_corpus` sample, an index into it, and the
+# formula there: each once ended in a true equation failing to force its
+# implications (exit 4), when every R-> started a new world
+RANDOM_REFUTATIONS = [
+    ((909, 6000, 3, 6), 3384, "(p == p -> r) == (p -> r) -> q -> r"),
+    ((707, 3000, 4, 7), 2011, "(r -> q) == (r == r -> # == (# == r)) -> q"),
+    ((505, 60, 8, 12), 59, "(# == r -> q) == ((# == # -> p -> q) -> q) -> q == r"),
+    ((808, 1500, 8, 10), 1135, "((r -> #) == (p == # -> p) -> p == q) == (r -> # == q) -> r"),
+    ((808, 1500, 8, 10), 1447, "(p == # -> q) == (r == r -> q) -> (r == # -> p) == (q == q)"),
+]
+
+
+@pytest.mark.parametrize("sample, index, text", RANDOM_REFUTATIONS)
+def test_a_world_sees_the_witnesses_of_its_own_implications(capsys, sample, index, text):
+    """A world ends only at an R-> that grows the antecedent, so the
+    refutation passes check-model and the oracle finds a countermodel too."""
+    phi = random_corpus(*sample)[index]
+    assert format_formula(phi) == text
+    bundle = countermodel(phi)
+    for a, b in bundle.segment_edges:
+        assert bundle.world_named(a).gamma_max < bundle.world_named(b).occurrences[0].sequent.antecedent
+    doc = serialize.dumps(serialize.verdict_doc(phi, model=bundle.model_document()))
+    assert main(["check-model", doc, "--timeout", "1"]) == 0
+    assert capsys.readouterr().out == "VALID MODEL\n"
+    assert bounded_countermodel_search(phi, 3) is not None
 
 
 def test_provable_nodes_never_reach_open_branches():

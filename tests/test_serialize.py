@@ -83,30 +83,6 @@ def test_verdict_document_status():
     assert doc["formula"] == "p == q"
 
 
-json_text = st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2203\U0001d4b3') | st.characters())
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | json_text,
-    lambda children: st.lists(children) | st.dictionaries(json_text, children),
-    max_leaves=40,
-)
-
-
-@given(json_values)
-def test_dumps_writes_what_json_dumps_writes(value):
-    assert dumps(value) == json.dumps(value, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("text", THEOREMS + NON_THEOREMS)
-def test_dumps_writes_each_acceptance_document_as_json_dumps_does(text):
-    phi = parse_formula(text)
-    verdict = decide(phi)
-    if verdict.proved:
-        doc = verdict_doc(phi, proof=verdict.proof)
-    else:
-        doc = verdict_doc(phi, model=verdict.model.model_document())
-    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
-
-
 def test_malformed_documents_rejected():
     with pytest.raises(DocumentError):
         loads("not json")
@@ -237,7 +213,7 @@ def test_documents_print_and_parse_each_distinct_formula_once(monkeypatch, congr
 
     monkeypatch.setattr(isci.parser, "_tokenize", counting_tokenize)
     assert check_proof_doc(doc).ok
-    assert len(tokenized) <= len(texts)
+    assert len(tokenized) == len(set(tokenized)) <= len(texts)
     assert sum(map(len, tokenized)) <= sum(map(len, texts))
 
 
@@ -257,22 +233,6 @@ def split_sequent(text):
 def check_proof_output(capsys, doc):
     code = main(["check-proof", json.dumps(doc)])
     return code, capsys.readouterr().out
-
-
-def test_seeded_read_tokenizes_only_the_root(monkeypatch, depth2_proof):
-    doc = proof_doc(depth2_proof)
-    root = depth2_proof.sequent
-    root_texts = {isci.printer.format_formula(f) for f in root.antecedent | {root.succedent}}
-    tokenized = []
-    tokenize = isci.parser._tokenize
-
-    def counting_tokenize(text):
-        tokenized.append(text)
-        return tokenize(text)
-
-    monkeypatch.setattr(isci.parser, "_tokenize", counting_tokenize)
-    assert check_proof_doc(doc).ok
-    assert len(tokenized) <= len(root_texts)
 
 
 def alias(text):
@@ -307,6 +267,65 @@ BENCHMARK_THEOREMS = [
     f"p == q -> {c.replace('x', 'p')} == {c.replace('x', 'q')}"
     for c in INNER + [outer.replace("x", inner) for inner in INNER for outer in OUTER]
 ] + ["(p -> q -> r) -> (p -> q) -> p -> r", "(p == q) -> ((p -> #) == (q -> #))", CONGRUENCE]
+
+
+# proofs whose principals hold every connective and falsum
+BOT_CONGRUENCE = "p == q -> (# == (p -> r)) == (# == (q -> r))"
+IMPLICATIONS = "(p -> q -> r) -> (p -> q) -> (r -> #) -> p -> #"
+RESPELLINGS = {
+    "aliases": lambda text: text.replace("->", "⊃").replace("==", "≡").replace("#", "⊥"),
+    "bot": lambda text: text.replace("#", "bot"),
+    "parentheses": lambda text: f"(({text}))",
+    "no spaces": lambda text: text.replace(" ", ""),
+}
+
+
+def proof_with_principals(text):
+    """The verdict document of the theorem `text`, and its steps'
+    principal fields as (step, key) pairs."""
+    doc = verdict_doc(parse_formula(text), proof=decide(parse_formula(text)).proof)
+    return doc, [(step, key) for step in doc["proof"]["steps"] for key in ("principal", "principal2") if key in step]
+
+
+@pytest.mark.parametrize("text", [BOT_CONGRUENCE, IMPLICATIONS])
+@pytest.mark.parametrize("respell", RESPELLINGS.values(), ids=RESPELLINGS.keys())
+def test_principals_in_other_spellings_read_as_parse_formula_reads_them(capsys, respell, text):
+    doc, principals = proof_with_principals(text)
+    changed = 0
+    for step, key in principals:
+        respelled = respell(step[key])
+        changed += respelled != step[key]
+        assert parse_formula(respelled) == parse_formula(step[key])
+        step[key] = respelled
+    assert changed
+    assert check_proof_output(capsys, doc) == (0, "VALID PROOF\n")
+
+
+@pytest.mark.parametrize(
+    "text, principal, respelled, message",
+    [
+        (
+            BOT_CONGRUENCE,
+            "p == q",
+            "q≡p",  # the sides swapped
+            "L==3 not applicable at # == #, p == q, r == r |- (# == (p -> r)) == (# == (q -> r)): "
+            "L==3 needs two antecedent equations and a connective",
+        ),
+        (
+            IMPLICATIONS,
+            "p -> q -> r",
+            "(p ⊃ q) ⊃ r",  # regrouped
+            "L-> not applicable at p, q, p -> q, p -> q -> r, r -> # |- #: "
+            "L-> needs its implication in the antecedent",
+        ),
+    ],
+    ids=["equation", "implication"],
+)
+def test_a_principal_respelled_as_another_formula_is_rejected(capsys, text, principal, respelled, message):
+    doc, principals = proof_with_principals(text)
+    step, key = next((step, key) for step, key in principals if step[key] == principal)
+    step[key] = respelled
+    assert check_proof_output(capsys, doc) == (1, f"INVALID PROOF: {message}\n")
 
 
 @pytest.mark.parametrize("text", BENCHMARK_THEOREMS)
